@@ -42,6 +42,7 @@ from .dense import (
 )
 from .errors import (
     BlockDivisibilityError,
+    FormatError,
     ModeError,
     ParameterError,
     RangeError,

@@ -45,7 +45,7 @@ from .dense import (
     mode_multiply,
 )
 from .errors import BlockDivisibilityError, ParameterError, ShapeError
-from .indexing import hypertriangle_iter
+from .indexing import hypertriangle_iter, replicate_canonical
 from .storage import BcssTensor, PartialSymTensor, decompress_partial
 
 TempHook = Callable[[int, object], None]
@@ -63,15 +63,13 @@ def _check_sttsm_args(a_dims: tuple[int, ...], x: np.ndarray) -> tuple[int, int,
     return m, n, x.shape[0]
 
 
-def _replicate(out: np.ndarray, values: dict, counter: OpCounter | None) -> None:
-    # One read of the unique value plus one write per placed element.
-    written = 0
-    for jt, v in values.items():
-        for perm_idx in set(itertools.permutations(jt)):
-            out[perm_idx] = v
-            written += 1
+def _replicate(values: dict, p: int, m: int, counter: OpCounter | None) -> DenseTensor:
+    """Dense ``(p,) * m`` tensor from its values at nondecreasing indices."""
+    ordered = np.array([values[jt] for jt in hypertriangle_iter(p, m)], dtype=np.float64)
     if counter is not None:
-        counter.count_memops(2 * written)
+        # One read of the unique value plus one write per placed element.
+        counter.count_memops(2 * p**m)
+    return DenseTensor(replicate_canonical(ordered, p, m))
 
 
 def sttsm_naive(
@@ -91,7 +89,6 @@ def sttsm_naive(
     """
     x = np.asarray(x, dtype=np.float64)
     m, n, p = _check_sttsm_args(a.dims, x)
-    out = np.empty((p,) * m, dtype=np.float64, order="F")
 
     def entry(jt: tuple[int, ...]) -> float:
         weight = reduce(np.multiply.outer, [x[j] for j in jt])
@@ -101,13 +98,13 @@ def sttsm_naive(
         return float(np.sum(a.array * weight))
 
     if full_nest:
+        out = np.empty((p,) * m, dtype=np.float64, order="F")
         for jt in itertools.product(range(p), repeat=m):
             out[jt] = entry(jt)
         return DenseTensor(out)
 
     values = {jt: entry(jt) for jt in hypertriangle_iter(p, m)}
-    _replicate(out, values, counter)
-    return DenseTensor(out)
+    return _replicate(values, p, m, counter)
 
 
 def sttsm_scalar_temps(
@@ -133,9 +130,7 @@ def sttsm_scalar_temps(
                 descend(k - 1, t_k, j, (j,) + suffix)
 
     descend(m - 1, a, p - 1, ())
-    out = np.empty((p,) * m, dtype=np.float64, order="F")
-    _replicate(out, values, counter)
-    return DenseTensor(out)
+    return _replicate(values, p, m, counter)
 
 
 def sttsm_dense_ttm(

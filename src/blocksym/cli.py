@@ -171,7 +171,7 @@ def default_verify_cases() -> list[tuple[int, int, int]]:
 def cmd_verify(args) -> int:
     if args.m is not None:
         n = args.n or 4
-        cases = [(args.m, n, args.ba or 1)]
+        cases = [(args.m, n, _given(args.ba, 1))]
     else:
         cases = default_verify_cases()
     cap = dense_elem_cap()
@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
                 f"dense oracle for m={m}, n={n} exceeds SYMTENSOR_MAX_DENSE_ELEMS={cap}"
             )
         p = args.p or n
-        b_c = args.bc or b
+        b_c = _given(args.bc, b)
         for res in verify_case(m, n, p, b, b_c, args.seed):
             print(res.line())
             if not res.ok:
@@ -192,6 +192,19 @@ def cmd_verify(args) -> int:
         return 1
     print("all checks passed")
     return 0
+
+
+def _given(value: int | None, default: int) -> int:
+    """An optional option's value, or ``default`` when it was not given."""
+    return default if value is None else value
+
+
+def _check_block_options(args) -> None:
+    """Block dimensions and grid extents are counts of at least one."""
+    for flag in ("ba", "bc", "nbar"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ParameterError(f"--{flag} must be at least 1, got {value}")
 
 
 def _median_seconds(fn, reps: int) -> float:
@@ -206,8 +219,8 @@ def _median_seconds(fn, reps: int) -> float:
 def cmd_bench(args) -> int:
     m, n = args.m or 3, args.n or 8
     p = args.p or n
-    b_a = args.ba or max(1, n // 2)
-    b_c = args.bc or b_a
+    b_a = _given(args.ba, max(1, n // 2))
+    b_c = _given(args.bc, b_a)
     reps = max(3, args.reps)
     algos = ["naive", "scalar", "dense", "bcss"] if args.algo == "all" else [args.algo]
     cap = dense_elem_cap()
@@ -265,13 +278,13 @@ def _model_sweep(args) -> list[tuple[int, int]]:
     """(n, b) points: fixed block dimension or fixed grid extent."""
     n_max = args.n or 64
     points = []
-    if args.nbar:
+    if args.nbar is not None:
         n = args.nbar
         while n <= n_max:
             points.append((n, n // args.nbar))
             n *= 2
     else:
-        b = args.ba or 8
+        b = _given(args.ba, 8)
         n = b
         while n <= n_max:
             points.append((n, b))
@@ -289,7 +302,7 @@ def cmd_model(args) -> int:
     )
     for n, b in _model_sweep(args):
         p = args.p or n
-        b_c = args.bc or b
+        b_c = _given(args.bc, b)
         if p % b_c:
             continue
         for rep in (
@@ -395,6 +408,7 @@ def main(argv=None) -> int:
     if args.m is not None and args.m < 2:
         ap.error("--m must be at least 2")  # exits 2
     try:
+        _check_block_options(args)
         if args.cmd == "verify":
             status = cmd_verify(args)
             if status == 0 and args.strict:

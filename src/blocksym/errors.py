@@ -23,3 +23,7 @@ class SymmetryError(ValueError):
 
 class ParameterError(ValueError):
     """A parameter combination violates a routine's preconditions."""
+
+
+class FormatError(ValueError):
+    """A file is not a well-formed blocksym file (header or payload length)."""

@@ -1,9 +1,11 @@
 """Reproducible random inputs.
 
 Symmetric tensors are generated by drawing one uniform(-1, 1) value per
-canonical (nondecreasing) index, in hypertriangle order, and replicating it
-to all index permutations; the same seed therefore gives bit-identical
-tensors on every platform, and the symmetry is exact by construction.
+canonical (nondecreasing) index, in hypertriangle order, writing each value
+once at its canonical entry, and copying it to all index permutations with a
+network of adjacent mode swaps (:func:`~blocksym.indexing.replicate_canonical`).
+Values are only copied, so the same seed gives bit-identical tensors on every
+platform, and the symmetry is exact by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .errors import BlockDivisibilityError, ParameterError
-from .indexing import hypertriangle_iter, simplex_count
+from .indexing import hypertriangle_iter, replicate_canonical, simplex_count
 from .storage import BcssTensor
 
 
@@ -24,11 +26,7 @@ def random_symmetric(m: int, n: int, seed: int) -> DenseTensor:
         raise ParameterError("random_symmetric requires m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
     draws = rng.uniform(-1.0, 1.0, size=simplex_count(n, m))
-    out = np.empty((n,) * m, dtype=np.float64, order="F")
-    for value, idx in zip(draws, hypertriangle_iter(n, m)):
-        for perm_idx in set(itertools.permutations(idx)):
-            out[perm_idx] = value
-    return DenseTensor(out)
+    return DenseTensor(replicate_canonical(draws, n, m))
 
 
 def random_matrix(p: int, n: int, seed: int) -> np.ndarray:

@@ -8,22 +8,52 @@ Blocked compact symmetric tensor (``.bcss``): magic ``BCSS``, version u16,
 order u16, tensor dimension u64, block dimension u64, then the canonical
 blocks in hypertriangle order, each as raw doubles in dimensional order.
 The meta-grid is not serialized; it is reconstructed on load.
+
+Both loaders check the header length, the order (1 to 64 for ``.stns``,
+2 to 64 for ``.bcss``), that the block dimension is at least 1 and
+divides the tensor dimension, and that the payload is exactly as long as the
+header says; a file that fails any check raises :class:`FormatError`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .dense import DenseTensor
-from .indexing import hypertriangle_iter
+from .errors import FormatError
+from .indexing import hypertriangle_iter, simplex_count
 from .storage import BcssTensor
 
 _STNS_MAGIC = b"STNS"
 _BCSS_MAGIC = b"BCSS"
 _VERSION = 1
+# NumPy's limit on array dimensions; it also keeps the header arithmetic of
+# a hostile file (products and binomials over ``order`` terms) cheap.
+_MAX_ORDER = 64
+
+
+def _unpack(fmt: str, raw: bytes, off: int) -> tuple[tuple, int]:
+    """Header fields at ``off`` plus the offset just past them."""
+    end = off + struct.calcsize(fmt)
+    if len(raw) < end:
+        raise FormatError(f"header needs {end} bytes, file has {len(raw)}")
+    return struct.unpack_from(fmt, raw, off), end
+
+
+def _check_magic_version(magic: bytes, version: int, expected: bytes, kind: str) -> None:
+    if magic != expected:
+        raise FormatError(f"not a {kind} file (magic {magic!r})")
+    if version != _VERSION:
+        raise FormatError(f"unsupported {kind} format version {version}")
+
+
+def _check_payload(raw: bytes, off: int, elems: int) -> None:
+    if len(raw) - off != 8 * elems:
+        raise FormatError(f"payload is {len(raw) - off} bytes, header implies {8 * elems}")
 
 
 def save_tensor(t: DenseTensor, path) -> None:
@@ -35,14 +65,12 @@ def save_tensor(t: DenseTensor, path) -> None:
 
 def load_tensor(path) -> DenseTensor:
     raw = Path(path).read_bytes()
-    magic, version, order = struct.unpack_from("<4sHH", raw, 0)
-    if magic != _STNS_MAGIC:
-        raise ValueError(f"not a dense tensor file (magic {magic!r})")
-    if version != _VERSION:
-        raise ValueError(f"unsupported dense tensor format version {version}")
-    off = struct.calcsize("<4sHH")
-    dims = struct.unpack_from(f"<{order}Q", raw, off)
-    off += struct.calcsize(f"<{order}Q")
+    (magic, version, order), off = _unpack("<4sHH", raw, 0)
+    _check_magic_version(magic, version, _STNS_MAGIC, "dense tensor")
+    if not 1 <= order <= _MAX_ORDER:
+        raise FormatError(f"dense tensor order must be in 1..{_MAX_ORDER}, got {order}")
+    dims, off = _unpack(f"<{order}Q", raw, off)
+    _check_payload(raw, off, math.prod(dims))
     flat = np.frombuffer(raw, dtype="<f8", offset=off)
     return DenseTensor.from_flat(flat.astype(np.float64), dims)
 
@@ -57,13 +85,14 @@ def save_bcss(a: BcssTensor, path) -> None:
 
 def load_bcss(path) -> BcssTensor:
     raw = Path(path).read_bytes()
-    magic, version, order, n, b = struct.unpack_from("<4sHHQQ", raw, 0)
-    if magic != _BCSS_MAGIC:
-        raise ValueError(f"not a blocked symmetric tensor file (magic {magic!r})")
-    if version != _VERSION:
-        raise ValueError(f"unsupported blocked tensor format version {version}")
-    off = struct.calcsize("<4sHHQQ")
+    (magic, version, order, n, b), off = _unpack("<4sHHQQ", raw, 0)
+    _check_magic_version(magic, version, _BCSS_MAGIC, "blocked symmetric tensor")
+    if not 2 <= order <= _MAX_ORDER:
+        raise FormatError(f"blocked tensor order must be in 2..{_MAX_ORDER}, got {order}")
+    if b < 1 or n < 1 or n % b != 0:
+        raise FormatError(f"block dimension {b} does not divide tensor dimension {n}")
     block_elems = b**order
+    _check_payload(raw, off, block_elems * simplex_count(n // b, order))
     blocks = {}
     for key in hypertriangle_iter(n // b, order):
         flat = np.frombuffer(raw, dtype="<f8", count=block_elems, offset=off)

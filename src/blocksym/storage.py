@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterator
 
 import numpy as np
 
@@ -229,11 +228,6 @@ def decompress_partial(a: PartialSymTensor, counter: OpCounter | None = None) ->
 
 def decompress(a: BcssTensor, counter: OpCounter | None = None) -> DenseTensor:
     return decompress_partial(a, counter)
-
-
-def iter_grid(a: PartialSymTensor) -> Iterator[MultiIndex]:
-    """All block indices of the symmetric grid, canonical or not."""
-    return itertools.product(range(a.grid), repeat=a.sym_modes)
 
 
 def meta_bytes(a: PartialSymTensor) -> int:

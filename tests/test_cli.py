@@ -228,3 +228,51 @@ def test_verify_nondividing_block_is_parameter_error(capsys):
     status, _, err = run_main(["--cmd", "verify", "--m", "3", "--n", "4", "--ba", "3"], capsys)
     assert status == 2
     assert "parameter error:" in err
+
+
+@pytest.mark.parametrize("cap", [None, "10"])
+@pytest.mark.parametrize(
+    "blocks", [["--ba", "0"], ["--ba", "-2"], ["--bc", "0"], ["--ba", "2", "--bc", "0"]]
+)
+def test_bench_block_dim_below_one_is_parameter_error(monkeypatch, capsys, cap, blocks):
+    if cap is None:
+        monkeypatch.delenv("SYMTENSOR_MAX_DENSE_ELEMS", raising=False)
+    else:
+        monkeypatch.setenv("SYMTENSOR_MAX_DENSE_ELEMS", cap)
+    status, out, err = run_main(
+        ["--cmd", "bench", "--m", "2", "--n", "4", "--algo", "bcss", *blocks], capsys
+    )
+    assert status == 2
+    assert out == ""
+    assert "parameter error: --b" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("blocks", [["--ba", "0"], ["--bc", "0"], ["--ba", "2", "--bc", "-1"]])
+@pytest.mark.parametrize("point", [["--m", "2", "--n", "4"], []])
+def test_verify_block_dim_below_one_is_parameter_error(capsys, blocks, point):
+    status, out, err = run_main(["--cmd", "verify", *point, *blocks], capsys)
+    assert status == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
+# Each case would fail, not hang, if the check were lost: a block dimension
+# or grid extent below one makes the unchecked fixed-block sweep loop forever.
+@pytest.mark.parametrize(
+    "flags", [["--nbar", "4", "--ba", "0"], ["--bc", "0"], ["--nbar", "0"]]
+)
+def test_model_block_dim_below_one_is_parameter_error(capsys, flags):
+    status, out, err = run_main(["--cmd", "model", "--m", "3", "--n", "16", *flags], capsys)
+    assert status == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
+def test_given_block_dims_are_used(capsys):
+    status, out, _ = run_main(
+        ["--cmd", "bench", "--m", "2", "--n", "4", "--ba", "1", "--bc", "4", "--algo", "bcss"],
+        capsys,
+    )
+    assert status == 0
+    row = next(r for r in csv.reader(io.StringIO(out)) if r and r[0] == "bcss")
+    assert (row[4], row[5]) == ("1", "4")

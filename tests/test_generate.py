@@ -1,17 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksym import (
     BlockDivisibilityError,
     ParameterError,
     compress,
     decompress,
+    hypertriangle_iter,
     random_matrix,
+    random_symmetric,
     simplex_count,
     sttsm_bcss,
     sttsm_naive,
 )
 from blocksym.cli import compare_bcss_dense
+from blocksym.counters import OpCounter
 from blocksym.generate import random_bcss
 
 # (m, n, b): orders 2..6, single-block (b == n) and unit-block (b == 1) cases.
@@ -83,3 +90,45 @@ def test_random_bcss_rejects_nondividing_block_dim():
 def test_random_bcss_rejects_order_below_two():
     with pytest.raises(ParameterError):
         random_bcss(1, 4, 2, 1)
+
+
+# ------------------------------------------------------------ random_symmetric
+
+
+def loop_random_symmetric(m: int, n: int, seed: int) -> np.ndarray:
+    """Reference: the per-permutation loop ``random_symmetric`` was built on."""
+    rng = np.random.default_rng(seed)
+    draws = rng.uniform(-1.0, 1.0, size=simplex_count(n, m))
+    out = np.empty((n,) * m, dtype=np.float64, order="F")
+    for value, idx in zip(draws, hypertriangle_iter(n, m)):
+        for perm_idx in set(itertools.permutations(idx)):
+            out[perm_idx] = value
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_random_symmetric_bitwise_equals_loop_reference(m, n, seed):
+    got = random_symmetric(m, n, seed).array
+    ref = loop_random_symmetric(m, n, seed)
+    assert got.shape == (n,) * m
+    assert got.flags.f_contiguous
+    assert got.tobytes(order="F") == ref.tobytes(order="F")
+
+
+@pytest.mark.parametrize("m,n", [(2, 5), (3, 8), (4, 6), (5, 8), (6, 4)])
+def test_random_symmetric_bitwise_equals_loop_reference_larger(m, n):
+    got = random_symmetric(m, n, 99).array
+    assert got.flags.f_contiguous
+    assert got.tobytes(order="F") == loop_random_symmetric(m, n, 99).tobytes(order="F")
+
+
+@pytest.mark.parametrize("m,n,p", [(2, 3, 4), (3, 4, 3), (4, 3, 2)])
+def test_naive_counts_two_replication_memops_per_output_element(m, n, p):
+    counter = OpCounter()
+    sttsm_naive(random_symmetric(m, n, 5), random_matrix(p, n, 6), counter)
+    assert counter.memops == 2 * p**m

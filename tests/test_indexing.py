@@ -15,6 +15,7 @@ from blocksym import (
 )
 from blocksym.change_of_basis import symmetrize
 from blocksym.dense import DenseTensor
+from blocksym.indexing import replicate_canonical
 
 
 # ------------------------------------------------------------ canonicalize
@@ -157,6 +158,88 @@ def test_symmetry_check_shape_error():
     t = DenseTensor(rng.standard_normal((3, 5)))
     with pytest.raises(ShapeError):
         is_sym_in_modes(t, {0, 1}, 0.0)
+
+
+def full_symmetry_violation(t: DenseTensor, modes):
+    """Reference: the relative report computed for every adjacent pair."""
+    modes = sorted(set(modes))
+    worst = (0.0, (0,) * t.order, (0,) * t.order)
+    for a, b in zip(modes, modes[1:]):
+        swapped = np.swapaxes(t.array, a, b)
+        diff = np.abs(t.array - swapped)
+        scale = np.maximum(np.abs(t.array), np.abs(swapped))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rel = np.where(diff > 0, diff / np.where(scale > 0, scale, 1.0), 0.0)
+        flat = int(np.argmax(rel))
+        val = float(rel.reshape(-1)[flat])
+        if val > worst[0]:
+            idx = tuple(int(i) for i in np.unravel_index(flat, t.dims))
+            jdx = list(idx)
+            jdx[a], jdx[b] = jdx[b], jdx[a]
+            worst = (val, idx, tuple(jdx))
+    return worst
+
+
+def _sym_in_01(shape, seed):
+    """Random tensor symmetric in modes 0 and 1 only."""
+    base = np.random.default_rng(seed).standard_normal(shape)
+    return 0.5 * (base + np.swapaxes(base, 0, 1))
+
+
+def _same_report(t, modes):
+    got = symmetry_violation(t, modes)
+    ref = full_symmetry_violation(t, modes)
+    assert got[1:] == ref[1:]
+    assert got[0] == ref[0] or (np.isnan(got[0]) and np.isnan(ref[0]))
+    return got
+
+
+@pytest.mark.parametrize("modes", [{0, 1}, {0, 1, 2}, {1, 2}, {0, 2}, {0, 1, 2, 3}])
+def test_symmetry_violation_matches_full_report_on_partial_symmetry(modes):
+    t = DenseTensor(_sym_in_01((3, 3, 3, 3), 21))
+    rel, _, _ = _same_report(t, modes)
+    assert (rel == 0.0) == (modes == {0, 1})
+
+
+@pytest.mark.parametrize("modes", [{0, 1}, {0, 1, 2}, {1, 2}])
+def test_symmetry_violation_matches_full_report_with_signed_zeros(modes):
+    arr = _sym_in_01((3, 3, 3), 22)
+    # Zeros of opposite sign at (0, 1)-swapped positions: still symmetric there.
+    arr[0, 1, 2], arr[1, 0, 2] = 0.0, -0.0
+    arr[2, 0, 2], arr[0, 2, 2] = 0.0, -0.0
+    arr[2, 2, 0] = -0.0
+    rel, _, _ = _same_report(DenseTensor(arr), modes)
+    assert (rel == 0.0) == (modes == {0, 1})
+
+
+def test_symmetry_violation_reports_one_ulp_asymmetry():
+    arr = _sym_in_01((3, 3, 3), 24)
+    arr[0, 1, 2] = np.nextafter(arr[0, 1, 2], np.inf)
+    rel, idx, jdx = _same_report(DenseTensor(arr), {0, 1})
+    assert 0.0 < rel < 1e-15
+    assert {idx, jdx} == {(0, 1, 2), (1, 0, 2)}
+
+
+@pytest.mark.parametrize("modes", [{0, 1}, {0, 1, 2}, {1, 2}])
+@pytest.mark.parametrize("where", [[(0, 1, 2), (1, 0, 2)], [(2, 2, 2)], [(0, 1, 1)]])
+def test_symmetry_violation_matches_full_report_with_nan(modes, where):
+    arr = _sym_in_01((3, 3, 3), 23)
+    for idx in where:
+        arr[idx] = np.nan
+    _same_report(DenseTensor(arr), modes)
+
+
+# ------------------------------------------------------------ replication
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 1), (2, 5), (3, 4), (4, 3), (5, 3)])
+def test_replicate_canonical_places_each_value_on_its_orbit(m, n):
+    values = np.arange(1.0, 1.0 + simplex_count(n, m))
+    out = replicate_canonical(values, n, m)
+    assert out.shape == (n,) * m and out.flags.f_contiguous
+    rank = {idx: r for r, idx in enumerate(hypertriangle_iter(n, m))}
+    for idx in itertools.product(range(n), repeat=m):
+        assert out[idx] == values[rank[tuple(sorted(idx))]]
 
 
 # ------------------------------------------------------------ partitions

@@ -2,8 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksym import (
+    FormatError,
     compress,
     decompress,
     load_bcss,
@@ -42,11 +45,11 @@ def test_dense_header_layout(tmp_path):
 def test_dense_bad_magic_and_version(tmp_path):
     path = tmp_path / "bad.stns"
     path.write_bytes(b"NOPE" + bytes(20))
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError, match="magic"):
         load_tensor(path)
     good = tmp_path / "v9.stns"
     good.write_bytes(struct.pack("<4sHH", b"STNS", 9, 1) + struct.pack("<Q", 1) + bytes(8))
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError, match="version"):
         load_tensor(good)
 
 
@@ -76,7 +79,7 @@ def test_bcss_meta_reconstructed(tmp_path):
 def test_bcss_bad_magic(tmp_path):
     path = tmp_path / "bad.bcss"
     path.write_bytes(b"XXXX" + bytes(30))
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError, match="magic"):
         load_bcss(path)
 
 
@@ -87,3 +90,97 @@ def test_bcss_file_size_is_header_plus_payload(tmp_path):
     save_bcss(packed, path)
     payload, _ = packed.stored_element_count()
     assert path.stat().st_size == struct.calcsize("<4sHHQQ") + payload * 8
+
+
+# ------------------------------------------------------------ malformed files
+
+
+def _saved_bcss(tmp_path, m=3, n=4, b=2):
+    path = tmp_path / "t.bcss"
+    save_bcss(compress(random_symmetric(m, n, 4), b), path)
+    return path
+
+
+def _saved_stns(tmp_path):
+    path = tmp_path / "t.stns"
+    save_tensor(random_symmetric(3, 3, 5), path)
+    return path
+
+
+def _bcss_header(order, n, b):
+    return struct.pack("<4sHHQQ", b"BCSS", 1, order, n, b)
+
+
+@pytest.mark.parametrize("loader,saved", [(load_bcss, _saved_bcss), (load_tensor, _saved_stns)])
+def test_trailing_bytes_rejected(tmp_path, loader, saved):
+    path = saved(tmp_path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(FormatError, match="payload"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader,saved", [(load_bcss, _saved_bcss), (load_tensor, _saved_stns)])
+def test_truncated_payload_rejected(tmp_path, loader, saved):
+    path = saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(FormatError, match="payload"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader,saved", [(load_bcss, _saved_bcss), (load_tensor, _saved_stns)])
+@pytest.mark.parametrize("keep", [0, 3, 8, 13])
+def test_short_header_rejected(tmp_path, loader, saved, keep):
+    path = saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(FormatError, match="header"):
+        loader(path)
+
+
+@pytest.mark.parametrize("n,b", [(4, 0), (0, 0), (0, 2), (6, 4), (4, 8)])
+def test_bcss_bad_block_dim_rejected(tmp_path, n, b):
+    path = tmp_path / "bad.bcss"
+    path.write_bytes(_bcss_header(2, n, b) + bytes(64))
+    with pytest.raises(FormatError, match="block dimension"):
+        load_bcss(path)
+
+
+@pytest.mark.parametrize("order", [0, 1, 65, 65535])
+def test_bcss_order_out_of_range_rejected(tmp_path, order):
+    path = tmp_path / "bad.bcss"
+    path.write_bytes(_bcss_header(order, 4, 2) + bytes(16))
+    with pytest.raises(FormatError, match="order"):
+        load_bcss(path)
+
+
+@pytest.mark.parametrize("order", [0, 65, 65535])
+def test_stns_order_out_of_range_rejected(tmp_path, order):
+    # Dims of 2**64 - 1 each: without the order check, their product alone
+    # takes seconds to compute before the payload length is compared.
+    dims = struct.pack(f"<{order}Q", *[2**64 - 1] * order)
+    path = tmp_path / "bad.stns"
+    path.write_bytes(struct.pack("<4sHH", b"STNS", 1, order) + dims + bytes(8))
+    with pytest.raises(FormatError, match="order"):
+        load_tensor(path)
+
+
+def test_bcss_bad_version_rejected(tmp_path):
+    path = tmp_path / "v2.bcss"
+    path.write_bytes(struct.pack("<4sHHQQ", b"BCSS", 2, 2, 4, 2) + bytes(8 * 12))
+    with pytest.raises(FormatError, match="version"):
+        load_bcss(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_cut_or_extension_of_a_file_is_a_format_error(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    loader, saved = data.draw(
+        st.sampled_from([(load_bcss, _saved_bcss), (load_tensor, _saved_stns)])
+    )
+    path = saved(tmp_path)
+    raw = path.read_bytes()
+    extra = data.draw(st.binary(max_size=24))
+    keep = data.draw(st.integers(0, len(raw) - 1)) if not extra else len(raw)
+    path.write_bytes(raw[:keep] + extra)
+    with pytest.raises(FormatError):
+        loader(path)
