@@ -23,6 +23,7 @@ from .costs import (
     CostReport,
     approx_costs,
     bcss_costs,
+    bcss_impl_memops,
     crossover_table,
     dense_costs,
     metadata_sweep,

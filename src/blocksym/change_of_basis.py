@@ -18,7 +18,8 @@ Four routes to the same result, ordered by how much structure they exploit:
 
 ``sttsm_bcss``
     Algorithm-by-blocks over blocked compact symmetric storage.  Output
-    blocks are produced once per canonical (nondecreasing) block index.
+    blocks are produced once per canonical (nondecreasing) block index,
+    and each block of each temporary and of the output is one GEMM.
     Temporaries ``T(k)`` are symmetric in their leading ``k`` modes, so with
     ``reuse=True`` only their canonical blocks are computed and stored
     (redirected reads handle the rest); ``reuse=False`` materializes every
@@ -38,12 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .counters import OpCounter
-from .dense import (
-    DenseTensor,
-    front_permutation,
-    matmul_ref,
-    mode_multiply,
-)
+from .dense import DenseTensor, matmul_ref, mode_multiply
 from .errors import BlockDivisibilityError, ParameterError, ShapeError
 from .indexing import hypertriangle_iter, replicate_canonical
 from .storage import BcssTensor, PartialSymTensor, decompress_partial
@@ -189,42 +185,46 @@ def _level_product(
     counter: OpCounter | None,
 ):
     """One temporary level: contract mode ``k`` of ``T(k+1)`` with block row
-    ``jb`` of ``x``, block by block.
+    ``jb`` of ``x``, one GEMM per produced block.
 
-    For each produced block the summand blocks of ``T(k+1)`` are fetched
-    through storage redirection, permuted once (redirection fused with the
-    mode-fronting reorder), multiplied into an accumulator held in fronted
-    layout, and the finished block is reordered back.  Returns the dict of
-    produced blocks keyed by their symmetric-mode index tuple.
+    For each produced block the ``nbar`` summand blocks of ``T(k+1)`` are
+    fetched through storage redirection and gathered side by side into one
+    buffer, each with a single transpose (redirection fused with moving mode
+    ``k`` last), so the buffer reads as a ``(rest x n)`` matrix whose columns
+    run over the whole contracted mode.  One ``(rest x n) @ (n x b_C)`` GEMM
+    against block row ``jb`` of ``x`` gives the block with its new mode
+    last, and one copy puts the modes back in logical order.  Returns the
+    dict of produced blocks keyed by their symmetric-mode index tuple.
     """
     nbar = t_in.grid
-    tail_in = (b_c,) * (m - 1 - k)
-    front = front_permutation(k, m).mapping
-    inv_front = [0] * m
-    for d, f in enumerate(front):
-        inv_front[f] = d
-    inv_front = tuple(inv_front)
-    rest = b_a**k * b_c ** (m - 1 - k)
+    rest_dims = (b_a,) * k + (b_c,) * (m - 1 - k)
+    rest = math.prod(rest_dims)
+    back = (*range(k), *range(k + 1, m), k)
+    to_logical = (*range(k), m - 1, *range(k, m - 1))
+    x_rows = x[jb * b_c : (jb + 1) * b_c, :].T
 
     if reuse:
         keys = hypertriangle_iter(nbar, k) if k >= 1 else [()]
     else:
         keys = itertools.product(range(nbar), repeat=k)
 
+    # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
+    # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
+    buf = np.empty(rest_dims + (b_a, nbar), dtype=np.float64, order="F")
+    buf_mat = buf.reshape((rest, nbar * b_a), order="F")
     blocks = {}
     for key in keys:
-        acc = np.zeros((b_c, rest), dtype=np.float64, order="F")
         for ib in range(nbar):
             stored, axes = t_in.stored_and_transform(key + (ib,))
-            fused = tuple(axes[f] for f in front)
-            pa = np.array(np.transpose(stored, fused), order="F", copy=True)
-            if counter is not None:
-                counter.count_memops(2 * pa.size)
-            a_mat = pa.reshape((b_a, rest), order="F")
-            xb = x[jb * b_c : (jb + 1) * b_c, ib * b_a : (ib + 1) * b_a]
-            acc += matmul_ref(xb, a_mat, counter)
-        fronted = acc.reshape((b_c,) + (b_a,) * k + tail_in, order="F")
-        blk = np.array(np.transpose(fronted, inv_front), order="F", copy=True)
+            buf[..., ib] = np.transpose(stored, tuple(axes[f] for f in back))
+        if counter is not None:
+            counter.count_memops(2 * buf.size)
+        c_mat = matmul_ref(buf_mat, x_rows, counter)
+        blk = np.array(
+            np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical),
+            order="F",
+            copy=True,
+        )
         if counter is not None:
             counter.count_memops(2 * blk.size)
         blocks[key] = blk
@@ -247,6 +247,13 @@ def sttsm_bcss(
     block per canonical tuple.  Each temporary ``T(k)`` is symmetric in its
     leading ``k`` modes; ``reuse`` selects whether that is exploited
     (canonical blocks only) or not (every block computed).
+
+    Every block of every temporary and of the output is one GEMM: its
+    ``nbar`` summand blocks are gathered into a single operand and
+    multiplied by a ``b_C``-row block of ``x`` in one call (see
+    :func:`_level_product`).  Counted flops equal
+    :func:`~blocksym.costs.bcss_costs` and counted memops equal
+    :func:`~blocksym.costs.bcss_impl_memops`.
 
     ``temp_hook(k, temp)`` is called with each finished temporary, mainly
     so tests can audit the partial symmetry; see :func:`temp_to_dense`.

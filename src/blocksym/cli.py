@@ -170,7 +170,7 @@ def default_verify_cases() -> list[tuple[int, int, int]]:
 
 def cmd_verify(args) -> int:
     if args.m is not None:
-        n = args.n or 4
+        n = _given(args.n, 4)
         cases = [(args.m, n, _given(args.ba, 1))]
     else:
         cases = default_verify_cases()
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
             raise ParameterError(
                 f"dense oracle for m={m}, n={n} exceeds SYMTENSOR_MAX_DENSE_ELEMS={cap}"
             )
-        p = args.p or n
+        p = _given(args.p, n)
         b_c = _given(args.bc, b)
         for res in verify_case(m, n, p, b, b_c, args.seed):
             print(res.line())
@@ -200,8 +200,8 @@ def _given(value: int | None, default: int) -> int:
 
 
 def _check_block_options(args) -> None:
-    """Block dimensions and grid extents are counts of at least one."""
-    for flag in ("ba", "bc", "nbar"):
+    """Dimensions, block dimensions and grid extents are at least one."""
+    for flag in ("n", "p", "ba", "bc", "nbar"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ParameterError(f"--{flag} must be at least 1, got {value}")
@@ -217,8 +217,8 @@ def _median_seconds(fn, reps: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    m, n = args.m or 3, args.n or 8
-    p = args.p or n
+    m, n = _given(args.m, 3), _given(args.n, 8)
+    p = _given(args.p, n)
     b_a = _given(args.ba, max(1, n // 2))
     b_c = _given(args.bc, b_a)
     reps = max(3, args.reps)
@@ -276,7 +276,7 @@ def cmd_bench(args) -> int:
 
 def _model_sweep(args) -> list[tuple[int, int]]:
     """(n, b) points: fixed block dimension or fixed grid extent."""
-    n_max = args.n or 64
+    n_max = _given(args.n, 64)
     points = []
     if args.nbar is not None:
         n = args.nbar
@@ -293,7 +293,7 @@ def _model_sweep(args) -> list[tuple[int, int]]:
 
 
 def cmd_model(args) -> int:
-    m = args.m or 4
+    m = _given(args.m, 4)
     out = _io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
@@ -301,7 +301,7 @@ def cmd_model(args) -> int:
          "storage_X", "storage_temps", "flops", "memops"]
     )
     for n, b in _model_sweep(args):
-        p = args.p or n
+        p = _given(args.p, n)
         b_c = _given(args.bc, b)
         if p % b_c:
             continue
@@ -329,7 +329,7 @@ def probe_meta_k(m: int, seed: int = 0) -> tuple[float, int, int]:
 
 
 def cmd_storage(args) -> int:
-    m, n = args.m or 5, args.n or 64
+    m, n = _given(args.m, 5), _given(args.n, 64)
     k, probe_bytes, probe_entries = probe_meta_k(m, args.seed)
     rows, best = cost_model.metadata_sweep(m, n, k)
     cap = dense_elem_cap()

@@ -1,13 +1,18 @@
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocksym import (
     BlockDivisibilityError,
     OpCounter,
     ParameterError,
     bcss_costs,
+    bcss_impl_memops,
     compress,
     decompress,
     dense_costs,
@@ -15,6 +20,7 @@ from blocksym import (
     max_relative_error,
     random_matrix,
     random_symmetric,
+    set_matmul_backend,
     simplex_count,
     sttsm_bcss,
     sttsm_dense_ttm,
@@ -167,6 +173,70 @@ def test_bcss_counter_equals_formula_both_modes(m, n, b):
         rep = bcss_costs(m, n, n, b, b, meta_k=0, reuse=reuse)
         assert c.flops == rep.flops, (m, n, b, reuse)
         assert rep.memops <= c.memops <= 2 * rep.memops, (m, n, b, reuse)
+        assert c.memops == bcss_impl_memops(m, n, n, b, b, reuse=reuse), (m, n, b, reuse)
+
+
+@pytest.mark.parametrize(
+    "m,n,p,b_a,b_c", [(2, 6, 6, 3, 2), (3, 6, 4, 2, 1), (3, 4, 6, 1, 3), (4, 4, 4, 2, 2)]
+)
+def test_bcss_one_gemm_per_produced_block(m, n, p, b_a, b_c):
+    a = random_symmetric(m, n, 50)
+    packed = compress(a, b_a)
+    x = random_matrix(p, n, 51)
+    nbar, pbar = n // b_a, p // b_c
+    for reuse in (True, False):
+        # Level k (d = m-1-k) is entered C(pbar+d, d+1) times and produces
+        # one block per canonical (reuse) or grid (no reuse) k-tuple, each
+        # from a single (rest x n) @ (n x b_C) product.
+        expected = Counter()
+        for d in range(m):
+            k = m - 1 - d
+            blocks = simplex_count(nbar, k) if reuse and k else nbar**k
+            expected[b_a**k * b_c ** (m - 1 - k)] += math.comb(pbar + d, d + 1) * blocks
+        calls = []
+
+        def counting(lhs, rhs):
+            calls.append((lhs.shape, rhs.shape))
+            return lhs @ rhs
+
+        set_matmul_backend(counting)
+        try:
+            out = sttsm_bcss(packed, x, b_c, reuse=reuse)
+        finally:
+            set_matmul_backend(None)
+        assert all(lhs[1] == n and rhs == (n, b_c) for lhs, rhs in calls), calls
+        assert Counter(lhs[0] for lhs, _ in calls) == expected, reuse
+        assert max_relative_error(decompress(out), sttsm_naive(a, x)) < 1e-10
+
+
+@st.composite
+def _bcss_case(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 64, 3: 16, 4: 8}[m]))  # n^m <= 4096
+    p = draw(st.integers(1, 8))
+    b_a = draw(st.sampled_from([b for b in range(1, n + 1) if n % b == 0]))
+    b_c = draw(st.sampled_from([b for b in range(1, p + 1) if p % b == 0]))
+    return m, n, p, b_a, b_c, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bcss_case())
+@example((3, 6, 4, 3, 2, 0))
+@example((4, 8, 3, 2, 3, 1))
+def test_bcss_matches_oracle_and_counts_property(case):
+    m, n, p, b_a, b_c, seed = case
+    a = random_symmetric(m, n, seed)
+    x = random_matrix(p, n, seed + 1)
+    packed = compress(a, b_a)
+    oracle = sttsm_naive(a, x)
+    for reuse in (True, False):
+        c = OpCounter()
+        out = sttsm_bcss(packed, x, b_c, c, reuse=reuse)
+        assert max_relative_error(decompress(out), oracle) < 1e-10, reuse
+        assert c.flops == bcss_costs(m, n, p, b_a, b_c, meta_k=0, reuse=reuse).flops
+        assert c.memops == bcss_impl_memops(m, n, p, b_a, b_c, reuse=reuse)
+        again = sttsm_bcss(packed, x, b_c, reuse=reuse)
+        assert all(np.array_equal(out.blocks[key], again.blocks[key]) for key in out.blocks)
 
 
 def test_bcss_temporaries_are_partially_symmetric():

@@ -276,3 +276,17 @@ def test_given_block_dims_are_used(capsys):
     assert status == 0
     row = next(r for r in csv.reader(io.StringIO(out)) if r and r[0] == "bcss")
     assert (row[4], row[5]) == ("1", "4")
+
+
+# At zero these options used to read as unset and run at their defaults.
+@pytest.mark.parametrize(
+    "cmd", [["verify"], ["bench", "--algo", "bcss"], ["model"], ["storage"]]
+)
+@pytest.mark.parametrize(
+    "dims", [["--n", "0"], ["--p", "0"], ["--n", "0", "--p", "0"], ["--n", "4", "--p", "-1"]]
+)
+def test_dimension_below_one_is_parameter_error(capsys, cmd, dims):
+    status, out, err = run_main(["--cmd", cmd[0], "--m", "2", *cmd[1:], *dims], capsys)
+    assert status == 2
+    assert out == ""
+    assert "parameter error: --" in err and "at least 1" in err

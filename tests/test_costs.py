@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from blocksym import (
     ParameterError,
     approx_costs,
     bcss_costs,
+    bcss_impl_memops,
     crossover_table,
     dense_costs,
     metadata_sweep,
@@ -82,6 +84,24 @@ def test_temporaries_payload_and_meta_are_separate():
     assert rep.storage_temps == payload
     assert rep.storage_temps_meta == 2 * (nbar + nbar**2)
     assert rep.storage_temps_total == payload + 2 * (nbar + nbar**2)
+
+
+def test_impl_memops_anchor_and_ratio_to_model_below_two():
+    assert bcss_impl_memops(5, 32, 32, 8, 8) == 241_172_480
+    for m, (n, b_a), (p, b_c), reuse in itertools.product(
+        (2, 3, 5), [(8, 1), (8, 2), (12, 3), (8, 8)], [(8, 2), (6, 3), (4, 4)], (True, False)
+    ):
+        model = bcss_costs(m, n, p, b_a, b_c, meta_k=0, reuse=reuse).memops
+        counted = bcss_impl_memops(m, n, p, b_a, b_c, reuse=reuse)
+        nbar, r = n // b_a, Fraction(b_c, b_a)
+        assert Fraction(counted, model) == (2 * nbar + 2 * r) / (nbar + 2 * r) < 2
+
+
+def test_impl_memops_parameter_validation():
+    with pytest.raises(ParameterError):
+        bcss_impl_memops(2, 4, 4, 3, 2)
+    with pytest.raises(ParameterError):
+        bcss_impl_memops(1, 4, 4, 2, 2)
 
 
 # ------------------------------------------------------------ dense costs
