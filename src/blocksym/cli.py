@@ -424,13 +424,24 @@ def main(argv=None) -> int:
         return 2
 
 
-def _strict_timing_check(m: int = 5, n: int = 32, b: int = 8, seed: int = 1234) -> int:
-    """Require the blocked algorithm to beat the dense chain on wall time."""
+def time_dense_vs_blocked(m: int, n: int, b: int, seed: int, reps: int = 3) -> tuple[float, float]:
+    """Median wall seconds of ``sttsm_dense_ttm`` and ``sttsm_bcss``, in that order.
+
+    Both transform ``random_symmetric(m, n, seed)`` by the square
+    ``random_matrix(n, n, seed + 1)``; the blocked call takes the input
+    compressed with block dimension ``b`` and produces blocks of ``b`` too.
+    """
     a = random_symmetric(m, n, seed)
     x = random_matrix(n, n, seed + 1)
     packed = compress(a, b)
-    dense_t = _median_seconds(lambda: sttsm_dense_ttm(a, x), 3)
-    bcss_t = _median_seconds(lambda: sttsm_bcss(packed, x, b), 3)
+    dense_t = _median_seconds(lambda: sttsm_dense_ttm(a, x), reps)
+    bcss_t = _median_seconds(lambda: sttsm_bcss(packed, x, b), reps)
+    return dense_t, bcss_t
+
+
+def _strict_timing_check(m: int = 5, n: int = 32, b: int = 8, seed: int = 1234) -> int:
+    """Require the blocked algorithm to beat the dense chain on wall time."""
+    dense_t, bcss_t = time_dense_vs_blocked(m, n, b, seed)
     print(f"timing: dense {dense_t:.3f}s, blocked {bcss_t:.3f}s")
     if bcss_t <= dense_t:
         return 0

@@ -130,6 +130,36 @@ def linear_offset(dims: Sequence[int], idx: Sequence[int]) -> int:
     return off
 
 
+# Doubles per slab of a tiled permute: small enough that a slab's source
+# lines stay in cache while the output's fastest axis runs over the slab.
+_SLAB = 1 << 15
+
+
+def _merged_axes(
+    shape: tuple[int, ...], axes: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduce ``np.transpose(a, axes)`` of an F-ordered ``a`` of ``shape``.
+
+    Size-1 axes are dropped, and each run of input axes that stays adjacent
+    and in order in the output becomes one axis.  Returns the merged input
+    shape (still mode 0 fastest) and the merged axis order, so ``(lead, n,
+    rest) -> (n, lead, rest)`` comes back as ``(1, 0, 2)`` whatever the
+    number of modes in ``lead`` and ``rest``.
+    """
+    kept = [j for j in axes if shape[j] != 1]
+    rank = {j: r for r, j in enumerate(sorted(kept))}
+    runs: list[list[int]] = []
+    for j in kept:
+        if runs and rank[runs[-1][-1]] + 1 == rank[j]:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    by_input = sorted(range(len(runs)), key=lambda r: runs[r][0])
+    merged_shape = tuple(math.prod(shape[j] for j in runs[r]) for r in by_input)
+    position = {r: i for i, r in enumerate(by_input)}
+    return merged_shape, tuple(position[r] for r in range(len(runs)))
+
+
 def permute(t: DenseTensor, p: Permutation, counter: OpCounter | None = None) -> DenseTensor:
     """Materialize ``t`` with its modes reordered by ``p``.
 
@@ -137,13 +167,49 @@ def permute(t: DenseTensor, p: Permutation, counter: OpCounter | None = None) ->
     the reordered index equals the source element.  Always copies (2 memops
     per element), even for the identity, so that instrumented counts reflect
     the explicit data movement this layout strategy pays for.
+
+    Tensors of at most ``_SLAB`` elements take one transposed NumPy copy.
+    Larger ones are cache-tiled (see :func:`_tiled_transpose`); the values
+    and layout of the result are the same either way.
     """
     if len(p) != t.order:
         raise ShapeError(f"permutation length {len(p)} != tensor order {t.order}")
-    out = np.array(np.transpose(t.array, axes=p.mapping), order="F", copy=True)
+    src = t.array
+    if src.size <= _SLAB:
+        out = np.array(np.transpose(src, axes=p.mapping), order="F", copy=True)
+    else:
+        out = _tiled_transpose(src, p.mapping)
     if counter is not None:
         counter.count_memops(2 * out.size)
     return DenseTensor(out)
+
+
+def _tiled_transpose(src: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """F-ordered copy of ``np.transpose(src, axes)`` for F-contiguous ``src``.
+
+    :func:`_merged_axes` first reduces the transpose; the front permutation
+    of :func:`mode_multiply` and its inverse become a batched 2-D transpose.
+    NumPy copies in output order, so when the output's fastest axis is the
+    longer of the two swapped axes (the source's fastest and the output's
+    fastest), each source cache line would be evicted before its next
+    element is read.  The copy then runs in slabs of about ``_SLAB``
+    elements cut along the output's fastest axis.  Otherwise, including
+    when mode 0 stays fastest, slabs would leave NumPy's inner loop as it
+    is, so one copy runs.
+    """
+    out = np.empty(tuple(src.shape[j] for j in axes), dtype=np.float64, order="F")
+    shape, merged = _merged_axes(src.shape, axes)
+    fast = merged[0]
+    if fast == 0 or shape[fast] < shape[0]:
+        out[...] = np.transpose(src, axes)
+        return out
+    s = src.reshape(shape, order="F")
+    o = out.reshape(tuple(shape[j] for j in merged), order="F")
+    step = max(1, _SLAB // shape[0])
+    lead = (slice(None),) * fast
+    for lo in range(0, shape[fast], step):
+        o[lo : lo + step] = np.transpose(s[lead + (slice(lo, lo + step),)], merged)
+    return out
 
 
 def ipermute(t: DenseTensor, p: Permutation, counter: OpCounter | None = None) -> DenseTensor:
@@ -210,7 +276,10 @@ def mode_multiply(
 
     Result dims replace ``I_k`` by ``J``; element ``(.., j, ..)`` equals
     ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``.  Implemented exactly as
-    permute -> group_modes -> matmul_ref -> ungroup -> ipermute.
+    permute -> group_modes -> matmul_ref -> ungroup -> ipermute.  The GEMM
+    is ``(N' x I_k) @ (I_k x J)`` on the transposed views, ``N'`` the
+    product of the other dims, so it writes the F-ordered ``(J x N')``
+    matrix that the inverse permute reads, with no copy in between.
     """
     if not 0 <= k < t.order:
         raise ModeError(f"mode {k} out of range for order {t.order}")
@@ -222,7 +291,9 @@ def mode_multiply(
     front = front_permutation(k, t.order)
     pa = permute(t, front, counter)
     a_mat = group_modes(pa, 1) if t.order > 1 else pa.array.reshape((t.dims[k], 1), order="F")
-    c_mat = matmul_ref(b, a_mat, counter)
+    # Transposed back, the C-ordered (N' x J) product is F-ordered (J x N'),
+    # so the reshape below is a view; b @ a_mat would need a copy here.
+    c_mat = matmul_ref(a_mat.T, b.T, counter).T
     out_front_dims = (b.shape[0],) + pa.dims[1:]
     pc = DenseTensor(c_mat.reshape(out_front_dims, order="F"))
     return ipermute(pc, front, counter)

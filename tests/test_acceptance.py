@@ -7,7 +7,6 @@ Criterion 7 (wall-clock trend) is informational unless SYMTENSOR_STRICT=1.
 import itertools
 import math
 import os
-import statistics
 import time
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from blocksym import (
     sttsm_naive,
     temp_to_dense,
 )
-from blocksym.cli import probe_meta_k
+from blocksym.cli import probe_meta_k, time_dense_vs_blocked
 from blocksym.dense import Permutation
 
 SEED = 20240801
@@ -239,24 +238,11 @@ def test_criterion_6_round_trips(sweep):
     assert not bad
 
 
-def _median_time(fn, reps=3):
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
 def test_criterion_7_wall_clock_trend():
     m, n, b = 5, 32, 8
     strict = os.environ.get("SYMTENSOR_STRICT") == "1"
     try:
-        a = random_symmetric(m, n, SEED)
-        x = random_matrix(n, n, SEED + 1)
-        packed = compress(a, b)
-        dense_t = _median_time(lambda: sttsm_dense_ttm(a, x))
-        bcss_t = _median_time(lambda: sttsm_bcss(packed, x, b))
+        dense_t, bcss_t = time_dense_vs_blocked(m, n, b, SEED)
     except MemoryError:
         verdict(7, True, "dense baseline does not fit in memory; trend not measurable "
                          "(informational)")

@@ -113,6 +113,40 @@ def test_dense_ttm_flop_counter_anchor():
     assert c.flops == 448 == dense_costs(3, 4, 2).flops
 
 
+@pytest.mark.parametrize(
+    "m,n,p", [(2, 4, 4), (3, 5, 3), (3, 4, 7), (4, 3, 5), (5, 2, 3), (4, 16, 12), (3, 40, 50)]
+)
+def test_dense_ttm_exact_counts_and_gemm_shapes(m, n, p):
+    # Mode d reads p^d n^(m-d) elements through the front permute and writes
+    # p^(d+1) n^(m-1-d) through the inverse one, 2 memops each, between
+    # them one (N' x n) @ (n x p) GEMM with N' = p^d n^(m-1-d).  The last
+    # two cases are larger than one slab of the tiled permute.
+    a = random_symmetric(m, n, 17)
+    x = random_matrix(p, n, 18)
+    calls = []
+
+    def counting(lhs, rhs):
+        calls.append((lhs.shape, rhs.shape))
+        return lhs @ rhs
+
+    c = OpCounter()
+    set_matmul_backend(counting)
+    try:
+        out = sttsm_dense_ttm(a, x, c)
+    finally:
+        set_matmul_backend(None)
+    assert c.memops == sum(
+        2 * (p**d * n ** (m - d) + p ** (d + 1) * n ** (m - 1 - d)) for d in range(m)
+    )
+    assert c.flops == dense_costs(m, n, p).flops
+    assert calls == [((p**d * n ** (m - 1 - d), n), (n, p)) for d in range(m)]
+    want = a.array
+    for k in range(m):
+        want = np.moveaxis(np.tensordot(x, want, axes=([1], [k])), 0, k)
+    assert out.dims == (p,) * m and out.array.flags.f_contiguous
+    assert np.max(np.abs(out.array - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # ------------------------------------------------------------ blocked
 
 

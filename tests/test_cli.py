@@ -3,10 +3,12 @@ import io
 
 import pytest
 
+from blocksym import cli
 from blocksym.cli import (
     compare_bcss_dense,
     main,
     probe_meta_k,
+    time_dense_vs_blocked,
     verify_case,
 )
 
@@ -290,3 +292,27 @@ def test_dimension_below_one_is_parameter_error(capsys, cmd, dims):
     assert status == 2
     assert out == ""
     assert "parameter error: --" in err and "at least 1" in err
+
+
+def test_time_dense_vs_blocked_returns_both_medians():
+    dense_t, bcss_t = time_dense_vs_blocked(3, 4, 2, 5, reps=1)
+    assert dense_t > 0 and bcss_t > 0
+
+
+@pytest.mark.parametrize("times,status", [((2.0, 1.0), 0), ((1.0, 1.0), 0), ((1.0, 2.0), 1)])
+def test_verify_strict_gates_on_shared_timing(capsys, monkeypatch, times, status):
+    # --strict times dense against blocked through the function criterion 7 uses.
+    seen = []
+
+    def fake(m, n, b, seed, reps=3):
+        seen.append((m, n, b, seed, reps))
+        return times
+
+    monkeypatch.setattr(cli, "time_dense_vs_blocked", fake)
+    got, out, err = run_main(
+        ["--cmd", "verify", "--m", "2", "--n", "4", "--ba", "2", "--strict"], capsys
+    )
+    assert got == status
+    assert seen == [(5, 32, 8, 1234, 3)]
+    assert "timing: dense" in out
+    assert ("strict timing check failed" in err) == (status == 1)

@@ -1,7 +1,11 @@
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocksym import (
     DenseTensor,
@@ -17,6 +21,7 @@ from blocksym import (
     permute,
     set_matmul_backend,
 )
+from blocksym import dense
 from blocksym.counters import OpCounter
 
 
@@ -135,6 +140,138 @@ def test_permute_counts_two_memops_per_element():
     permute(t, Permutation((1, 0)), c)
     assert c.memops == 2 * 12
     assert c.flops == 0
+
+
+def _assert_permute_matches_numpy(t, p):
+    c = OpCounter()
+    out = permute(t, p, c)
+    want = np.transpose(t.array, p.mapping).copy(order="F")
+    assert out.dims == want.shape == p.apply(t.dims)
+    assert out.array.tobytes(order="A") == want.tobytes(order="A")  # bitwise, -0.0 too
+    assert out.array.flags.f_contiguous
+    assert not np.shares_memory(out.array, t.array)
+    assert (c.memops, c.flops) == (2 * t.array.size, 0)
+
+
+@st.composite
+def _tensor_and_permutation(draw):
+    m = draw(st.integers(1, 6))
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=m, max_size=m)))
+    perm = Permutation(tuple(draw(st.permutations(range(m)))))
+    return dims, perm, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tensor_and_permutation(), st.integers(1, 40))
+@example(((3, 1, 4, 1, 5), Permutation((4, 1, 0, 3, 2)), 0), 1)
+@example(((8, 1, 8), Permutation((2, 1, 0)), 1), 5)
+def test_permute_matches_numpy_property(case, slab):
+    # A small slab sends these small shapes through the tiled copy.
+    dims, p, seed = case
+    t = rand_tensor(dims, seed)
+    _assert_permute_matches_numpy(t, p)
+    with mock.patch.object(dense, "_SLAB", slab):
+        _assert_permute_matches_numpy(t, p)
+
+
+@st.composite
+def _larger_than_slab(draw):
+    # Every dim but one is small; the long one puts the size past one slab.
+    m = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    long = draw(st.integers(0, m - 1))
+    others = math.prod(dims) // dims[long]
+    dims[long] = dense._SLAB // others + 1 + draw(st.integers(0, 50))
+    perm = Permutation(tuple(draw(st.permutations(range(m)))))
+    return tuple(dims), perm, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_larger_than_slab())
+@example(((4, 3, 2**14), Permutation((2, 0, 1)), 0))
+@example(((2**14, 3, 4), Permutation((1, 2, 0)), 1))
+def test_permute_larger_than_one_slab_matches_numpy(case):
+    dims, p, seed = case
+    t = rand_tensor(dims, seed)
+    assert t.array.size > dense._SLAB
+    _assert_permute_matches_numpy(t, p)
+
+
+@pytest.mark.parametrize("m,n", [(4, 16), (5, 9), (3, 40)])
+def test_mode_product_permutes_round_trip_past_one_slab(m, n):
+    # The front permutation of each mode product and its inverse, the two
+    # transposes the dense chain runs on whole tensors.
+    t = rand_tensor((n,) * m, m + n)
+    assert t.array.size > dense._SLAB
+    for k in range(m):
+        front = dense.front_permutation(k, m)
+        moved = permute(t, front)
+        assert np.array_equal(moved.array, np.moveaxis(t.array, k, 0))
+        assert np.array_equal(ipermute(moved, front).array, t.array)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_mode_product_permutes_merge_to_batched_transpose(m):
+    # Whatever m and k, the front permutation is (lead, n, rest) ->
+    # (n, lead, rest) after merging and its inverse the reverse; at k = 0
+    # both are the identity on one merged axis.
+    n = 3
+    dims = (n,) * m
+    for k in range(m):
+        front = dense.front_permutation(k, m)
+        if k == 0:
+            assert dense._merged_axes(dims, front.mapping) == ((n**m,), (0,))
+            assert dense._merged_axes(dims, front.inverse().mapping) == ((n**m,), (0,))
+            continue
+        lead, rest = n**k, n ** (m - 1 - k)
+        keep = 3 if rest > 1 else 2
+        axes = (1, 0, 2)[:keep]
+        assert dense._merged_axes(dims, front.mapping) == ((lead, n, rest)[:keep], axes)
+        assert dense._merged_axes(dims, front.inverse().mapping) == ((n, lead, rest)[:keep], axes)
+
+
+def test_merged_axes_drops_unit_axes():
+    assert dense._merged_axes((3, 1, 4), (2, 1, 0)) == ((3, 4), (1, 0))
+    assert dense._merged_axes((2, 3, 1, 5), (3, 2, 0, 1)) == ((6, 5), (1, 0))
+    assert dense._merged_axes((2, 3, 1, 5), (2, 0, 1, 3)) == ((30,), (0,))
+    assert dense._merged_axes((1, 1), (1, 0)) == ((), ())
+
+
+@st.composite
+def _permutations(draw, count):
+    m = draw(st.integers(1, 6))
+    return [Permutation(tuple(draw(st.permutations(range(m))))) for _ in range(count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_permutations(3))
+def test_permutation_inverse_and_compose_algebra(perms):
+    a, b, c = perms
+    m = len(a)
+    ident = Permutation.identity(m)
+    seq = tuple(range(10, 10 + m))
+    assert a.inverse().inverse() == a
+    assert a.compose(a.inverse()) == a.inverse().compose(a) == ident
+    assert a.compose(ident) == ident.compose(a) == a
+    assert a.compose(b).compose(c) == a.compose(b.compose(c))
+    assert a.inverse().apply(a.apply(seq)) == seq
+    assert a.compose(b).apply(seq) == b.apply(a.apply(seq))
+    assert a.compose(b).inverse() == b.inverse().compose(a.inverse())
+    assert a.is_identity() == (a == ident)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_permutations(2), st.integers(0, 2**16))
+def test_permute_of_composition_and_ipermute_property(perms, seed):
+    a, b = perms
+    m = len(a)
+    # Distinct dims, so a permutation applied the wrong way round changes
+    # the shape and cannot pass by accident.
+    dims = tuple(range(2, 2 + m))
+    t = rand_tensor(dims, seed)
+    assert np.array_equal(permute(t, a.compose(b)).array, permute(permute(t, a), b).array)
+    assert np.array_equal(ipermute(permute(t, a), a).array, t.array)
+    assert np.array_equal(permute(ipermute(t, a), a).array, t.array)
 
 
 # ---------------------------------------------------------------- grouping

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksym import (
     ModePartition,
@@ -14,7 +16,7 @@ from blocksym import (
     symmetry_violation,
 )
 from blocksym.change_of_basis import symmetrize
-from blocksym.dense import DenseTensor
+from blocksym.dense import DenseTensor, Permutation
 from blocksym.indexing import replicate_canonical
 
 
@@ -54,6 +56,25 @@ def test_canonicalize_idempotent_and_deterministic():
     # Repeated values: smallest mapping wins, so results are reproducible.
     assert canonicalize((1, 1, 0)).applied.mapping == canonicalize((1, 1, 0)).applied.mapping
     assert canonicalize((1, 1, 0)).applied.mapping == (1, 2, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+def test_canonicalize_property(values):
+    idx = tuple(values)
+    ref = canonicalize(idx)
+    assert ref.canonical == tuple(sorted(idx))
+    assert ref.applied.apply(ref.canonical) == idx
+    assert ref.applied.inverse().apply(idx) == ref.canonical
+    assert canonicalize(ref.canonical).applied.is_identity()
+    # Of all mappings that reproduce idx, the lexicographically smallest.
+    m = len(idx)
+    valid = [
+        perm
+        for perm in itertools.permutations(range(m))
+        if Permutation(perm).apply(ref.canonical) == idx
+    ]
+    assert ref.applied.mapping == min(valid)
 
 
 def test_meta_orbits_cover_full_grid():
