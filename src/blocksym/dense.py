@@ -130,8 +130,9 @@ def linear_offset(dims: Sequence[int], idx: Sequence[int]) -> int:
     return off
 
 
-# Doubles per slab of a tiled permute: small enough that a slab's source
-# lines stay in cache while the output's fastest axis runs over the slab.
+# Doubles per slab of a tiled permute, per index of the merged axes other
+# than the two swapped ones: small enough that a slab's source lines stay
+# in cache while the output's fastest axis runs over the slab.
 _SLAB = 1 << 15
 
 
@@ -168,17 +169,12 @@ def permute(t: DenseTensor, p: Permutation, counter: OpCounter | None = None) ->
     per element), even for the identity, so that instrumented counts reflect
     the explicit data movement this layout strategy pays for.
 
-    Tensors of at most ``_SLAB`` elements take one transposed NumPy copy.
-    Larger ones are cache-tiled (see :func:`_tiled_transpose`); the values
-    and layout of the result are the same either way.
+    The copy is cache-tiled where that helps (see :func:`_tiled_transpose`);
+    the values and layout of the result do not depend on the tiling.
     """
     if len(p) != t.order:
         raise ShapeError(f"permutation length {len(p)} != tensor order {t.order}")
-    src = t.array
-    if src.size <= _SLAB:
-        out = np.array(np.transpose(src, axes=p.mapping), order="F", copy=True)
-    else:
-        out = _tiled_transpose(src, p.mapping)
+    out = _tiled_transpose(t.array, p.mapping)
     if counter is not None:
         counter.count_memops(2 * out.size)
     return DenseTensor(out)
@@ -187,29 +183,32 @@ def permute(t: DenseTensor, p: Permutation, counter: OpCounter | None = None) ->
 def _tiled_transpose(src: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """F-ordered copy of ``np.transpose(src, axes)`` for F-contiguous ``src``.
 
-    :func:`_merged_axes` first reduces the transpose; the front permutation
-    of :func:`mode_multiply` and its inverse become a batched 2-D transpose.
     NumPy copies in output order, so when the output's fastest axis is the
     longer of the two swapped axes (the source's fastest and the output's
     fastest), each source cache line would be evicted before its next
-    element is read.  The copy then runs in slabs of about ``_SLAB``
-    elements cut along the output's fastest axis.  Otherwise, including
-    when mode 0 stays fastest, slabs would leave NumPy's inner loop as it
-    is, so one copy runs.
+    element is read.  A source of more than ``_SLAB`` elements is then
+    copied in slabs cut along the output's fastest axis, each about
+    ``_SLAB`` elements per index of the other merged axes (``rest`` in
+    ``(lead, n, rest)``).  :func:`_merged_axes` first reduces the
+    transpose, so the front permutation of :func:`mode_multiply` and its
+    inverse become a batched 2-D transpose.  Every other case, including
+    mode 0 staying fastest, takes one transposed copy: slabs would leave
+    NumPy's inner loop as it is, and a source of at most one slab skips the
+    cost of merging axes, which would dominate small permutes.
     """
-    out = np.empty(tuple(src.shape[j] for j in axes), dtype=np.float64, order="F")
-    shape, merged = _merged_axes(src.shape, axes)
-    fast = merged[0]
-    if fast == 0 or shape[fast] < shape[0]:
-        out[...] = np.transpose(src, axes)
-        return out
-    s = src.reshape(shape, order="F")
-    o = out.reshape(tuple(shape[j] for j in merged), order="F")
-    step = max(1, _SLAB // shape[0])
-    lead = (slice(None),) * fast
-    for lo in range(0, shape[fast], step):
-        o[lo : lo + step] = np.transpose(s[lead + (slice(lo, lo + step),)], merged)
-    return out
+    if src.size > _SLAB:
+        shape, merged = _merged_axes(src.shape, axes)
+        fast = merged[0]
+        if fast != 0 and shape[fast] >= shape[0]:
+            out = np.empty(tuple(src.shape[j] for j in axes), dtype=np.float64, order="F")
+            s = src.reshape(shape, order="F")
+            o = out.reshape(tuple(shape[j] for j in merged), order="F")
+            step = max(1, _SLAB // shape[0])
+            lead = (slice(None),) * fast
+            for lo in range(0, shape[fast], step):
+                o[lo : lo + step] = np.transpose(s[lead + (slice(lo, lo + step),)], merged)
+            return out
+    return np.array(np.transpose(src, axes), order="F", copy=True)
 
 
 def ipermute(t: DenseTensor, p: Permutation, counter: OpCounter | None = None) -> DenseTensor:

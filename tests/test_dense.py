@@ -165,6 +165,9 @@ def _tensor_and_permutation(draw):
 @given(_tensor_and_permutation(), st.integers(1, 40))
 @example(((3, 1, 4, 1, 5), Permutation((4, 1, 0, 3, 2)), 0), 1)
 @example(((8, 1, 8), Permutation((2, 1, 0)), 1), 5)
+@example(((1, 1, 1), Permutation((2, 0, 1)), 2), 1)
+@example(((0, 3, 4), Permutation((1, 0, 2)), 3), 1)
+@example(((5, 4, 0), Permutation((2, 0, 1)), 4), 1)
 def test_permute_matches_numpy_property(case, slab):
     # A small slab sends these small shapes through the tiled copy.
     dims, p, seed = case
