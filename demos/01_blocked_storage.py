@@ -1,8 +1,9 @@
 """Blocked compact symmetric storage: what gets stored, what gets redirected.
 
 A symmetric tensor is cut into b^m blocks; only blocks with nondecreasing
-block index are kept.  Every other block is reachable through a meta-grid
-record holding (canonical index, permutation).
+block index are kept, packed side by side in one array (one slab each).
+Every block index is redirected by two integer tables: the rank of the slab
+holding its canonical block, and the id of the transpose to apply.
 """
 
 import numpy as np
@@ -17,9 +18,14 @@ print(f"stored blocks ({len(packed.blocks)} of {packed.grid ** 3}):")
 for key in sorted(packed.blocks):
     print("  ", key)
 
-print("\nmeta-grid redirection for block (2, 0, 1):")
-ref = packed.meta[(2, 0, 1)]
-print(f"  canonical {ref.canonical}, permutation {ref.applied.mapping}")
+print(f"\npacked array {packed.data.shape}: one slab per stored block")
+print("redirection tables for block (2, 0, 1):")
+tables = packed.tables
+tid = tables.transpose[2, 0, 1]
+print(f"  slab rank {tables.rank[2, 0, 1]} (block {tables.stored_keys()[tables.rank[2, 0, 1]]}), "
+      f"transpose id {tid} = axes {tables.transposes[tid]}")
+print(f"  {tables.rank.size} records of {tables.rank.itemsize + tables.transpose.itemsize} bytes, "
+      f"{len(tables.transposes)} distinct transposes")
 blk = packed.block_at((2, 0, 1))
 print("  redirected block equals the dense subtensor:",
       np.array_equal(blk.array, a.array[4:6, 0:2, 2:4]))

@@ -1,8 +1,9 @@
 """Meta-data is not free: the block dimension that minimizes total storage.
 
-The meta-grid stores one redirection record per block of the full grid,
-so unit blocks drown the payload savings in bookkeeping while a single
-block wastes the symmetry entirely.  The interior of the sweep wins.
+The redirection tables hold one record per block of the full grid, a slab
+rank and a transpose id (9 bytes, k = 1.125 floats), so unit blocks drown
+the payload savings in bookkeeping while a single block wastes the
+symmetry entirely.  The interior of the sweep wins.
 """
 
 from blocksym import compress, measured_meta_k, metadata_sweep, random_symmetric
@@ -13,7 +14,7 @@ m, n = 5, 64
 # in units of 8-byte floats, on a small probe instance.
 probe = compress(random_symmetric(m, 4, seed=0), 1)
 k = measured_meta_k(probe)
-print(f"measured meta cost: k = {k:.1f} floats per block\n")
+print(f"measured meta cost: k = {k:.3f} floats per block\n")
 
 rows, best = metadata_sweep(m, n, k)
 dense = n**m

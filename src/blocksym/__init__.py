@@ -14,8 +14,6 @@ from .change_of_basis import (
     sttsm_dense_ttm,
     sttsm_naive,
     sttsm_scalar_temps,
-    symmetrize,
-    temp_to_dense,
 )
 from .counters import OpCounter
 from .costs import (
@@ -35,7 +33,6 @@ from .dense import (
     Permutation,
     group_modes,
     ipermute,
-    linear_offset,
     matmul_ref,
     mode_multiply,
     permute,
@@ -53,7 +50,6 @@ from .errors import (
 from .generate import random_matrix, random_symmetric
 from .indexing import (
     CanonicalRef,
-    ModePartition,
     canonicalize,
     hypertriangle_iter,
     is_sym_in_modes,
@@ -67,7 +63,6 @@ from .storage import (
     compress,
     compress_partial,
     decompress,
-    decompress_partial,
     measured_meta_k,
     meta_bytes,
 )

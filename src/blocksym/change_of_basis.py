@@ -41,8 +41,14 @@ import numpy as np
 from .counters import OpCounter
 from .dense import DenseTensor, matmul_ref, mode_multiply
 from .errors import BlockDivisibilityError, ParameterError, ShapeError
-from .indexing import hypertriangle_iter, replicate_canonical
-from .storage import BcssTensor, PartialSymTensor, decompress_partial
+from .indexing import hypertriangle_iter, replicate_canonical, simplex_count
+from .storage import (
+    BcssTensor,
+    BlockTables,
+    PartialSymTensor,
+    identity_tables,
+    symmetric_tables,
+)
 
 TempHook = Callable[[int, object], None]
 
@@ -145,90 +151,64 @@ def sttsm_dense_ttm(
     return c
 
 
-class _DenseBlockTable:
-    """Temporary with every block materialized (no symmetry reuse)."""
+def _gather_plan(t_in: BlockTables, t_out: BlockTables, k: int, m: int):
+    """Slab and transpose of every summand of every block stored at level ``k``.
 
-    def __init__(self, sym_modes: int, grid: int, blocks: dict):
-        self.sym_modes = sym_modes
-        self.grid = grid
-        self.blocks = blocks
-        self._identity = tuple(range(next(iter(blocks.values())).ndim))
-
-    def stored_and_transform(self, sym_idx):
-        return self.blocks[tuple(sym_idx)], self._identity
-
-
-def temp_to_dense(temp) -> DenseTensor:
-    """Assemble a blocked temporary (either storage flavor) densely."""
-    if isinstance(temp, PartialSymTensor):
-        return decompress_partial(temp)
-    sample = next(iter(temp.blocks.values()))
-    b = sample.shape[0]
-    tail = sample.shape[temp.sym_modes :]
-    out = np.empty((temp.grid * b,) * temp.sym_modes + tail, dtype=np.float64, order="F")
-    tail_sl = tuple(slice(None) for _ in tail)
-    for key, arr in temp.blocks.items():
-        sl = tuple(slice(i * b, (i + 1) * b) for i in key)
-        out[sl + tail_sl] = arr
-    return DenseTensor(out)
+    Summand ``ib`` of the block at ``key`` of ``T(k)`` (tables ``t_out``)
+    is block ``key + (ib,)`` of ``T(k+1)`` (tables ``t_in``), so the
+    summands of a block are one row of ``t_in`` along its last mode.  Each
+    transpose is composed with the move of mode ``k`` to the end.
+    """
+    nbar = t_in.rank.shape[-1]
+    rows = t_out.stored()
+    back = (*range(k), *range(k + 1, m), k)
+    axes = [tuple(t[f] for f in back) for t in t_in.transposes]
+    return t_in.rank.reshape(-1, nbar)[rows], t_in.transpose.reshape(-1, nbar)[rows], axes
 
 
 def _level_product(
-    t_in,
+    src: np.ndarray,
+    plan,
+    out: np.ndarray,
     k: int,
     jb: int,
     x: np.ndarray,
     b_a: int,
     b_c: int,
     m: int,
-    reuse: bool,
     counter: OpCounter | None,
-):
-    """One temporary level: contract mode ``k`` of ``T(k+1)`` with block row
-    ``jb`` of ``x``, one GEMM per produced block.
+) -> None:
+    """One temporary level: contract mode ``k`` of ``T(k+1)`` (packed blocks
+    ``src``) with block row ``jb`` of ``x``, one GEMM per produced block.
 
-    For each produced block the ``nbar`` summand blocks of ``T(k+1)`` are
-    fetched through storage redirection and gathered side by side into one
-    buffer, each with a single transpose (redirection fused with moving mode
-    ``k`` last), so the buffer reads as a ``(rest x n)`` matrix whose columns
-    run over the whole contracted mode.  One ``(rest x n) @ (n x b_C)`` GEMM
-    against block row ``jb`` of ``x`` gives the block with its new mode
-    last, and one copy puts the modes back in logical order.  Returns the
-    dict of produced blocks keyed by their symmetric-mode index tuple.
+    For each produced block the ``nbar`` summand slabs named by the gather
+    ``plan`` are gathered side by side into one buffer, each with a single
+    transpose (redirection fused with moving mode ``k`` last), so the
+    buffer reads as a ``(rest x n)`` matrix whose columns run over the
+    whole contracted mode.  One ``(rest x n) @ (n x b_C)`` GEMM against
+    block row ``jb`` of ``x`` gives the block with its new mode last, and
+    one copy writes it in logical mode order into its slab of ``out``.
     """
-    nbar = t_in.grid
+    slabs, ids, axes = plan
+    nbar = slabs.shape[1]
     rest_dims = (b_a,) * k + (b_c,) * (m - 1 - k)
     rest = math.prod(rest_dims)
-    back = (*range(k), *range(k + 1, m), k)
     to_logical = (*range(k), m - 1, *range(k, m - 1))
     x_rows = x[jb * b_c : (jb + 1) * b_c, :].T
-
-    if reuse:
-        keys = hypertriangle_iter(nbar, k) if k >= 1 else [()]
-    else:
-        keys = itertools.product(range(nbar), repeat=k)
 
     # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
     # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
     buf = np.empty(rest_dims + (b_a, nbar), dtype=np.float64, order="F")
     buf_mat = buf.reshape((rest, nbar * b_a), order="F")
-    blocks = {}
-    for key in keys:
-        for ib in range(nbar):
-            stored, axes = t_in.stored_and_transform(key + (ib,))
-            buf[..., ib] = np.transpose(stored, tuple(axes[f] for f in back))
+    for r, (row_slabs, row_ids) in enumerate(zip(slabs.tolist(), ids.tolist())):
+        for ib, (slab, t) in enumerate(zip(row_slabs, row_ids)):
+            buf[..., ib] = np.transpose(src[..., slab], axes[t])
         if counter is not None:
             counter.count_memops(2 * buf.size)
         c_mat = matmul_ref(buf_mat, x_rows, counter)
-        blk = np.array(
-            np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical),
-            order="F",
-            copy=True,
-        )
+        out[..., r] = np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical)
         if counter is not None:
-            counter.count_memops(2 * blk.size)
-        blocks[key] = blk
-    return blocks
+            counter.count_memops(2 * c_mat.size)
 
 
 def sttsm_bcss(
@@ -246,7 +226,9 @@ def sttsm_bcss(
     block row ``jb_k`` of ``x``, and the innermost level emits one output
     block per canonical tuple.  Each temporary ``T(k)`` is symmetric in its
     leading ``k`` modes; ``reuse`` selects whether that is exploited
-    (canonical blocks only) or not (every block computed).
+    (canonical blocks only, symmetric tables) or not (every block computed,
+    identity tables).  Each level's tables and gather plan are built once
+    per call and shared by all temporaries of that level.
 
     Every block of every temporary and of the output is one GEMM: its
     ``nbar`` summand blocks are gathered into a single operand and
@@ -255,8 +237,9 @@ def sttsm_bcss(
     :func:`~blocksym.costs.bcss_costs` and counted memops equal
     :func:`~blocksym.costs.bcss_impl_memops`.
 
-    ``temp_hook(k, temp)`` is called with each finished temporary, mainly
-    so tests can audit the partial symmetry; see :func:`temp_to_dense`.
+    ``temp_hook(k, temp)`` is called with each finished temporary, a
+    :class:`~blocksym.storage.PartialSymTensor`, mainly so tests can audit
+    the partial symmetry through :func:`~blocksym.storage.decompress`.
     """
     if not isinstance(a, BcssTensor):
         raise ShapeError("sttsm_bcss needs blocked compact symmetric input")
@@ -266,35 +249,40 @@ def sttsm_bcss(
     if p % b_c != 0:
         raise BlockDivisibilityError(f"output block dimension {b_c} does not divide {p}")
     pbar = p // b_c
-    out_blocks: dict[tuple[int, ...], np.ndarray] = {}
+    nbar = a.grid
+    out = BcssTensor(
+        m, p, b_c, np.empty((b_c,) * m + (simplex_count(pbar, m),), dtype=np.float64, order="F")
+    )
 
-    def descend(k: int, t_in, j_hi: int, suffix: tuple[int, ...]) -> None:
+    # Per level k: gather plan over T(k+1), then T(k)'s tables and packed
+    # shape.  T(0) is one output block.
+    levels = [None] * m
+    t_in = a.tables
+    for k in range(m - 1, -1, -1):
+        t_out = symmetric_tables(nbar, k, m) if reuse and k else identity_tables(nbar, k, m)
+        plan = _gather_plan(t_in, t_out, k, m)
+        levels[k] = (plan, t_out, (b_a,) * k + (b_c,) * (m - k) + (len(plan[0]),))
+        t_in = t_out
+
+    def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
+        plan, tables, shape = levels[k]
         for jb in range(j_hi + 1):
-            produced = _level_product(t_in, k, jb, x, b_a, b_c, m, reuse, counter)
             if k == 0:
-                out_blocks[(jb,) + suffix] = produced[()]
+                r = out.tables.rank[(jb,) + suffix]
+                _level_product(src, plan, out.data[..., r : r + 1], 0, jb, x, b_a, b_c, m, counter)
                 continue
-            if reuse:
-                temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), produced)
-            else:
-                temp = _DenseBlockTable(k, t_in.grid, produced)
+            temp = PartialSymTensor(
+                k, n, b_a, (b_c,) * (m - k), np.empty(shape, dtype=np.float64, order="F"), tables
+            )
+            _level_product(src, plan, temp.data, k, jb, x, b_a, b_c, m, counter)
             if temp_hook is not None:
                 temp_hook(k, temp)
-            descend(k - 1, temp, jb, (jb,) + suffix)
+            descend(k - 1, temp.data, jb, (jb,) + suffix)
+            # Freed before the next sibling is allocated, to bound peak memory.
+            del temp
 
-    descend(m - 1, a, pbar - 1, ())
-    return BcssTensor(m, p, b_c, out_blocks)
-
-
-def symmetrize(t: DenseTensor) -> DenseTensor:
-    """Average over all mode permutations; exact symmetry up to rounding."""
-    if len(set(t.dims)) > 1:
-        raise ShapeError(f"tensor dims {t.dims} are not all equal")
-    m = t.order
-    acc = np.zeros(t.dims, dtype=np.float64, order="F")
-    for perm in itertools.permutations(range(m)):
-        acc += np.transpose(t.array, perm)
-    return DenseTensor(acc / math.factorial(m))
+    descend(m - 1, a.data, pbar - 1, ())
+    return out
 
 
 def max_relative_error(result: DenseTensor, reference: DenseTensor) -> float:

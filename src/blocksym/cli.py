@@ -325,7 +325,7 @@ def probe_meta_k(m: int, seed: int = 0) -> tuple[float, int, int]:
     ``(k_in_float_equivalents, meta_bytes, meta_entries)``.
     """
     probe = compress(random_symmetric(m, 4, seed), 1)
-    return measured_meta_k(probe), meta_bytes(probe), len(probe.meta)
+    return measured_meta_k(probe), meta_bytes(probe), probe.tables.rank.size
 
 
 def cmd_storage(args) -> int:
@@ -334,7 +334,7 @@ def cmd_storage(args) -> int:
     rows, best = cost_model.metadata_sweep(m, n, k)
     cap = dense_elem_cap()
     lines = [
-        f"meta probe: {probe_bytes} bytes over {probe_entries} blocks -> k = {k:.2f} floats/block",
+        f"meta probe: {probe_bytes} bytes over {probe_entries} blocks -> k = {k:.3f} floats/block",
         f"dense element count n^m = {n**m}",
     ]
     measured_col = {}

@@ -8,8 +8,8 @@ as integer equality.  Floating point appears only in ratio outputs.
 Closed forms, with ``nbar = n/b_A`` and ``pbar = p/b_C``:
 
 * blocked storage payload of an order-m symmetric tensor:
-  ``b^m * C(nbar + m - 1, m)``; meta-grid adds ``k * nbar^m`` float
-  equivalents, ``k`` being the per-block meta cost.
+  ``b^m * C(nbar + m - 1, m)``; the redirection tables add ``k * nbar^m``
+  float equivalents, ``k`` being the per-block meta cost.
 * blocked flops (temporaries reused via partial symmetry):
   ``2 nbar b_C b_A^m * sum_d C(pbar+d, d+1) C(nbar+m-d-2, m-d-1) (b_C/b_A)^d``
   and with reuse disabled the middle binomial becomes ``nbar^{m-1-d}``,

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .counters import OpCounter
-from .errors import ModeError, RangeError, ShapeError
+from .errors import ModeError, ShapeError
 
 # A multi-index is a plain tuple of non-negative ints, one per mode.
 MultiIndex = tuple[int, ...]
@@ -114,20 +114,6 @@ class DenseTensor:
 
     def __repr__(self) -> str:
         return f"DenseTensor(dims={self.dims})"
-
-
-def linear_offset(dims: Sequence[int], idx: Sequence[int]) -> int:
-    """Flat dimensional-order offset of ``idx`` inside the box ``dims``."""
-    if len(idx) != len(dims):
-        raise ShapeError(f"index length {len(idx)} != order {len(dims)}")
-    off = 0
-    stride = 1
-    for k, (i, d) in enumerate(zip(idx, dims)):
-        if not 0 <= i < d:
-            raise RangeError(f"index {i} out of range [0, {d}) in mode {k}")
-        off += i * stride
-        stride *= d
-    return off
 
 
 # Doubles per slab of a tiled permute, per index of the merged axes other

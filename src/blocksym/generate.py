@@ -75,13 +75,13 @@ def random_bcss(m: int, n: int, b: int, seed: int) -> BcssTensor:
         raise BlockDivisibilityError(f"block dimension {b} does not divide {n}")
     rng = np.random.default_rng(seed)
     gathers: dict[tuple[int, ...], np.ndarray] = {}
-    blocks = {}
-    for key in hypertriangle_iter(n // b, m):
+    data = np.empty((b,) * m + (simplex_count(n // b, m),), dtype=np.float64, order="F")
+    for r, key in enumerate(hypertriangle_iter(n // b, m)):
         arr = rng.uniform(-1.0, 1.0, size=(b,) * m)
         runs = tuple(len(list(group)) for _, group in itertools.groupby(key))
         if len(runs) < m:
             if runs not in gathers:
                 gathers[runs] = _group_sorted_index(b, runs)
             arr = arr.reshape(-1)[gathers[runs]]
-        blocks[key] = np.asfortranarray(arr)
-    return BcssTensor(m, n, b, blocks)
+        data[..., r] = arr
+    return BcssTensor(m, n, b, data)

@@ -148,42 +148,3 @@ def is_sym_in_modes(t: DenseTensor, modes: Iterable[int], tol: float = 0.0) -> b
     if len(modes) <= 1:
         return True
     return symmetry_violation(t, modes)[0] <= tol
-
-
-@dataclass(frozen=True)
-class ModePartition:
-    """Disjoint, covering, nonempty groups of mode numbers.
-
-    Describes which mode groups of an order-m tensor are interchangeable;
-    a fully symmetric tensor has the single group ``{0, .., m-1}`` and an
-    unstructured tensor has all singleton groups.
-    """
-
-    groups: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if not self.groups:
-            raise ShapeError("mode partition needs at least one group")
-        seen: set[int] = set()
-        for g in self.groups:
-            if not g:
-                raise ShapeError("mode partition groups must be nonempty")
-            if seen & g:
-                raise ShapeError("mode partition groups must be disjoint")
-            seen |= g
-        m = len(seen)
-        if seen != set(range(m)):
-            raise ShapeError(f"mode partition must cover 0..{m - 1} exactly")
-
-    @property
-    def order(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    @staticmethod
-    def leading_group(sym_modes: int, order: int) -> "ModePartition":
-        """One symmetric group ``{0..sym_modes-1}`` plus singleton tails."""
-        if not 0 < sym_modes <= order:
-            raise ShapeError("leading group size must be in 1..order")
-        groups = [frozenset(range(sym_modes))]
-        groups += [frozenset((j,)) for j in range(sym_modes, order)]
-        return ModePartition(tuple(groups))

@@ -6,8 +6,10 @@ dimensional order.
 
 Blocked compact symmetric tensor (``.bcss``): magic ``BCSS``, version u16,
 order u16, tensor dimension u64, block dimension u64, then the canonical
-blocks in hypertriangle order, each as raw doubles in dimensional order.
-The meta-grid is not serialized; it is reconstructed on load.
+blocks in hypertriangle order, each as raw doubles in dimensional order:
+exactly the bytes of the packed block array, so a save is one buffer write
+and a load one copy out of the file's bytes.  The redirection tables are
+not serialized; they are rebuilt on load.
 
 Both loaders check the header length, the order (1 to 64 for ``.stns``,
 2 to 64 for ``.bcss``), that the block dimension is at least 1 and
@@ -25,7 +27,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .errors import FormatError
-from .indexing import hypertriangle_iter, simplex_count
+from .indexing import simplex_count
 from .storage import BcssTensor
 
 _STNS_MAGIC = b"STNS"
@@ -78,9 +80,7 @@ def load_tensor(path) -> DenseTensor:
 def save_bcss(a: BcssTensor, path) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sHHQQ", _BCSS_MAGIC, _VERSION, a.order, a.n, a.b))
-        for key in hypertriangle_iter(a.grid, a.order):
-            block = a.blocks[key]
-            fh.write(np.ascontiguousarray(block.reshape(-1, order="F"), dtype="<f8").tobytes())
+        fh.write(a.data.astype("<f8", copy=False).reshape(-1, order="F"))
 
 
 def load_bcss(path) -> BcssTensor:
@@ -91,11 +91,7 @@ def load_bcss(path) -> BcssTensor:
         raise FormatError(f"blocked tensor order must be in 2..{_MAX_ORDER}, got {order}")
     if b < 1 or n < 1 or n % b != 0:
         raise FormatError(f"block dimension {b} does not divide tensor dimension {n}")
-    block_elems = b**order
-    _check_payload(raw, off, block_elems * simplex_count(n // b, order))
-    blocks = {}
-    for key in hypertriangle_iter(n // b, order):
-        flat = np.frombuffer(raw, dtype="<f8", count=block_elems, offset=off)
-        off += block_elems * 8
-        blocks[key] = flat.astype(np.float64).reshape((b,) * order, order="F")
-    return BcssTensor(order, n, b, blocks)
+    slabs = simplex_count(n // b, order)
+    _check_payload(raw, off, b**order * slabs)
+    data = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
+    return BcssTensor(order, n, b, data.reshape((b,) * order + (slabs,), order="F"))

@@ -31,7 +31,6 @@ from blocksym import (
     sttsm_bcss,
     sttsm_dense_ttm,
     sttsm_naive,
-    temp_to_dense,
 )
 from blocksym.cli import probe_meta_k, time_dense_vs_blocked
 from blocksym.dense import Permutation
@@ -172,7 +171,7 @@ def test_criterion_4_partially_symmetric_temporaries():
 
         def audit(k, temp, _case=(m, n, b, seed)):
             nonlocal worst
-            dense = temp_to_dense(temp)
+            dense = decompress(temp)
             from blocksym import symmetry_violation
 
             rel = symmetry_violation(dense, range(k))[0] if k >= 2 else 0.0

@@ -1,4 +1,3 @@
-import itertools
 import math
 from collections import Counter
 
@@ -26,8 +25,6 @@ from blocksym import (
     sttsm_dense_ttm,
     sttsm_naive,
     sttsm_scalar_temps,
-    symmetrize,
-    temp_to_dense,
 )
 from blocksym.dense import DenseTensor
 from blocksym.indexing import is_sym_in_modes, symmetry_violation
@@ -280,7 +277,7 @@ def test_bcss_temporaries_are_partially_symmetric():
     audited = []
 
     def hook(k, temp):
-        dense = temp_to_dense(temp)
+        dense = decompress(temp)
         audited.append((k, dense.dims))
         assert is_sym_in_modes(dense, range(k), 1e-12), k
 
@@ -292,12 +289,32 @@ def test_bcss_temporaries_are_partially_symmetric():
         assert dims == (4,) * k + (2,) * (4 - k)
 
 
+@pytest.mark.parametrize("reuse", [True, False])
+def test_bcss_builds_level_tables_once_per_call(monkeypatch, reuse):
+    # One canonicalization per grid index of each symmetric temporary level
+    # and of the output, on every call: nothing per temporary, nothing cached.
+    from blocksym import storage
+
+    m, n, p, b = 4, 6, 4, 2
+    nbar, pbar = n // b, p // b
+    packed = compress(random_symmetric(m, n, 40), b)
+    x = random_matrix(p, n, 41)
+    calls = []
+    real = storage.canonicalize
+    monkeypatch.setattr(storage, "canonicalize", lambda idx: calls.append(idx) or real(idx))
+    temps = sum(nbar**k for k in range(1, m)) if reuse else 0
+    for _ in range(2):
+        calls.clear()
+        sttsm_bcss(packed, x, b, reuse=reuse)
+        assert len(calls) == temps + pbar**m
+
+
 def test_bcss_temp_hook_no_reuse_flavor():
     a = random_symmetric(3, 4, 25)
     x = random_matrix(4, 4, 26)
     packed = compress(a, 2)
     seen = []
-    sttsm_bcss(packed, x, 2, reuse=False, temp_hook=lambda k, t: seen.append((k, temp_to_dense(t))))
+    sttsm_bcss(packed, x, 2, reuse=False, temp_hook=lambda k, t: seen.append((k, decompress(t))))
     for k, dense in seen:
         assert symmetry_violation(dense, range(k))[0] <= 1e-12 if k >= 2 else True
 
@@ -344,32 +361,3 @@ def test_mode_product_preserves_leading_symmetry():
 
         out = mode_multiply(a, k, x)
         assert is_sym_in_modes(out, range(k), 1e-12), (m, k)
-
-
-# ------------------------------------------------------------ symmetrize
-
-
-def test_symmetrize_fixed_point():
-    t = random_symmetric(3, 4, 30)
-    out = symmetrize(t)
-    assert np.max(np.abs(out.array - t.array)) < 1e-15
-
-
-def test_symmetrize_matrix_halves():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((4, 4))
-    out = symmetrize(DenseTensor(a))
-    assert np.allclose(out.array, 0.5 * (a + a.T), atol=1e-15)
-
-
-def test_symmetrize_order3_exhaustive_transpositions():
-    rng = np.random.default_rng(32)
-    t = symmetrize(DenseTensor(rng.standard_normal((3, 3, 3))))
-    for perm in itertools.permutations(range(3)):
-        assert np.max(np.abs(t.array - np.transpose(t.array, perm))) < 1e-15
-
-
-def test_symmetrize_rejects_ragged_dims():
-    rng = np.random.default_rng(33)
-    with pytest.raises(Exception):
-        symmetrize(DenseTensor(rng.standard_normal((3, 4))))

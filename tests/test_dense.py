@@ -11,11 +11,9 @@ from blocksym import (
     DenseTensor,
     ModeError,
     Permutation,
-    RangeError,
     ShapeError,
     group_modes,
     ipermute,
-    linear_offset,
     matmul_ref,
     mode_multiply,
     permute,
@@ -30,44 +28,37 @@ def rand_tensor(dims, seed):
     return DenseTensor(rng.standard_normal(dims))
 
 
-# ---------------------------------------------------------------- offsets
-
-
-def test_linear_offset_origin_and_last():
-    assert linear_offset((3, 4), (0, 0)) == 0
-    assert linear_offset((3, 4), (2, 3)) == 11
+# ---------------------------------------------------------------- layout
 
 
 def test_linear_offset_matches_brute_force_enumeration():
-    # Independent oracle: enumerate the index box in mode-0-fastest order;
-    # the k-th tuple enumerated must sit at offset k, and the map is a
-    # bijection onto 0..23.
+    # Independent oracle for the dimensional (mode-0-fastest) order of
+    # DenseTensor.data: enumerate the index box with mode 0 fastest; the k-th
+    # tuple enumerated must sit at flat offset k, and the map is a bijection
+    # onto 0..23. Each entry holds a distinct label naming its own index.
     dims = (2, 3, 4)
+    labels = np.empty(dims)
+    for idx in itertools.product(range(2), range(3), range(4)):
+        labels[idx] = 100 * idx[0] + 10 * idx[1] + idx[2]
+    flat = DenseTensor(labels).data
     seen = set()
     expected = 0
     for i2 in range(4):
         for i1 in range(3):
             for i0 in range(2):
-                off = linear_offset(dims, (i0, i1, i2))
-                assert off == expected
-                seen.add(off)
+                assert flat[expected] == 100 * i0 + 10 * i1 + i2
+                seen.add(float(flat[expected]))
                 expected += 1
-    assert seen == set(range(24))
-    assert linear_offset(dims, (1, 2, 3)) == 23
-
-
-def test_linear_offset_range_errors():
-    with pytest.raises(RangeError):
-        linear_offset((3, 4), (3, 0))
-    with pytest.raises(ShapeError):
-        linear_offset((3, 4), (0, 0, 0))
+    assert seen == {float(v) for v in labels.ravel()}
+    assert len(seen) == 24 == flat.size
+    assert flat[23] == 123
 
 
 def test_dense_tensor_flat_layout_round_trip():
     t = rand_tensor((2, 3, 4), 0)
     flat = t.data
-    for idx in itertools.product(range(2), range(3), range(4)):
-        assert flat[linear_offset(t.dims, idx)] == t.array[idx]
+    for k, (i2, i1, i0) in enumerate(itertools.product(range(4), range(3), range(2))):
+        assert flat[k] == t.array[i0, i1, i2]
     again = DenseTensor.from_flat(flat, t.dims)
     assert np.array_equal(again.array, t.array)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksym import (
-    ModePartition,
     ParameterError,
     ShapeError,
     canonicalize,
@@ -15,7 +14,6 @@ from blocksym import (
     simplex_count,
     symmetry_violation,
 )
-from blocksym.change_of_basis import symmetrize
 from blocksym.dense import DenseTensor, Permutation
 from blocksym.indexing import replicate_canonical
 
@@ -144,7 +142,8 @@ def test_simplex_count_validates():
 
 def test_symmetrized_tensor_is_symmetric():
     rng = np.random.default_rng(0)
-    t = symmetrize(DenseTensor(rng.standard_normal((4, 4, 4))))
+    raw = rng.standard_normal((4, 4, 4))
+    t = DenseTensor(sum(np.transpose(raw, p) for p in itertools.permutations(range(3))) / 6)
     assert is_sym_in_modes(t, {0, 1, 2}, 0.0) or symmetry_violation(t, {0, 1, 2})[0] < 1e-15
 
 
@@ -261,23 +260,3 @@ def test_replicate_canonical_places_each_value_on_its_orbit(m, n):
     rank = {idx: r for r, idx in enumerate(hypertriangle_iter(n, m))}
     for idx in itertools.product(range(n), repeat=m):
         assert out[idx] == values[rank[tuple(sorted(idx))]]
-
-
-# ------------------------------------------------------------ partitions
-
-
-def test_mode_partition_validation():
-    ModePartition((frozenset({0, 1}), frozenset({2})))
-    with pytest.raises(ShapeError):
-        ModePartition((frozenset({0, 1}), frozenset({1, 2})))
-    with pytest.raises(ShapeError):
-        ModePartition((frozenset({0}), frozenset({2})))
-    with pytest.raises(ShapeError):
-        ModePartition((frozenset({0}), frozenset()))
-
-
-def test_leading_group_partition():
-    part = ModePartition.leading_group(2, 4)
-    assert part.groups[0] == frozenset({0, 1})
-    assert part.order == 4
-    assert len(part.groups) == 3

@@ -72,8 +72,28 @@ def test_bcss_meta_reconstructed(tmp_path):
     path = tmp_path / "t.bcss"
     save_bcss(packed, path)
     back = load_bcss(path)
-    assert len(back.meta) == 4
-    assert back.meta[(1, 0)].canonical == (0, 1)
+    assert back.tables.rank.shape == (2, 2)
+    stored, axes = back.stored_and_transform((1, 0))
+    assert np.array_equal(stored, back.blocks[(0, 1)])
+    assert axes == (1, 0)
+    assert np.array_equal(back.block_at((1, 0)).array, t.array[2:4, 0:2])
+
+
+def test_loaded_bcss_is_a_writable_copy_that_resaves_identically(tmp_path):
+    path = tmp_path / "t.bcss"
+    save_bcss(compress(random_symmetric(3, 6, 5), 2), path)
+    raw = path.read_bytes()
+    back = load_bcss(path)
+    assert back.data.flags.writeable
+    owner = back.data
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    assert isinstance(owner, np.ndarray)  # an array's own memory, not the file's bytes
+    again = tmp_path / "again.bcss"
+    save_bcss(back, again)
+    assert again.read_bytes() == raw
+    back.blocks[(0, 1, 2)][0, 0, 0] += 1.0
+    assert path.read_bytes() == raw
 
 
 def test_bcss_bad_magic(tmp_path):

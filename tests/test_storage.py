@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from blocksym import (
+    BcssTensor,
     BlockDivisibilityError,
     RangeError,
+    ShapeError,
     SymmetryError,
     compress,
     compress_partial,
     decompress,
-    decompress_partial,
+    hypertriangle_iter,
     measured_meta_k,
     meta_bytes,
     mode_multiply,
@@ -20,6 +22,7 @@ from blocksym import (
     simplex_count,
 )
 from blocksym.dense import DenseTensor
+from blocksym.storage import identity_tables, symmetric_tables
 
 
 # ------------------------------------------------------------ compress
@@ -39,9 +42,11 @@ def test_matrix_compress_hand_enumerated():
     t = random_symmetric(2, 4, 1)
     packed = compress(t, 2)
     assert sorted(packed.blocks) == [(0, 0), (0, 1), (1, 1)]
-    ref = packed.meta[(1, 0)]
-    assert ref.canonical == (0, 1)
-    assert ref.applied.mapping == (1, 0)
+    stored, axes = packed.stored_and_transform((1, 0))
+    assert np.shares_memory(stored, packed.blocks[(0, 1)])
+    assert np.array_equal(stored, packed.blocks[(0, 1)])
+    assert axes == (1, 0)
+    assert packed.tables.rank[1, 0] == packed.tables.rank[0, 1] == 1
     got = packed.block_at((1, 0))
     assert np.array_equal(got.array, packed.blocks[(0, 1)].T)
     assert np.array_equal(got.array, t.array[2:4, 0:2])
@@ -118,19 +123,26 @@ def test_block_at_m3_permuted_access():
 
 
 def test_block_at_out_of_grid():
+    # Negative indices included: NumPy would wrap them round to a real slab.
     packed = compress(random_symmetric(2, 4, 9), 2)
-    with pytest.raises(RangeError):
-        packed.block_at((0, 2))
+    for idx in [(0, 2), (-1, 0), (0, -1), (0,), (0, 0, 0)]:
+        with pytest.raises(RangeError):
+            packed.block_at(idx)
 
 
 # ------------------------------------------------------------ storage counts
 
 
 def test_meta_grid_is_dense_over_block_grid():
+    # Every grid index resolves to the slab of its sorted (canonical) index.
     packed = compress(random_symmetric(3, 6, 10), 2)
-    assert len(packed.meta) == 3**3
+    assert packed.tables.rank.shape == packed.tables.transpose.shape == (3, 3, 3)
     for idx in itertools.product(range(3), repeat=3):
-        assert packed.meta[idx].canonical in packed.blocks
+        stored, axes = packed.stored_and_transform(idx)
+        canonical = tuple(sorted(idx))
+        assert canonical in packed.blocks
+        assert np.shares_memory(stored, packed.blocks[canonical])
+        assert tuple(canonical[a] for a in axes) == idx
 
 
 def test_stored_element_count_formula():
@@ -180,7 +192,7 @@ def test_compress_partial_single_sym_mode_stores_everything():
     assert len(part.blocks) == 3  # nbar blocks, no savings
     payload, _ = part.stored_element_count()
     assert payload == t.array.size
-    assert np.array_equal(decompress_partial(part).array, t.array)
+    assert np.array_equal(decompress(part).array, t.array)
 
 
 def test_partial_from_mode_product_of_symmetric_tensor():
@@ -190,7 +202,7 @@ def test_partial_from_mode_product_of_symmetric_tensor():
     t = mode_multiply(a, 2, x)
     part = compress_partial(t, 2, 2)
     assert len(part.blocks) == simplex_count(2, 2) == 3
-    assert np.allclose(decompress_partial(part).array, t.array, rtol=0, atol=0)
+    assert np.allclose(decompress(part).array, t.array, rtol=0, atol=0)
     assert part.tail_dims == (2,)
 
 
@@ -228,10 +240,53 @@ def test_partial_compress_validates_tail_shapes():
         compress_partial(t, 2, 2)  # leading modes unequal
 
 
-def test_mode_partition_of_partial_tensor():
-    a = random_symmetric(3, 4, 23)
-    x = random_matrix(2, 4, 24)
-    part = compress_partial(mode_multiply(a, 2, x), 2, 2)
-    groups = part.mode_partition.groups
-    assert groups[0] == frozenset({0, 1})
-    assert all(len(g) == 1 for g in groups[1:])
+# ------------------------------------------------------------ redirection tables
+
+
+def test_symmetric_tables_rank_slabs_in_hypertriangle_order():
+    tables = symmetric_tables(3, 2, 3)
+    assert tables.rank.dtype == np.intp
+    assert tables.stored_keys() == list(hypertriangle_iter(3, 2))
+    for r, key in enumerate(hypertriangle_iter(3, 2)):
+        assert tables.rank[key] == r and tables.rank[key[::-1]] == r
+    # Tail modes pass through every transpose; id 0 is the identity.
+    assert tables.transposes == ((0, 1, 2), (1, 0, 2))
+    assert tables.transpose.tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
+
+
+def test_transpose_ids_sized_to_the_transposes_present():
+    # Order 6 on a grid of 6 realizes all 720 transposes: past 8 bits.
+    big = symmetric_tables(6, 6, 6)
+    assert len(big.transposes) == 720
+    assert big.transpose.dtype == np.uint16
+    assert int(big.transpose.max()) == 719
+    assert symmetric_tables(4, 5, 5).transpose.dtype == np.uint8
+
+
+def test_identity_tables_store_every_block_untransposed():
+    tables = identity_tables(3, 2, 4)
+    assert tables.rank.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert tables.transposes == ((0, 1, 2, 3),)
+    assert tables.stored_keys() == list(itertools.product(range(3), repeat=2))
+
+
+def test_packed_blocks_are_views_of_their_slabs():
+    packed = compress(random_symmetric(3, 6, 25), 2)
+    assert packed.data.shape == (2, 2, 2, simplex_count(3, 3))
+    assert packed.data.flags.f_contiguous
+    for r, key in enumerate(hypertriangle_iter(3, 3)):
+        assert np.shares_memory(packed.blocks[key], packed.data[..., r])
+    packed.blocks[(0, 1, 2)][0, 0, 0] = 7.0
+    assert packed.block_at((2, 1, 0)).array[0, 0, 0] == 7.0
+
+
+def test_measured_meta_k_is_nine_bytes_per_record():
+    # One intp slab rank plus one 8-bit transpose id per block index.
+    packed = compress(random_symmetric(5, 4, 26), 1)
+    assert meta_bytes(packed) == 9 * 4**5
+    assert measured_meta_k(packed) == 1.125
+
+
+def test_packed_shape_mismatch_is_rejected():
+    with pytest.raises(ShapeError):
+        BcssTensor(2, 4, 2, np.zeros((2, 2, 4), order="F"))
