@@ -61,7 +61,6 @@ from .storage import (
     BcssTensor,
     PartialSymTensor,
     compress,
-    compress_partial,
     decompress,
     measured_meta_k,
     meta_bytes,

@@ -40,8 +40,8 @@ import numpy as np
 
 from .counters import OpCounter
 from .dense import DenseTensor, matmul_ref, mode_multiply
-from .errors import BlockDivisibilityError, ParameterError, ShapeError
-from .indexing import hypertriangle_iter, replicate_canonical, simplex_count
+from .errors import ParameterError, ShapeError
+from .indexing import block_grid, hypertriangle_iter, replicate_canonical, simplex_count
 from .storage import (
     BcssTensor,
     BlockTables,
@@ -246,9 +246,7 @@ def sttsm_bcss(
     x = np.asarray(x, dtype=np.float64)
     m, n, p = _check_sttsm_args(a.dims, x)
     b_a = a.b
-    if p % b_c != 0:
-        raise BlockDivisibilityError(f"output block dimension {b_c} does not divide {p}")
-    pbar = p // b_c
+    pbar = block_grid(p, b_c)
     nbar = a.grid
     out = BcssTensor(
         m, p, b_c, np.empty((b_c,) * m + (simplex_count(pbar, m),), dtype=np.float64, order="F")

@@ -1,9 +1,10 @@
 """Command-line driver: verification sweeps, benchmarks, cost tables.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parameter error.
-The environment variable ``SYMTENSOR_MAX_DENSE_ELEMS`` (default 10**7)
-caps how large a dense tensor the verify/bench commands will materialize;
-oversized dense baselines are reported as skipped rather than attempted.
+The environment variable ``SYMTENSOR_MAX_DENSE_ELEMS`` (a positive
+integer, default 10**7) caps how large a dense tensor the verify/bench
+commands will materialize; oversized dense baselines are reported as skipped
+rather than attempted.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
+import math
 import os
 import statistics
 import sys
@@ -38,7 +40,11 @@ DEFAULT_MAX_DENSE = 10**7
 
 def dense_elem_cap() -> int:
     raw = os.environ.get("SYMTENSOR_MAX_DENSE_ELEMS")
-    return int(raw) if raw else DEFAULT_MAX_DENSE
+    if not raw:
+        return DEFAULT_MAX_DENSE
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ParameterError(f"SYMTENSOR_MAX_DENSE_ELEMS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -199,12 +205,18 @@ def _given(value: int | None, default: int) -> int:
     return default if value is None else value
 
 
-def _check_block_options(args) -> None:
-    """Dimensions, block dimensions and grid extents are at least one."""
+def _check_options(args) -> None:
+    """Dimensions, block dimensions and grid extents are at least one, the
+    meta cost is finite and not negative, and timings take three or more
+    repetitions."""
     for flag in ("n", "p", "ba", "bc", "nbar"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ParameterError(f"--{flag} must be at least 1, got {value}")
+    if not 0 <= args.meta_k < math.inf:
+        raise ParameterError(f"--meta-k must be finite and at least 0, got {args.meta_k}")
+    if args.reps < 3:
+        raise ParameterError(f"--reps must be at least 3, got {args.reps}")
 
 
 def _median_seconds(fn, reps: int) -> float:
@@ -221,7 +233,6 @@ def cmd_bench(args) -> int:
     p = _given(args.p, n)
     b_a = _given(args.ba, max(1, n // 2))
     b_c = _given(args.bc, b_a)
-    reps = max(3, args.reps)
     algos = ["naive", "scalar", "dense", "bcss"] if args.algo == "all" else [args.algo]
     cap = dense_elem_cap()
     dense_ok = n**m <= cap and p**m <= cap
@@ -256,7 +267,7 @@ def cmd_bench(args) -> int:
         else:
             fn = lambda c=None: sttsm_bcss(packed, x, b_c, c)
         fn(counter)
-        seconds = _median_seconds(fn, reps)
+        seconds = _median_seconds(fn, args.reps)
         wall[algo] = seconds
         rows.append(
             [algo, m, n, p, b_a, b_c, args.seed, f"{seconds:.6f}", counter.flops, counter.memops]
@@ -302,13 +313,11 @@ def cmd_model(args) -> int:
     )
     for n, b in _model_sweep(args):
         p = _given(args.p, n)
-        b_c = _given(args.bc, b)
-        if p % b_c:
-            continue
-        for rep in (
-            cost_model.bcss_costs(m, n, p, b, b_c, meta_k=args.meta_k),
-            cost_model.dense_costs(m, n, p),
-        ):
+        try:
+            blocked = cost_model.bcss_costs(m, n, p, b, _given(args.bc, b), meta_k=args.meta_k)
+        except BlockDivisibilityError:
+            continue  # the output block dimension does not divide this point's p
+        for rep in (blocked, cost_model.dense_costs(m, n, p)):
             writer.writerow(
                 [rep.variant, rep.m, rep.n, rep.p, rep.b_a, rep.b_c,
                  rep.storage_A, rep.storage_C, rep.storage_X,
@@ -408,7 +417,7 @@ def main(argv=None) -> int:
     if args.m is not None and args.m < 2:
         ap.error("--m must be at least 2")  # exits 2
     try:
-        _check_block_options(args)
+        _check_options(args)
         if args.cmd == "verify":
             status = cmd_verify(args)
             if status == 0 and args.strict:
@@ -419,7 +428,7 @@ def main(argv=None) -> int:
         if args.cmd == "model":
             return cmd_model(args)
         return cmd_storage(args)
-    except (ParameterError, BlockDivisibilityError) as exc:
+    except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
 

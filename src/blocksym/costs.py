@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ParameterError
-from .indexing import simplex_count
+from .indexing import block_grid, simplex_count
 
 Number = Union[int, float, Fraction]
 
@@ -74,13 +74,9 @@ class CostReport:
 def _validate_blocked(m: int, n: int, p: int, b_a: int, b_c: int) -> tuple[int, int]:
     if m < 2:
         raise ParameterError("cost model is defined for order >= 2")
-    if n < 1 or p < 1 or b_a < 1 or b_c < 1:
-        raise ParameterError("dimensions and block dimensions must be positive")
-    if n % b_a != 0:
-        raise ParameterError(f"b_A={b_a} does not divide n={n}")
-    if p % b_c != 0:
-        raise ParameterError(f"b_C={b_c} does not divide p={p}")
-    return n // b_a, p // b_c
+    if n < 1 or p < 1:
+        raise ParameterError("dimensions must be positive")
+    return block_grid(n, b_a), block_grid(p, b_c)
 
 
 def _level_sum(m: int, nbar: int, pbar: int, ratio: Fraction, reuse: bool) -> Fraction:
@@ -227,13 +223,10 @@ def approx_costs(m: int, n: int, b: int | None = None) -> ApproxCosts:
     """Limit-regime cost estimates (tensor dims equal, block dims equal)."""
     if m < 2 or n < 1:
         raise ParameterError("approx_costs requires m >= 2 and n >= 1")
-    if b is not None and n % b != 0:
-        raise ParameterError(f"block dimension {b} does not divide {n}")
     fact = math.factorial(m)
     memops = None
     if b is not None:
-        nbar = n // b
-        memops = Fraction((nbar + 2) * (2 * n) ** m, fact)
+        memops = Fraction((block_grid(n, b) + 2) * (2 * n) ** m, fact)
     return ApproxCosts(
         m=m,
         n=n,
@@ -254,9 +247,7 @@ def savings_table(m: int, n: int, b: int) -> tuple[float, float]:
     """(minimal / blocked, dense / blocked) storage payload ratios."""
     if m < 2 or n < 1:
         raise ParameterError("savings_table requires m >= 2 and n >= 1")
-    if n % b != 0:
-        raise ParameterError(f"block dimension {b} does not divide {n}")
-    payload = b**m * simplex_count(n // b, m)
+    payload = b**m * simplex_count(block_grid(n, b), m)
     return simplex_count(n, m) / payload, n**m / payload
 
 

@@ -13,16 +13,16 @@ class ModeError(IndexError):
     """A mode number is not a valid mode of the tensor."""
 
 
-class BlockDivisibilityError(ValueError):
-    """The block dimension does not evenly divide the tensor dimension."""
-
-
 class SymmetryError(ValueError):
     """Required symmetry does not hold within the given tolerance."""
 
 
 class ParameterError(ValueError):
     """A parameter combination violates a routine's preconditions."""
+
+
+class BlockDivisibilityError(ParameterError):
+    """A block dimension is below 1 or does not divide the tensor dimension."""
 
 
 class FormatError(ValueError):

@@ -4,6 +4,11 @@ Canonical representative of a multi-index under mode permutation is its
 nondecreasing sort; the canonical set for grid extent ``g`` and order ``m``
 is the upper hypertriangle ``{i_0 <= i_1 <= .. <= i_{m-1}}``, of size
 ``C(g + m - 1, m)``.
+
+:func:`block_grid` is the one check of a block dimension, and
+:func:`sort_within` the one network that copies a canonical value to the
+permutations of its index; dense generation, blocked generation and the
+oracles' replication all go through it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dense import DenseTensor, MultiIndex, Permutation
-from .errors import ParameterError, ShapeError
+from .errors import BlockDivisibilityError, ParameterError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -68,17 +73,49 @@ def simplex_count(n: int, m: int) -> int:
     return math.comb(n + m - 1, m)
 
 
+def block_grid(n: int, b: int) -> int:
+    """Block-grid extent ``n // b`` of a mode of dimension ``n`` cut into
+    blocks of dimension ``b``.
+
+    Raises :class:`BlockDivisibilityError` when ``b < 1`` or ``b`` does not
+    divide ``n``.
+    """
+    if b < 1:
+        raise BlockDivisibilityError(f"block dimension must be at least 1, got {b}")
+    if n % b != 0:
+        raise BlockDivisibilityError(f"block dimension {b} does not divide {n}")
+    return n // b
+
+
+def sort_within(arr: np.ndarray, start: int, g: int) -> None:
+    """Copy, in place, each entry of ``arr`` from the entry whose
+    coordinates in modes ``start .. start+g-1`` are sorted nondecreasing.
+
+    An odd-even transposition network of ``g`` rounds over adjacent mode
+    pairs ``(k, k+1)`` of the run copies every entry with ``i_k < i_{k+1}``
+    to its swap.  The network sorts every index, so each entry ends up
+    holding the value its sorted entry had.  Sorted entries are never
+    written, and values are only copied, never combined.  The run's modes
+    must have equal extents.
+    """
+    n = arr.shape[start]
+    for r in range(g):
+        for k in range(start + r % 2, start + g - 1, 2):
+            lead = (slice(None),) * k
+            # Entries with i_k > i_{k+1} are written from entries with
+            # i_k < i_{k+1}, which this step does not write: safe in place.
+            for i in range(1, n):
+                arr[lead + (i, slice(0, i))] = arr[lead + (slice(0, i), i)]
+
+
 def replicate_canonical(values: np.ndarray, n: int, m: int) -> np.ndarray:
     """Symmetric ``(n,) * m`` array holding ``values[r]`` at every permutation
     of the r-th nondecreasing index in hypertriangle order.
 
-    The nondecreasing entries are filled once.  An odd-even transposition
-    network of ``m`` rounds over adjacent mode pairs then copies, for each
-    pair ``(k, k+1)``, every entry with ``i_k < i_{k+1}`` to its swap; the
-    network sorts every index, so each entry ends up holding its canonical
-    value.  Values are only copied, never combined, so the result is exact.
-    The array is built in C order and returned transposed: a symmetric
-    array equals its transpose, which is F-contiguous.
+    The nondecreasing entries are filled once, then :func:`sort_within`
+    over all ``m`` modes copies each to its permutations, so the result is
+    exact.  The array is built in C order and returned transposed: a
+    symmetric array equals its transpose, which is F-contiguous.
     """
     ix = np.ogrid[(slice(0, n),) * m]
     canonical = np.ones((n,) * m, dtype=bool)
@@ -88,13 +125,7 @@ def replicate_canonical(values: np.ndarray, n: int, m: int) -> np.ndarray:
     # Boolean assignment visits entries in C order, which on the
     # nondecreasing entries is hypertriangle (lexicographic) order.
     arr[canonical] = values
-    for r in range(m):
-        for k in range(r % 2, m - 1, 2):
-            lead = (slice(None),) * k
-            # Entries with i_k > i_{k+1} are written from entries with
-            # i_k < i_{k+1}, which this step does not write: safe in place.
-            for i in range(1, n):
-                arr[lead + (i, slice(0, i))] = arr[lead + (slice(0, i), i)]
+    sort_within(arr, 0, m)
     return arr.T
 
 

@@ -18,6 +18,10 @@ modes are ordinary small modes stored as a single block each.  These arise
 as the temporaries of the blocked change-of-basis algorithm.  A temporary
 that stores every block is the same type with identity tables
 (:func:`identity_tables`).
+
+Blocked storage has one way in from a dense tensor, :func:`compress`, and
+two ways out: :meth:`PartialSymTensor.block_at` for one logical block and
+:func:`decompress` for the whole dense tensor.
 """
 
 from __future__ import annotations
@@ -28,15 +32,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .counters import OpCounter
-from .dense import DenseTensor, MultiIndex, Permutation, permute
-from .errors import (
-    BlockDivisibilityError,
-    RangeError,
-    ShapeError,
-    SymmetryError,
-)
+from .dense import DenseTensor, MultiIndex
+from .errors import RangeError, ShapeError, SymmetryError
 from .indexing import (
+    block_grid,
     canonicalize,
     hypertriangle_iter,
     simplex_count,
@@ -136,15 +135,11 @@ class PartialSymTensor:
     ):
         if sym_modes < 1:
             raise ShapeError("need at least one symmetric mode")
-        if sym_dim % block_dim != 0:
-            raise BlockDivisibilityError(
-                f"block dimension {block_dim} does not divide {sym_dim}"
-            )
+        self.grid = block_grid(sym_dim, block_dim)
         self.sym_modes = sym_modes
         self.sym_dim = sym_dim
         self.block_dim = block_dim
         self.tail_dims = tuple(tail_dims)
-        self.grid = sym_dim // block_dim
         if tables is None:
             tables = symmetric_tables(self.grid, sym_modes, self.order)
         if tables.rank.shape != (self.grid,) * sym_modes:
@@ -186,18 +181,13 @@ class PartialSymTensor:
         t = self.tables
         return self.data[..., t.rank[idx]], t.transposes[t.transpose[idx]]
 
-    def partial_block_at(
-        self, sym_idx: MultiIndex, counter: OpCounter | None = None
-    ) -> DenseTensor:
-        """Logical block at ``sym_idx``: the stored canonical block with the
-        recorded permutation applied to the symmetric modes (tail modes pass
-        through).  Canonical indices return the stored buffer without a copy.
+    def block_at(self, sym_idx: MultiIndex) -> DenseTensor:
+        """Logical block at ``sym_idx``: its stored slab transposed by the
+        recorded permutation of the symmetric modes (tail modes pass
+        through).  Stored indices return the slab itself, without a copy.
         """
         stored, axes = self.stored_and_transform(sym_idx)
-        perm = Permutation(axes)
-        if perm.is_identity():
-            return DenseTensor(stored)
-        return permute(DenseTensor(stored), perm, counter)
+        return DenseTensor(np.transpose(stored, axes))
 
     def stored_element_count(self, meta_k: float = 0) -> tuple[int, float]:
         """(payload, payload + meta_k * meta records) element counts.
@@ -224,64 +214,34 @@ class BcssTensor(PartialSymTensor):
     def b(self) -> int:
         return self.block_dim
 
-    def block_at(self, idx: MultiIndex, counter: OpCounter | None = None) -> DenseTensor:
-        return self.partial_block_at(idx, counter)
-
 
 def _block_slices(key: MultiIndex, b: int) -> tuple[slice, ...]:
     return tuple(slice(i * b, (i + 1) * b) for i in key)
 
 
-def _pack(t: DenseTensor, sym_modes: int, block_dim: int, tol: float) -> np.ndarray:
-    """Canonical blocks of ``t`` (symmetric in modes ``0..sym_modes-1``),
-    copied verbatim into packed slabs in hypertriangle order."""
-    m = t.order
-    if not 0 < sym_modes <= m:
-        raise ShapeError(f"sym_modes {sym_modes} not in 1..{m}")
-    sym_dims = set(t.dims[:sym_modes])
-    if len(sym_dims) > 1:
-        raise ShapeError(f"symmetric modes have unequal dimensions {t.dims[:sym_modes]}")
-    n = t.dims[0]
-    if n % block_dim != 0:
-        raise BlockDivisibilityError(f"block dimension {block_dim} does not divide {n}")
-    if sym_modes > 1:
-        rel, idx, jdx = symmetry_violation(t, range(sym_modes))
-        if rel > tol:
-            raise SymmetryError(
-                f"asymmetry {rel:.3e} > tol {tol:.3e} between indices {idx} and {jdx}"
-            )
-    grid = n // block_dim
-    tail = tuple(slice(None) for _ in range(sym_modes, m))
-    data = np.empty(
-        (block_dim,) * sym_modes + t.dims[sym_modes:] + (simplex_count(grid, sym_modes),),
-        dtype=np.float64,
-        order="F",
-    )
-    for r, key in enumerate(hypertriangle_iter(grid, sym_modes)):
-        data[..., r] = t.array[_block_slices(key, block_dim) + tail]
-    return data
-
-
-def compress_partial(
-    t: DenseTensor, sym_modes: int, block_dim: int, tol: float = 0.0
-) -> PartialSymTensor:
-    """Store ``t`` (symmetric in modes ``0..sym_modes-1``) by canonical blocks.
-
-    Blocks are copied from ``t`` verbatim, so the round trip through
-    :func:`decompress` is bitwise exact whenever ``t`` is exactly
-    symmetric.  Raises :class:`SymmetryError` (reporting the worst index
-    pair) if the required symmetry does not hold within ``tol``.
-    """
-    data = _pack(t, sym_modes, block_dim, tol)
-    return PartialSymTensor(sym_modes, t.dims[0], block_dim, t.dims[sym_modes:], data)
-
-
 def compress(t: DenseTensor, block_dim: int, tol: float = 0.0) -> BcssTensor:
-    """Store a fully symmetric tensor by canonical blocks."""
-    dims = set(t.dims)
-    if len(dims) > 1:
+    """Store a fully symmetric tensor by canonical blocks.
+
+    Blocks are copied from ``t`` verbatim into packed slabs in
+    hypertriangle order, so the round trip through :func:`decompress` is
+    bitwise exact whenever ``t`` is exactly symmetric.  Raises
+    :class:`SymmetryError` (reporting the worst index pair) if ``t`` is not
+    symmetric within ``tol``.
+    """
+    m = t.order
+    if len(set(t.dims)) > 1:
         raise ShapeError(f"tensor dims {t.dims} are not all equal")
-    return BcssTensor(t.order, t.dims[0], block_dim, _pack(t, t.order, block_dim, tol))
+    n = t.dims[0]
+    grid = block_grid(n, block_dim)
+    rel, idx, jdx = symmetry_violation(t, range(m))
+    if rel > tol:
+        raise SymmetryError(
+            f"asymmetry {rel:.3e} > tol {tol:.3e} between indices {idx} and {jdx}"
+        )
+    data = np.empty((block_dim,) * m + (simplex_count(grid, m),), dtype=np.float64, order="F")
+    for r, key in enumerate(hypertriangle_iter(grid, m)):
+        data[..., r] = t.array[_block_slices(key, block_dim)]
+    return BcssTensor(m, n, block_dim, data)
 
 
 def decompress(a: PartialSymTensor) -> DenseTensor:

@@ -316,3 +316,38 @@ def test_verify_strict_gates_on_shared_timing(capsys, monkeypatch, times, status
     assert seen == [(5, 32, 8, 1234, 3)]
     assert "timing: dense" in out
     assert ("strict timing check failed" in err) == (status == 1)
+
+
+# ------------------------------------------------------------ malformed input
+
+
+@pytest.mark.parametrize("cap", ["abc", "-1", "0", "1.5"])
+@pytest.mark.parametrize("cmd", [["verify"], ["bench", "--algo", "bcss"], ["storage"]])
+def test_malformed_dense_cap_is_parameter_error(monkeypatch, capsys, cap, cmd):
+    # "abc" used to end in a ValueError traceback; "-1" silently skipped
+    # every dense baseline.
+    monkeypatch.setenv("SYMTENSOR_MAX_DENSE_ELEMS", cap)
+    status, out, err = run_main(["--cmd", cmd[0], "--m", "2", "--n", "4", *cmd[1:]], capsys)
+    assert status == 2
+    assert out == ""
+    assert "parameter error: SYMTENSOR_MAX_DENSE_ELEMS" in err
+
+
+@pytest.mark.parametrize("meta_k", ["-5", "-0.5", "nan", "inf"])
+def test_meta_k_must_be_finite_and_not_negative(capsys, meta_k):
+    # -5 used to print a negative storage_A.
+    status, out, err = run_main(["--cmd", "model", "--m", "3", "--meta-k", meta_k], capsys)
+    assert status == 2
+    assert out == ""
+    assert "parameter error: --meta-k" in err
+
+
+@pytest.mark.parametrize("reps", ["1", "2", "0", "-3"])
+def test_reps_below_three_is_parameter_error(capsys, reps):
+    # Values below 3 used to be raised to 3 without a word.
+    status, out, err = run_main(
+        ["--cmd", "bench", "--m", "2", "--n", "4", "--algo", "bcss", "--reps", reps], capsys
+    )
+    assert status == 2
+    assert out == ""
+    assert "parameter error: --reps" in err

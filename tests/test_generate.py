@@ -77,6 +77,45 @@ def test_random_bcss_change_of_basis_matches_oracle(m, n, b, p, b_c):
     assert err <= 1e-10
 
 
+def gather_random_bcss(m: int, n: int, b: int, seed: int) -> np.ndarray:
+    """Reference: the packed blocks of ``random_bcss`` built by the
+    sorted-coordinate gather it once used in place of the swap network."""
+
+    def group_sorted_index(runs):
+        # Flat C-order index of each entry with its coordinates sorted
+        # within each run of modes that share a block index.
+        coords = list(np.ogrid[(slice(0, b),) * sum(runs)])
+        start = 0
+        for g in runs:
+            if g > 1:
+                group = np.broadcast_arrays(*coords[start : start + g])
+                coords[start : start + g] = np.sort(np.stack(group), axis=0)
+            start += g
+        return np.ravel_multi_index(tuple(coords), (b,) * len(coords))
+
+    rng = np.random.default_rng(seed)
+    data = np.empty((b,) * m + (simplex_count(n // b, m),), order="F")
+    for r, key in enumerate(hypertriangle_iter(n // b, m)):
+        arr = rng.uniform(-1.0, 1.0, size=(b,) * m)
+        runs = tuple(len(list(group)) for _, group in itertools.groupby(key))
+        if len(runs) < m:
+            arr = arr.reshape(-1)[group_sorted_index(runs)]
+        data[..., r] = arr
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 6),
+    nbar=st.integers(1, 3),
+    b=st.integers(1, 3),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_random_bcss_bitwise_equals_gather_reference(m, nbar, b, seed):
+    got = random_bcss(m, nbar * b, b, seed).data
+    assert got.tobytes(order="F") == gather_random_bcss(m, nbar * b, b, seed).tobytes(order="F")
+
+
 def test_random_bcss_rejects_zero_block_dim():
     with pytest.raises(ParameterError):
         random_bcss(3, 4, 0, 1)

@@ -6,16 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksym import (
+    BcssTensor,
+    BlockDivisibilityError,
     ParameterError,
+    PartialSymTensor,
     ShapeError,
+    approx_costs,
+    bcss_costs,
+    bcss_impl_memops,
     canonicalize,
+    compress,
     hypertriangle_iter,
     is_sym_in_modes,
+    random_matrix,
+    random_symmetric,
+    savings_table,
     simplex_count,
+    sttsm_bcss,
     symmetry_violation,
 )
 from blocksym.dense import DenseTensor, Permutation
-from blocksym.indexing import replicate_canonical
+from blocksym.generate import random_bcss
+from blocksym.indexing import block_grid, replicate_canonical, sort_within
 
 
 # ------------------------------------------------------------ canonicalize
@@ -260,3 +272,54 @@ def test_replicate_canonical_places_each_value_on_its_orbit(m, n):
     rank = {idx: r for r, idx in enumerate(hypertriangle_iter(n, m))}
     for idx in itertools.product(range(n), repeat=m):
         assert out[idx] == values[rank[tuple(sorted(idx))]]
+
+
+def test_sort_within_copies_each_entry_from_its_run_sorted_entry():
+    # Runs of modes 0-1, 2-4 and 5 (a single mode, left alone), as in a
+    # diagonal block whose index is (i, i, j, j, j, k).
+    rng = np.random.default_rng(29)
+    orig = rng.standard_normal((3, 3, 2, 2, 2, 4))
+    arr = orig.copy()
+    sort_within(arr, 0, 2)
+    sort_within(arr, 2, 3)
+    sort_within(arr, 5, 1)
+    for idx in np.ndindex(arr.shape):
+        src = tuple(sorted(idx[0:2])) + tuple(sorted(idx[2:5])) + idx[5:]
+        assert arr[idx] == orig[src], idx
+
+
+# ------------------------------------------------------------ block_grid
+
+
+def test_block_grid_is_the_grid_extent():
+    assert block_grid(12, 3) == 4
+    assert block_grid(5, 5) == 1
+    assert block_grid(7, 1) == 7
+
+
+def _sym(m, n):
+    return random_symmetric(m, n, 30)
+
+
+# Every public entry point that takes a block dimension, given one for n = 4.
+BLOCK_DIM_CALLS = {
+    "compress": lambda b: compress(_sym(2, 4), b),
+    "BcssTensor": lambda b: BcssTensor(2, 4, b, np.zeros((1, 1, 1))),
+    "PartialSymTensor": lambda b: PartialSymTensor(2, 4, b, (3,), np.zeros((1, 1, 3, 1))),
+    "random_bcss": lambda b: random_bcss(2, 4, b, 0),
+    "sttsm_bcss(b_c)": lambda b: sttsm_bcss(compress(_sym(2, 4), 2), random_matrix(4, 4, 1), b),
+    "bcss_costs(b_a)": lambda b: bcss_costs(2, 4, 4, b, 2),
+    "bcss_costs(b_c)": lambda b: bcss_costs(2, 4, 4, 2, b),
+    "bcss_impl_memops(b_a)": lambda b: bcss_impl_memops(2, 4, 4, b, 2),
+    "bcss_impl_memops(b_c)": lambda b: bcss_impl_memops(2, 4, 4, 2, b),
+    "approx_costs": lambda b: approx_costs(2, 4, b),
+    "savings_table": lambda b: savings_table(2, 4, b),
+}
+
+
+@pytest.mark.parametrize("b", [0, -2, 3])
+@pytest.mark.parametrize("call", BLOCK_DIM_CALLS.values(), ids=BLOCK_DIM_CALLS.keys())
+def test_bad_block_dim_raises_block_divisibility_error(call, b):
+    with pytest.raises(BlockDivisibilityError) as exc:
+        call(b)
+    assert isinstance(exc.value, ParameterError)

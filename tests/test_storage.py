@@ -11,7 +11,6 @@ from blocksym import (
     ShapeError,
     SymmetryError,
     compress,
-    compress_partial,
     decompress,
     hypertriangle_iter,
     measured_meta_k,
@@ -20,6 +19,7 @@ from blocksym import (
     random_matrix,
     random_symmetric,
     simplex_count,
+    sttsm_bcss,
 )
 from blocksym.dense import DenseTensor
 from blocksym.storage import identity_tables, symmetric_tables
@@ -176,68 +176,42 @@ def test_measured_meta_k_positive():
 # ------------------------------------------------------------ partial symmetry
 
 
-def test_compress_partial_all_modes_behaves_as_compress():
-    t = random_symmetric(3, 4, 13)
-    part = compress_partial(t, 3, 2)
-    full = compress(t, 2)
-    assert sorted(part.blocks) == sorted(full.blocks)
-    for key in part.blocks:
-        assert np.array_equal(part.blocks[key], full.blocks[key])
+def _temp_visits(m, pbar):
+    """(level k, block rows jb_k..jb_{m-1}) of each temporary, in the order
+    ``sttsm_bcss`` hands them to ``temp_hook``."""
+
+    def descend(k, j_hi, suffix):
+        for jb in range(j_hi + 1):
+            if k > 0:
+                yield k, (jb,) + suffix
+                yield from descend(k - 1, jb, (jb,) + suffix)
+
+    return list(descend(m - 1, pbar - 1, ()))
 
 
-def test_compress_partial_single_sym_mode_stores_everything():
-    rng = np.random.default_rng(14)
-    t = DenseTensor(rng.standard_normal((6, 3, 2)))
-    part = compress_partial(t, 1, 2)
-    assert len(part.blocks) == 3  # nbar blocks, no savings
-    payload, _ = part.stored_element_count()
-    assert payload == t.array.size
-    assert np.array_equal(decompress(part).array, t.array)
-
-
-def test_partial_from_mode_product_of_symmetric_tensor():
-    # A x_2 X is symmetric in modes {0, 1}: compress that group and round trip.
-    a = random_symmetric(3, 4, 15)
-    x = random_matrix(2, 4, 16)
-    t = mode_multiply(a, 2, x)
-    part = compress_partial(t, 2, 2)
-    assert len(part.blocks) == simplex_count(2, 2) == 3
-    assert np.allclose(decompress(part).array, t.array, rtol=0, atol=0)
-    assert part.tail_dims == (2,)
-
-
-def test_partial_block_at_permutes_sym_modes_only():
-    a = random_symmetric(3, 4, 17)
-    x = random_matrix(3, 4, 18)
-    t = mode_multiply(a, 2, x)
-    part = compress_partial(t, 2, 2)
-    got = part.partial_block_at((1, 0))
-    want = np.swapaxes(part.blocks[(0, 1)], 0, 1)
-    assert np.array_equal(got.array, want)
-
-
-def test_partial_block_at_against_dense_subtensor():
-    a = random_symmetric(4, 6, 19)
-    x = random_matrix(2, 6, 20)
-    t = mode_multiply(a, 3, x)
-    part = compress_partial(t, 3, 3)
-    for idx in itertools.product(range(2), repeat=3):
-        sl = tuple(slice(i * 3, (i + 1) * 3) for i in idx) + (slice(None),)
-        assert np.array_equal(part.partial_block_at(idx).array, t.array[sl])
-
-
-def test_partial_compress_validates_symmetry_group():
-    rng = np.random.default_rng(21)
-    t = DenseTensor(rng.standard_normal((4, 4, 3)))
-    with pytest.raises(SymmetryError):
-        compress_partial(t, 2, 2)
-
-
-def test_partial_compress_validates_tail_shapes():
-    rng = np.random.default_rng(22)
-    t = DenseTensor(rng.standard_normal((4, 3, 3)))
-    with pytest.raises(Exception):
-        compress_partial(t, 2, 2)  # leading modes unequal
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("m,n,p,b_a,b_c", [(3, 6, 4, 2, 2), (4, 6, 6, 3, 2)])
+def test_temporary_block_at_matches_mode_product_chain(reuse, m, n, p, b_a, b_c):
+    # T(k) is A contracted in modes k..m-1 with block rows jb_k..jb_{m-1} of
+    # x: its symmetric modes are blocked at b_A, its tail modes one block.
+    a = random_symmetric(m, n, 27)
+    x = random_matrix(p, n, 28)
+    temps = []
+    sttsm_bcss(compress(a, b_a), x, b_c, reuse=reuse, temp_hook=lambda k, t: temps.append((k, t)))
+    visits = _temp_visits(m, p // b_c)
+    assert [k for k, _ in temps] == [k for k, _ in visits]
+    for (k, temp), (_, rows) in zip(temps, visits):
+        assert temp.tail_dims == (b_c,) * (m - k)
+        chain = a
+        for mode in range(m - 1, k - 1, -1):
+            jb = rows[mode - k]
+            chain = mode_multiply(chain, mode, x[jb * b_c : (jb + 1) * b_c])
+        scale = np.max(np.abs(chain.array))
+        for idx in itertools.product(range(n // b_a), repeat=k):
+            sl = tuple(slice(i * b_a, (i + 1) * b_a) for i in idx)
+            got = temp.block_at(idx).array
+            assert got.shape == (b_a,) * k + (b_c,) * (m - k)
+            assert np.max(np.abs(got - chain.array[sl])) <= 1e-12 * scale, (k, rows, idx)
 
 
 # ------------------------------------------------------------ redirection tables
