@@ -321,7 +321,7 @@ def cmd_model(args) -> int:
             writer.writerow(
                 [rep.variant, rep.m, rep.n, rep.p, rep.b_a, rep.b_c,
                  rep.storage_A, rep.storage_C, rep.storage_X,
-                 rep.storage_temps + rep.storage_temps_meta, rep.flops, rep.memops]
+                 rep.storage_temps_total, rep.flops, rep.memops]
             )
     _emit(out.getvalue(), args.out)
     return 0
@@ -347,11 +347,11 @@ def cmd_storage(args) -> int:
         f"dense element count n^m = {n**m}",
     ]
     measured_col = {}
-    for b, payload, total in rows:
-        nbar = n // b
-        if n**m <= cap and nbar**m <= 10**5:
-            packed = compress(random_symmetric(m, n, args.seed), b)
-            measured_col[b] = packed.stored_element_count()[0]
+    if n**m <= cap:
+        dense = random_symmetric(m, n, args.seed)
+        for b, _, _ in rows:
+            if (n // b) ** m <= 10**5:
+                measured_col[b] = compress(dense, b).stored_element_count()[0]
     if args.csv:
         out = _io.StringIO()
         writer = csv.writer(out)
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--meta-k", type=_int_or_float, default=1,
                     help="meta cost per block, in float equivalents")
     ap.add_argument("--out", help="write output to this path instead of stdout")
-    ap.add_argument("--csv", action="store_true", help="CSV output where optional")
+    ap.add_argument("--csv", action="store_true", help="storage: CSV output")
     ap.add_argument("--strict", action="store_true",
                     help="verify: also require the blocked timing to beat dense")
     return ap

@@ -1,23 +1,33 @@
 """Analytical storage, flop, and memop models for the change of basis.
 
-Every exact formula is evaluated in integer/rational arithmetic
-(``fractions.Fraction`` for the ``(b_C/b_A)^d`` terms, which always cancel
-back to integers) so that "instrumented counter equals formula" is testable
-as integer equality.  Floating point appears only in ratio outputs.
+The blocked algorithm contracts modes ``k = m-1, .., 0`` in turn.  Level
+``k`` runs ``C(pbar+m-1-k, m-k)`` times, and each run produces one block
+per block index of its temporary: the canonical ``k``-tuples of the block
+grid, ``C(nbar+k-1, k)`` of them, with partial-symmetry reuse, the whole
+``nbar^k`` grid without.  A produced block holds ``b_A^k b_C^(m-k)``
+elements and costs one ``(rest x n) @ (n x b_C)`` GEMM on a gathered
+operand of ``b_A^k b_C^(m-1-k) n`` elements.  Every blocked count is an
+integer sum of these terms over the levels (:func:`_levels`), so
+"instrumented counter equals formula" is testable as integer equality.
+Floating point appears only in ratio outputs and a float ``meta_k``.
 
-Closed forms, with ``nbar = n/b_A`` and ``pbar = p/b_C``:
+With ``nbar = n/b_A``, ``pbar = p/b_C``, ``r = b_C/b_A`` and ``d = m-1-k``,
+the sums equal the paper's closed forms:
 
 * blocked storage payload of an order-m symmetric tensor:
   ``b^m * C(nbar + m - 1, m)``; the redirection tables add ``k * nbar^m``
   float equivalents, ``k`` being the per-block meta cost.
 * blocked flops (temporaries reused via partial symmetry):
-  ``2 nbar b_C b_A^m * sum_d C(pbar+d, d+1) C(nbar+m-d-2, m-d-1) (b_C/b_A)^d``
+  ``2 nbar b_C b_A^m * sum_d C(pbar+d, d+1) C(nbar+m-d-2, m-d-1) r^d``
   and with reuse disabled the middle binomial becomes ``nbar^{m-1-d}``,
   which collapses to ``sum_d 2 b_C^{d+1} n^{m-d} C(pbar+d, d+1)``.
-* blocked memops: same sum scaled by ``(nbar + 2 b_C/b_A) b_A^m``; the
-  implementation moves every summand block twice as often as this model
-  charges and counts exactly ``(2 nbar + 2 b_C/b_A) b_A^m`` times the sum
-  (:func:`bcss_impl_memops`).
+* blocked memops: same sum scaled by ``(nbar + 2r) b_A^m``, 1 per
+  gathered element and 2 per produced one; the implementation moves
+  every gathered element twice and counts exactly ``(2 nbar + 2r) b_A^m``
+  times the sum (:func:`bcss_impl_memops`).
+* temporaries' payload ``b_C b_A^{m-1} sum_{d<m-1} C(nbar+m-d-2, m-d-1) r^d``
+  with reuse and ``sum_{d<m-1} b_C^{d+1} n^{m-1-d}`` without; their meta
+  ``k * sum_{d<m-1} nbar^{d+1}`` with reuse and 0 without.
 * dense flops ``2 p n^m sum_d (p/n)^d`` and memops
   ``(1 + 2p/n) n^m sum_d (p/n)^d``.
 """
@@ -27,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import ParameterError
 from .indexing import block_grid, simplex_count
@@ -35,10 +45,18 @@ from .indexing import block_grid, simplex_count
 Number = Union[int, float, Fraction]
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ParameterError(f"{what} did not reduce to an integer: {x}")
-    return int(x)
+def _check(m: int, *dims: int) -> None:
+    """The models cover order ``m >= 2`` and dimensions of at least 1."""
+    if m < 2 or min(dims) < 1:
+        raise ParameterError(
+            f"cost model requires m >= 2 and dimensions >= 1, got m={m}, dims={dims}"
+        )
+
+
+def _payload(m: int, n: int, b: int) -> int:
+    """``b^m * C(nbar + m - 1, m)``, the elements in the canonical blocks of
+    an order-``m`` symmetric tensor of dimension ``n`` blocked at ``b``."""
+    return b**m * simplex_count(block_grid(n, b), m)
 
 
 @dataclass(frozen=True)
@@ -71,28 +89,19 @@ class CostReport:
         return self.storage_temps + self.storage_temps_meta
 
 
-def _validate_blocked(m: int, n: int, p: int, b_a: int, b_c: int) -> tuple[int, int]:
-    if m < 2:
-        raise ParameterError("cost model is defined for order >= 2")
-    if n < 1 or p < 1:
-        raise ParameterError("dimensions must be positive")
-    return block_grid(n, b_a), block_grid(p, b_c)
+def _levels(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool) -> Iterator[tuple]:
+    """``(k, visits, blocks, gather, out)`` of each level ``k = m-1, .., 0``.
 
-
-def _level_sum(m: int, nbar: int, pbar: int, ratio: Fraction, reuse: bool) -> Fraction:
-    """``sum_d C(pbar+d, d+1) * blocks(d) * (b_C/b_A)^d``, the level sum that
-    every blocked flop and memop formula scales.
-
-    Level ``d`` contracts mode ``k = m-1-d``; each of its ``C(pbar+d, d+1)``
-    visits produces ``blocks(d)`` blocks: the canonical ``k``-tuples with
-    reuse, the whole ``nbar^k`` grid without.
+    Level ``k`` contracts mode ``k`` in ``visits`` runs.  Each run produces
+    ``blocks`` blocks of ``out`` elements, each from one GEMM on a gathered
+    operand of ``gather`` elements.
     """
-    total = Fraction(0)
-    for d in range(m):
-        k = m - 1 - d
+    _check(m, n, p)
+    nbar, pbar = block_grid(n, b_a), block_grid(p, b_c)
+    for k in range(m - 1, -1, -1):
+        visits = math.comb(pbar + m - 1 - k, m - k)
         blocks = simplex_count(nbar, k) if reuse and k >= 1 else nbar**k
-        total += math.comb(pbar + d, d + 1) * blocks * ratio**d
-    return total
+        yield k, visits, blocks, b_a**k * b_c ** (m - 1 - k) * n, b_a**k * b_c ** (m - k)
 
 
 def bcss_costs(
@@ -110,25 +119,8 @@ def bcss_costs(
     temporary-level block counts are simplex numbers, without it they are
     full grid powers.
     """
-    nbar, pbar = _validate_blocked(m, n, p, b_a, b_c)
-    ratio = Fraction(b_c, b_a)
-    core = _level_sum(m, nbar, pbar, ratio, reuse)
-    flops = _as_int(2 * nbar * b_c * b_a**m * core, "blocked flop count")
-    memops = _as_int((nbar + 2 * ratio) * b_a**m * core, "blocked memop count")
-
-    payload_A = b_a**m * simplex_count(nbar, m)
-    payload_C = b_c**m * simplex_count(pbar, m)
-    if reuse:
-        temps = _as_int(
-            b_c
-            * b_a ** (m - 1)
-            * sum(simplex_count(nbar, m - d - 1) * ratio**d for d in range(m - 1)),
-            "temporary payload",
-        )
-        temps_meta = meta_k * sum(nbar ** (d + 1) for d in range(m - 1))
-    else:
-        temps = sum(b_c ** (d + 1) * n ** (m - 1 - d) for d in range(m - 1))
-        temps_meta = 0
+    levels = list(_levels(m, n, p, b_a, b_c, reuse))
+    nbar, pbar = n // b_a, p // b_c
     return CostReport(
         variant="BCSS",
         m=m,
@@ -137,41 +129,35 @@ def bcss_costs(
         b_a=b_a,
         b_c=b_c,
         meta_k=meta_k,
-        storage_A=payload_A + meta_k * nbar**m,
-        storage_C=payload_C + meta_k * pbar**m,
+        storage_A=_payload(m, n, b_a) + meta_k * nbar**m,
+        storage_C=_payload(m, p, b_c) + meta_k * pbar**m,
         storage_X=p * n,
-        storage_temps=temps,
-        storage_temps_meta=temps_meta,
-        flops=flops,
-        memops=memops,
+        storage_temps=sum(blocks * out for k, _, blocks, _, out in levels if k >= 1),
+        storage_temps_meta=meta_k * sum(nbar**k for k in range(1, m)) if reuse else 0,
+        flops=sum(v * blocks * 2 * gather * b_c for _, v, blocks, gather, _ in levels),
+        memops=sum(v * blocks * (gather + 2 * out) for _, v, blocks, gather, out in levels),
     )
 
 
-def bcss_impl_memops(
-    m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = True
-) -> int:
-    """Memops ``sttsm_bcss`` counts: ``(2 nbar + 2 b_C/b_A) b_A^m * core``.
+def bcss_impl_memops(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = True) -> int:
+    """Memops ``sttsm_bcss`` counts: ``2 (gather + out)`` per produced block.
 
-    ``core`` is the level sum of :func:`bcss_costs`.  Each produced block
-    copies its ``nbar`` summand blocks into the GEMM operand and copies its
-    result back to logical mode order, 2 memops per element each time.  The
-    paper's model in :func:`bcss_costs`, ``(nbar + 2 b_C/b_A) b_A^m * core``,
-    charges 1 per summand element and 2 per result element, so counted over
-    modelled is ``(2 nbar + 2r) / (nbar + 2r)`` with ``r = b_C/b_A``, which
-    is below 2 for every ``r > 0``.
+    Each produced block copies its ``nbar`` summand blocks into the GEMM
+    operand and copies its result back to logical mode order, 2 memops per
+    element each time.  The paper's model in :func:`bcss_costs` charges
+    ``gather + 2 out``, 1 per summand element and 2 per result element, so
+    counted over modelled is ``(2 nbar + 2r) / (nbar + 2r)`` with
+    ``r = b_C/b_A``, which is below 2 for every ``r > 0``.
     """
-    nbar, pbar = _validate_blocked(m, n, p, b_a, b_c)
-    ratio = Fraction(b_c, b_a)
-    core = _level_sum(m, nbar, pbar, ratio, reuse)
-    return _as_int((2 * nbar + 2 * ratio) * b_a**m * core, "implementation memop count")
+    return sum(
+        v * blocks * 2 * (gather + out)
+        for _, v, blocks, gather, out in _levels(m, n, p, b_a, b_c, reuse)
+    )
 
 
 def dense_costs(m: int, n: int, p: int) -> CostReport:
     """Costs of the dense mode-product chain (no symmetry, no blocking)."""
-    if m < 2:
-        raise ParameterError("cost model is defined for order >= 2")
-    if n < 1 or p < 1:
-        raise ParameterError("dimensions must be positive")
+    _check(m, n, p)
     flops = 2 * sum(p ** (d + 1) * n ** (m - d) for d in range(m))
     memops = sum(
         p**d * n ** (m - d) + 2 * p ** (d + 1) * n ** (m - 1 - d) for d in range(m)
@@ -221,8 +207,7 @@ class ApproxCosts:
 
 def approx_costs(m: int, n: int, b: int | None = None) -> ApproxCosts:
     """Limit-regime cost estimates (tensor dims equal, block dims equal)."""
-    if m < 2 or n < 1:
-        raise ParameterError("approx_costs requires m >= 2 and n >= 1")
+    _check(m, n)
     fact = math.factorial(m)
     memops = None
     if b is not None:
@@ -245,9 +230,8 @@ def approx_costs(m: int, n: int, b: int | None = None) -> ApproxCosts:
 
 def savings_table(m: int, n: int, b: int) -> tuple[float, float]:
     """(minimal / blocked, dense / blocked) storage payload ratios."""
-    if m < 2 or n < 1:
-        raise ParameterError("savings_table requires m >= 2 and n >= 1")
-    payload = b**m * simplex_count(block_grid(n, b), m)
+    _check(m, n)
+    payload = _payload(m, n, b)
     return simplex_count(n, m) / payload, n**m / payload
 
 
@@ -263,13 +247,11 @@ def metadata_sweep(
     Returns ``([(b, payload, total)], argmin_b)`` where
     ``total = meta_k * nbar^m + b^m * C(nbar + m - 1, m)``.
     """
-    if m < 2 or n < 1:
-        raise ParameterError("metadata_sweep requires m >= 2 and n >= 1")
+    _check(m, n)
     rows = []
     for b in divisors(n):
-        nbar = n // b
-        payload = b**m * simplex_count(nbar, m)
-        rows.append((b, payload, payload + meta_k * nbar**m))
+        payload = _payload(m, n, b)
+        rows.append((b, payload, payload + meta_k * (n // b) ** m))
     best = min(rows, key=lambda r: r[2])[0]
     return rows, best
 

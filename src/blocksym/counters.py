@@ -28,7 +28,3 @@ class OpCounter:
         if n < 0:
             raise ValueError("memop increment must be non-negative")
         self.memops += n
-
-    def reset(self) -> None:
-        self.flops = 0
-        self.memops = 0

@@ -101,6 +101,20 @@ def identity_tables(grid: int, sym_modes: int, order: int) -> BlockTables:
     )
 
 
+class _SlabViews(dict):
+    """Stored blocks by block index, as views of their slabs.
+
+    Assigning a block copies the value into its slab, so every reader of
+    the packed array sees it; an index that is not stored raises
+    ``KeyError``.
+    """
+
+    __slots__ = ()
+
+    def __setitem__(self, key: MultiIndex, value) -> None:
+        self[key][...] = value
+
+
 class PartialSymTensor:
     """Blocked store for a tensor symmetric in its leading mode group.
 
@@ -162,8 +176,10 @@ class PartialSymTensor:
 
     @cached_property
     def blocks(self) -> dict[MultiIndex, np.ndarray]:
-        """Stored blocks by block index, as views of their slabs."""
-        return {key: self.data[..., r] for r, key in enumerate(self.tables.stored_keys())}
+        """Stored blocks by block index, as views of their slabs; assigning
+        a block writes its slab."""
+        keys = self.tables.stored_keys()
+        return _SlabViews((key, self.data[..., r]) for r, key in enumerate(keys))
 
     def __repr__(self) -> str:
         return (

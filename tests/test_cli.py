@@ -183,6 +183,22 @@ def test_storage_report(capsys):
     assert "argmin b" in out
 
 
+def test_storage_builds_the_dense_tensor_once(monkeypatch, capsys):
+    calls = []
+    real = cli.random_symmetric
+
+    def counted(m, n, seed):
+        calls.append((m, n, seed))
+        return real(m, n, seed)
+
+    monkeypatch.setattr(cli, "random_symmetric", counted)
+    status, out, _ = run_main(["--cmd", "storage", "--m", "3", "--n", "12", "--seed", "2"], capsys)
+    assert status == 0
+    assert out.count("measured=") == len(cli.cost_model.divisors(12))
+    # The meta probe builds its own small tensor; the report's is built once.
+    assert calls.count((3, 12, 2)) == 1
+
+
 def test_storage_csv_m5_interior_minimum(capsys):
     status, out, _ = run_main(
         ["--cmd", "storage", "--m", "5", "--n", "64", "--csv"], capsys

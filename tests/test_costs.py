@@ -104,6 +104,47 @@ def test_impl_memops_parameter_validation():
         bcss_impl_memops(1, 4, 4, 2, 2)
 
 
+def closed_forms(m, n, p, b_a, b_c, meta_k, reuse):
+    """The paper's closed forms, in rational arithmetic, with ``r = b_C/b_A``:
+    ``{field: value}`` for a blocked CostReport plus ``impl_memops``."""
+    nbar, pbar, r = n // b_a, p // b_c, Fraction(b_c, b_a)
+    if reuse:
+        middle = [math.comb(nbar + m - d - 2, m - d - 1) for d in range(m)]
+    else:
+        middle = [nbar ** (m - 1 - d) for d in range(m)]
+    core = sum(math.comb(pbar + d, d + 1) * middle[d] * r**d for d in range(m))
+    if reuse:
+        temps = b_c * b_a ** (m - 1) * sum(middle[d] * r**d for d in range(m - 1))
+        temps_meta = meta_k * sum(nbar ** (d + 1) for d in range(m - 1))
+    else:
+        temps = sum(b_c ** (d + 1) * n ** (m - 1 - d) for d in range(m - 1))
+        temps_meta = 0
+    return {
+        "storage_A": b_a**m * math.comb(nbar + m - 1, m) + meta_k * nbar**m,
+        "storage_C": b_c**m * math.comb(pbar + m - 1, m) + meta_k * pbar**m,
+        "storage_temps": temps,
+        "storage_temps_meta": temps_meta,
+        "flops": 2 * nbar * b_c * b_a**m * core,
+        "memops": (nbar + 2 * r) * b_a**m * core,
+        "impl_memops": (2 * nbar + 2 * r) * b_a**m * core,
+    }
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_level_sums_equal_the_closed_forms(m, reuse):
+    # Every divisor pair with b_A != b_C, at p != n in both directions.
+    for n, p in [(12, 6), (6, 12), (9, 6)]:
+        for b_a, b_c in itertools.product(range(1, n + 1), range(1, p + 1)):
+            if n % b_a or p % b_c or b_a == b_c:
+                continue
+            want = closed_forms(m, n, p, b_a, b_c, 3, reuse)
+            rep = bcss_costs(m, n, p, b_a, b_c, meta_k=3, reuse=reuse)
+            got = {f: getattr(rep, f) for f in want if f != "impl_memops"}
+            got["impl_memops"] = bcss_impl_memops(m, n, p, b_a, b_c, reuse=reuse)
+            assert got == want, (n, p, b_a, b_c)
+
+
 # ------------------------------------------------------------ dense costs
 
 

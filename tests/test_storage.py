@@ -20,7 +20,9 @@ from blocksym import (
     random_symmetric,
     simplex_count,
     sttsm_bcss,
+    sttsm_dense_ttm,
 )
+from blocksym.io import load_bcss, save_bcss
 from blocksym.dense import DenseTensor
 from blocksym.storage import identity_tables, symmetric_tables
 
@@ -252,6 +254,33 @@ def test_packed_blocks_are_views_of_their_slabs():
         assert np.shares_memory(packed.blocks[key], packed.data[..., r])
     packed.blocks[(0, 1, 2)][0, 0, 0] = 7.0
     assert packed.block_at((2, 1, 0)).array[0, 0, 0] == 7.0
+
+
+def test_assigning_a_block_writes_its_slab_for_every_reader(tmp_path):
+    d = random_symmetric(3, 4, 1)
+    packed = compress(d, 2)
+    rng = np.random.default_rng(7)
+    new = rng.standard_normal((2, 2, 2))
+    new = new + new.transpose(0, 2, 1)  # block (0, 1, 1) repeats its last two indices
+    packed.blocks[(0, 1, 1)] = new
+    assert np.shares_memory(packed.blocks[(0, 1, 1)], packed.data)
+    with pytest.raises(KeyError):
+        packed.blocks[(1, 0, 1)] = new  # not stored: a transpose of (0, 1, 1)
+
+    # The dense tensor ``packed`` now stands for: ``d`` with ``new`` at
+    # (0, 1, 1) and its transposes at every permutation of that index.
+    want = d.array.copy()
+    for perm in itertools.permutations(range(3)):
+        key = tuple((0, 1, 1)[i] for i in perm)
+        want[tuple(slice(2 * i, 2 * i + 2) for i in key)] = np.transpose(new, perm)
+    assert np.array_equal(decompress(packed).array, want)
+    assert np.array_equal(packed.block_at((1, 1, 0)).array, np.transpose(new, (1, 2, 0)))
+    save_bcss(packed, tmp_path / "t.bcss")
+    assert np.array_equal(load_bcss(tmp_path / "t.bcss").blocks[(0, 1, 1)], new)
+    x = random_matrix(4, 4, 2)
+    got = decompress(sttsm_bcss(packed, x, 2)).array
+    ref = sttsm_dense_ttm(DenseTensor(want), x).array
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_measured_meta_k_is_nine_bytes_per_record():
