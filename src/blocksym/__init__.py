@@ -30,7 +30,6 @@ from .costs import (
 from .dense import (
     DenseTensor,
     MultiIndex,
-    Permutation,
     group_modes,
     ipermute,
     matmul_ref,
@@ -49,7 +48,6 @@ from .errors import (
 )
 from .generate import random_matrix, random_symmetric
 from .indexing import (
-    CanonicalRef,
     canonicalize,
     hypertriangle_iter,
     is_sym_in_modes,

@@ -30,7 +30,7 @@ from .change_of_basis import (
     sttsm_scalar_temps,
 )
 from .counters import OpCounter
-from .dense import DenseTensor, Permutation, ipermute, permute
+from .dense import DenseTensor, ipermute, permute
 from .errors import BlockDivisibilityError, ParameterError
 from .generate import random_bcss, random_matrix, random_symmetric
 from .storage import BcssTensor, compress, decompress, measured_meta_k, meta_bytes
@@ -114,7 +114,7 @@ def verify_case(
     )
 
     rng = np.random.default_rng(seed + 2)
-    perm = Permutation(tuple(rng.permutation(m).tolist()))
+    perm = tuple(rng.permutation(m).tolist())
     back = ipermute(permute(a, perm), perm)
     exact = bool(np.array_equal(back.array, a.array))
     results.append(

@@ -3,7 +3,7 @@
 A tensor is linearized in *dimensional order*: the generalization of
 column-major layout where mode 0 varies fastest.  Element ``(i_0, ..,
 i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.  All kernels
-here are built from four primitives:
+here are built from three primitives:
 
 * ``permute`` / ``ipermute`` -- materialized data rearrangement,
 * ``group_modes`` -- zero-copy matrix view of grouped leading/trailing modes,
@@ -19,7 +19,6 @@ reports 2 flops per multiply-add.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,50 +28,6 @@ from .errors import ModeError, ShapeError
 
 # A multi-index is a plain tuple of non-negative ints, one per mode.
 MultiIndex = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on mode numbers ``0..m-1``.
-
-    ``apply(seq)`` reorders a sequence so that position ``d`` of the result
-    holds ``seq[mapping[d]]``.
-    """
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        m = len(self.mapping)
-        if sorted(self.mapping) != list(range(m)):
-            raise ShapeError(f"not a permutation of 0..{m - 1}: {self.mapping}")
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def apply(self, seq: Sequence) -> tuple:
-        if len(seq) != len(self.mapping):
-            raise ShapeError("sequence length does not match permutation length")
-        return tuple(seq[j] for j in self.mapping)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for d, j in enumerate(self.mapping):
-            inv[j] = d
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Permutation equivalent to applying ``self`` first, then ``other``.
-
-        Satisfies ``permute(t, a.compose(b)) == permute(permute(t, a), b)``.
-        """
-        return Permutation(tuple(self.mapping[j] for j in other.mapping))
-
-    @staticmethod
-    def identity(m: int) -> "Permutation":
-        return Permutation(tuple(range(m)))
-
-    def is_identity(self) -> bool:
-        return all(j == d for d, j in enumerate(self.mapping))
 
 
 class DenseTensor:
@@ -147,20 +102,26 @@ def _merged_axes(
     return merged_shape, tuple(position[r] for r in range(len(runs)))
 
 
-def permute(t: DenseTensor, p: Permutation, counter: OpCounter | None = None) -> DenseTensor:
-    """Materialize ``t`` with its modes reordered by ``p``.
+def _check_axes(axes: tuple[int, ...], order: int) -> None:
+    """Raise :class:`ShapeError` unless ``axes`` holds each of ``0..order-1`` once."""
+    if sorted(axes) != list(range(order)):
+        raise ShapeError(f"axes {tuple(axes)} do not order the {order} modes 0..{order - 1}")
 
-    The result has dims ``(I_{p_0}, .., I_{p_{m-1}})`` and its element at
-    the reordered index equals the source element.  Always copies (2 memops
+
+def permute(t: DenseTensor, axes: tuple[int, ...], counter: OpCounter | None = None) -> DenseTensor:
+    """Materialize ``t`` with its modes reordered as ``np.transpose(t, axes)``.
+
+    Mode ``d`` of the result is mode ``axes[d]`` of ``t``, so the result has
+    dims ``(I_{axes_0}, .., I_{axes_{m-1}})``.  Raises :class:`ShapeError`
+    unless ``axes`` holds each mode of ``t`` once.  Always copies (2 memops
     per element), even for the identity, so that instrumented counts reflect
     the explicit data movement this layout strategy pays for.
 
     The copy is cache-tiled where that helps (see :func:`_tiled_transpose`);
     the values and layout of the result do not depend on the tiling.
     """
-    if len(p) != t.order:
-        raise ShapeError(f"permutation length {len(p)} != tensor order {t.order}")
-    out = _tiled_transpose(t.array, p.mapping)
+    _check_axes(axes, t.order)
+    out = _tiled_transpose(t.array, axes)
     if counter is not None:
         counter.count_memops(2 * out.size)
     return DenseTensor(out)
@@ -197,9 +158,10 @@ def _tiled_transpose(src: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.array(np.transpose(src, axes), order="F", copy=True)
 
 
-def ipermute(t: DenseTensor, p: Permutation, counter: OpCounter | None = None) -> DenseTensor:
-    """Invert :func:`permute`: ``ipermute(permute(t, p), p)`` is ``t`` bitwise."""
-    return permute(t, p.inverse(), counter)
+def ipermute(t: DenseTensor, axes: tuple[int, ...], counter: OpCounter | None = None) -> DenseTensor:
+    """Invert :func:`permute`: ``ipermute(permute(t, axes), axes)`` is ``t`` bitwise."""
+    _check_axes(axes, t.order)
+    return permute(t, tuple(sorted(range(t.order), key=axes.__getitem__)), counter)
 
 
 def group_modes(t: DenseTensor, split: int) -> np.ndarray:
@@ -244,13 +206,6 @@ def matmul_ref(a: np.ndarray, b: np.ndarray, counter: OpCounter | None = None) -
     return _gemm_backend(a, b)
 
 
-def front_permutation(k: int, m: int) -> Permutation:
-    """The mode ordering ``{k, 0, .., k-1, k+1, .., m-1}`` used by mode products."""
-    if not 0 <= k < m:
-        raise ModeError(f"mode {k} out of range for order {m}")
-    return Permutation((k, *range(k), *range(k + 1, m)))
-
-
 def mode_multiply(
     t: DenseTensor,
     k: int,
@@ -273,7 +228,7 @@ def mode_multiply(
         raise ShapeError(
             f"matrix shape {b.shape} does not contract mode {k} of dims {t.dims}"
         )
-    front = front_permutation(k, t.order)
+    front = (k, *range(k), *range(k + 1, t.order))
     pa = permute(t, front, counter)
     a_mat = group_modes(pa, 1) if t.order > 1 else pa.array.reshape((t.dims[k], 1), order="F")
     # Transposed back, the C-ordered (N' x J) product is F-ordered (J x N'),

@@ -15,48 +15,38 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dense import DenseTensor, MultiIndex, Permutation
+from .dense import DenseTensor, MultiIndex
 from .errors import BlockDivisibilityError, ParameterError, ShapeError
 
 
-@dataclass(frozen=True)
-class CanonicalRef:
-    """Redirection record: sorted representative plus the reordering back.
-
-    ``applied.apply(canonical) == index`` for the index that produced this
-    record; for an already-sorted index ``applied`` is the identity.
-    """
-
-    canonical: MultiIndex
-    applied: Permutation
-
-
-def canonicalize(idx: Iterable[int]) -> CanonicalRef:
+def canonicalize(idx: Iterable[int]) -> tuple[MultiIndex, tuple[int, ...]]:
     """Sort ``idx`` nondecreasing and record how to permute it back.
 
-    When ``idx`` has repeated values several permutations reproduce it; the
-    lexicographically smallest mapping is chosen so results are
-    deterministic.
+    Returns ``(canonical, axes)`` with ``canonical[axes[d]] == idx[d]`` for
+    every mode ``d``: ``axes`` is the ``np.transpose`` order that turns the
+    block stored at ``canonical`` into the block at ``idx``, and the
+    identity for an already-sorted index.  When ``idx`` has repeated
+    values several orders reproduce it; the lexicographically smallest is
+    chosen so results are deterministic.
     """
     idx = tuple(idx)
     canonical = tuple(sorted(idx))
     if canonical == idx:
-        return CanonicalRef(canonical, Permutation.identity(len(idx)))
+        return canonical, tuple(range(len(idx)))
     # First unused position of each value, scanned in index order, yields
-    # the lexicographically smallest valid mapping.
+    # the lexicographically smallest valid order.
     next_pos: dict[int, int] = {}
-    mapping = []
+    axes = []
     for value in idx:
         start = next_pos.get(value, 0)
         pos = canonical.index(value, start)
-        mapping.append(pos)
+        axes.append(pos)
         next_pos[value] = pos + 1
-    return CanonicalRef(canonical, Permutation(tuple(mapping)))
+    return canonical, tuple(axes)
 
 
 def hypertriangle_iter(extent: int, m: int) -> Iterator[MultiIndex]:

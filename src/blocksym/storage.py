@@ -27,6 +27,7 @@ two ways out: :meth:`PartialSymTensor.block_at` for one logical block and
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,9 +78,9 @@ def symmetric_tables(grid: int, sym_modes: int, order: int) -> BlockTables:
     ids: dict[tuple[int, ...], int] = {}
     rank, transpose = [], []
     for idx in itertools.product(range(grid), repeat=sym_modes):
-        ref = canonicalize(idx)
-        rank.append(slab[ref.canonical])
-        transpose.append(ids.setdefault(ref.applied.mapping + tail, len(ids)))
+        canonical, axes = canonicalize(idx)
+        rank.append(slab[canonical])
+        transpose.append(ids.setdefault(axes + tail, len(ids)))
     shape = (grid,) * sym_modes
     # Ids sized to the transposes present: s! of them overflow 8 bits for s >= 6.
     id_type = np.min_scalar_type(len(ids) - 1)
@@ -101,18 +102,30 @@ def identity_tables(grid: int, sym_modes: int, order: int) -> BlockTables:
     )
 
 
-class _SlabViews(dict):
+class _SlabViews(Mapping):
     """Stored blocks by block index, as views of their slabs.
 
     Assigning a block copies the value into its slab, so every reader of
     the packed array sees it; an index that is not stored raises
-    ``KeyError``.
+    ``KeyError``.  No method adds or removes a block.
     """
 
-    __slots__ = ()
+    __slots__ = ("_views",)
+
+    def __init__(self, views: dict[MultiIndex, np.ndarray]):
+        self._views = views
+
+    def __getitem__(self, key: MultiIndex) -> np.ndarray:
+        return self._views[key]
+
+    def __iter__(self) -> Iterator[MultiIndex]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
     def __setitem__(self, key: MultiIndex, value) -> None:
-        self[key][...] = value
+        self._views[key][...] = value
 
 
 class PartialSymTensor:
@@ -175,11 +188,11 @@ class PartialSymTensor:
         return (self.sym_dim,) * self.sym_modes + self.tail_dims
 
     @cached_property
-    def blocks(self) -> dict[MultiIndex, np.ndarray]:
+    def blocks(self) -> Mapping[MultiIndex, np.ndarray]:
         """Stored blocks by block index, as views of their slabs; assigning
         a block writes its slab."""
         keys = self.tables.stored_keys()
-        return _SlabViews((key, self.data[..., r]) for r, key in enumerate(keys))
+        return _SlabViews({key: self.data[..., r] for r, key in enumerate(keys)})
 
     def __repr__(self) -> str:
         return (

@@ -33,7 +33,6 @@ from blocksym import (
     sttsm_naive,
 )
 from blocksym.cli import probe_meta_k, time_dense_vs_blocked
-from blocksym.dense import Permutation
 
 SEED = 20240801
 
@@ -64,7 +63,7 @@ def sweep():
                 payload = packed.stored_element_count()[0]
                 payload_ok = payload == b**m * simplex_count(n // b, m)
                 round_ok = bool(np.array_equal(decompress(packed).array, a.array))
-                perm = Permutation(tuple(rng.permutation(m).tolist()))
+                perm = tuple(rng.permutation(m).tolist())
                 perm_ok = bool(
                     np.array_equal(ipermute(permute(a, perm), perm).array, a.array)
                 )

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +371,22 @@ def test_reps_below_three_is_parameter_error(capsys, reps):
     assert status == 2
     assert out == ""
     assert "parameter error: --reps" in err
+
+
+@pytest.mark.parametrize("extra,status", [([], 0), (["--reps", "2"], 2)])
+def test_module_entry_point(extra, status):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blocksym", "--cmd", "verify", "--m", "2", "--n", "4",
+         "--ba", "2", *extra],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == status, proc.stderr
+    if status == 0:
+        assert "all checks passed" in proc.stdout
+    else:
+        assert "--reps must be at least 3" in proc.stderr

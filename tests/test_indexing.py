@@ -25,7 +25,7 @@ from blocksym import (
     sttsm_bcss,
     symmetry_violation,
 )
-from blocksym.dense import DenseTensor, Permutation
+from blocksym.dense import DenseTensor
 from blocksym.generate import random_bcss
 from blocksym.indexing import block_grid, replicate_canonical, sort_within
 
@@ -33,58 +33,56 @@ from blocksym.indexing import block_grid, replicate_canonical, sort_within
 # ------------------------------------------------------------ canonicalize
 
 
+def _reorder(canonical, axes):
+    # Block index of np.transpose(block stored at canonical, axes).
+    return tuple(canonical[j] for j in axes)
+
+
 def test_canonicalize_constant_index():
-    ref = canonicalize((1, 1, 1))
-    assert ref.canonical == (1, 1, 1)
-    assert ref.applied.is_identity()
+    assert canonicalize((1, 1, 1)) == ((1, 1, 1), (0, 1, 2))
 
 
 def test_canonicalize_sorts_and_reproduces():
-    ref = canonicalize((2, 0, 1))
-    assert ref.canonical == (0, 1, 2)
-    assert ref.applied.apply(ref.canonical) == (2, 0, 1)
+    canonical, axes = canonicalize((2, 0, 1))
+    assert canonical == (0, 1, 2)
+    assert _reorder(canonical, axes) == (2, 0, 1)
 
 
 def test_canonicalize_full_grid_dedup():
-    canonicals = {canonicalize(idx).canonical for idx in itertools.product(range(3), repeat=3)}
+    canonicals = {canonicalize(idx)[0] for idx in itertools.product(range(3), repeat=3)}
     assert len(canonicals) == 10
     assert canonicals == set(hypertriangle_iter(3, 3))
 
 
 def test_canonicalize_reproduces_every_index():
     for idx in itertools.product(range(3), repeat=4):
-        ref = canonicalize(idx)
-        assert ref.canonical == tuple(sorted(idx))
-        assert ref.applied.apply(ref.canonical) == idx
+        canonical, axes = canonicalize(idx)
+        assert canonical == tuple(sorted(idx))
+        assert _reorder(canonical, axes) == idx
 
 
 def test_canonicalize_idempotent_and_deterministic():
-    ref = canonicalize((1, 0, 1, 2))
-    again = canonicalize(ref.canonical)
-    assert again.canonical == ref.canonical
-    assert again.applied.is_identity()
-    # Repeated values: smallest mapping wins, so results are reproducible.
-    assert canonicalize((1, 1, 0)).applied.mapping == canonicalize((1, 1, 0)).applied.mapping
-    assert canonicalize((1, 1, 0)).applied.mapping == (1, 2, 0)
+    canonical, _ = canonicalize((1, 0, 1, 2))
+    assert canonicalize(canonical) == (canonical, (0, 1, 2, 3))
+    # Repeated values: smallest order wins, so results are reproducible.
+    assert canonicalize((1, 1, 0)) == canonicalize((1, 1, 0)) == ((0, 1, 1), (1, 2, 0))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=6))
 def test_canonicalize_property(values):
     idx = tuple(values)
-    ref = canonicalize(idx)
-    assert ref.canonical == tuple(sorted(idx))
-    assert ref.applied.apply(ref.canonical) == idx
-    assert ref.applied.inverse().apply(idx) == ref.canonical
-    assert canonicalize(ref.canonical).applied.is_identity()
-    # Of all mappings that reproduce idx, the lexicographically smallest.
+    canonical, axes = canonicalize(idx)
     m = len(idx)
+    assert canonical == tuple(sorted(idx))
+    assert _reorder(canonical, axes) == idx
+    assert sorted(axes) == list(range(m))
+    assert canonicalize(canonical) == (canonical, tuple(range(m)))
+    # Of all orders that reproduce idx, the lexicographically smallest.
     valid = [
-        perm
-        for perm in itertools.permutations(range(m))
-        if Permutation(perm).apply(ref.canonical) == idx
+        perm for perm in itertools.permutations(range(m)) if _reorder(canonical, perm) == idx
     ]
-    assert ref.applied.mapping == min(valid)
+    assert axes == min(valid)
 
 
 def test_meta_orbits_cover_full_grid():
@@ -92,8 +90,8 @@ def test_meta_orbits_cover_full_grid():
     for extent, m in [(2, 3), (3, 2), (3, 4)]:
         orbits = {}
         for idx in itertools.product(range(extent), repeat=m):
-            orbits.setdefault(canonicalize(idx).canonical, 0)
-            orbits[canonicalize(idx).canonical] += 1
+            orbits.setdefault(canonicalize(idx)[0], 0)
+            orbits[canonicalize(idx)[0]] += 1
         assert sum(orbits.values()) == extent**m
         assert len(orbits) == simplex_count(extent, m)
 

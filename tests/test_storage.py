@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -230,6 +232,28 @@ def test_symmetric_tables_rank_slabs_in_hypertriangle_order():
     assert tables.transpose.tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
 
 
+@pytest.mark.parametrize("tail", [0, 1, 2])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_symmetric_tables_match_brute_force(s, tail):
+    # The id names the lexicographically smallest axes tuple that turns the
+    # canonical block into the block at the index, tail modes fixed; the
+    # rank is the sorted index's position among the nondecreasing indices.
+    fixed = tuple(range(s, s + tail))
+    for grid in range(1, 5):
+        tables = symmetric_tables(grid, s, s + tail)
+        grid_indices = list(itertools.product(range(grid), repeat=s))
+        sorted_indices = [idx for idx in grid_indices if list(idx) == sorted(idx)]
+        for idx in grid_indices:
+            canonical = tuple(sorted(idx))
+            reproducing = [
+                axes
+                for axes in itertools.permutations(range(s))
+                if tuple(canonical[j] for j in axes) == idx
+            ]
+            assert tables.transposes[tables.transpose[idx]] == min(reproducing) + fixed
+            assert tables.rank[idx] == sorted_indices.index(canonical)
+
+
 def test_transpose_ids_sized_to_the_transposes_present():
     # Order 6 on a grid of 6 realizes all 720 transposes: past 8 bits.
     big = symmetric_tables(6, 6, 6)
@@ -254,6 +278,36 @@ def test_packed_blocks_are_views_of_their_slabs():
         assert np.shares_memory(packed.blocks[key], packed.data[..., r])
     packed.blocks[(0, 1, 2)][0, 0, 0] = 7.0
     assert packed.block_at((2, 1, 0)).array[0, 0, 0] == 7.0
+    assert isinstance(packed.blocks, Mapping)
+    assert len(packed.blocks) == simplex_count(3, 3)
+    for (key, blk), view in zip(packed.blocks.items(), packed.blocks.values()):
+        assert blk is view is packed.blocks[key]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda blocks: blocks.update({(0, 1, 1): np.zeros((2, 2, 2))}),
+        lambda blocks: blocks.setdefault((1, 0, 1), np.zeros((2, 2, 2))),
+        lambda blocks: blocks.pop((0, 1, 1)),
+        lambda blocks: blocks.popitem(),
+        lambda blocks: blocks.clear(),
+        lambda blocks: operator.delitem(blocks, (0, 1, 1)),
+    ],
+    ids=["update", "setdefault", "pop", "popitem", "clear", "del"],
+)
+def test_blocks_cannot_add_drop_or_bypass_a_slab(mutate):
+    # Only ``blocks[key] = value`` writes; nothing can leave ``blocks`` out
+    # of step with ``data``.
+    packed = compress(random_symmetric(3, 4, 1), 2)
+    keys = list(packed.blocks)
+    before = packed.data.copy()
+    with pytest.raises((AttributeError, TypeError)):
+        mutate(packed.blocks)
+    assert list(packed.blocks) == keys
+    assert np.array_equal(packed.data, before)
+    for r, key in enumerate(keys):
+        assert np.shares_memory(packed.blocks[key], packed.data[..., r])
 
 
 def test_assigning_a_block_writes_its_slab_for_every_reader(tmp_path):
