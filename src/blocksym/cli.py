@@ -1,10 +1,15 @@
 """Command-line driver: verification sweeps, benchmarks, cost tables.
 
+``verify`` prints one line per check; ``bench``, ``model`` and ``storage``
+print a CSV table followed by ``# `` note lines.
 Exit codes: 0 success, 1 verification failure, 2 usage/parameter error.
 The environment variable ``SYMTENSOR_MAX_DENSE_ELEMS`` (a positive
-integer, default 10**7) caps how large a dense tensor the verify/bench
-commands will materialize; oversized dense baselines are reported as skipped
-rather than attempted.
+integer, default 10**7) caps how many elements a dense tensor the CLI
+materializes may hold.  ``verify`` raises a parameter error when its input
+(``n**m``) or its oracle (``p**m``) would exceed the cap, and ``storage``
+when its meta probe (``4**m``) would; ``bench`` reports oversized dense
+algorithms as skipped, and ``storage`` leaves the measured column empty when
+``n**m`` exceeds the cap.
 """
 
 from __future__ import annotations
@@ -47,6 +52,21 @@ def dense_elem_cap() -> int:
     return int(raw)
 
 
+def dense_fits(m: int, *dims: int, need: str = "") -> bool:
+    """Whether dense order-``m`` tensors of each dimension in ``dims`` fit
+    under ``SYMTENSOR_MAX_DENSE_ELEMS``.  With ``need`` (what requires
+    them), a tensor that does not fit raises :class:`ParameterError`."""
+    cap = dense_elem_cap()
+    for d in dims:
+        if d**m > cap:
+            if need:
+                raise ParameterError(
+                    f"{need}: {d}**{m} elements exceed SYMTENSOR_MAX_DENSE_ELEMS={cap}"
+                )
+            return False
+    return True
+
+
 @dataclass
 class CheckResult:
     case: tuple[int, int, int, int, int]  # (m, n, p, b_a, b_c)
@@ -79,94 +99,46 @@ def compare_bcss_dense(result: BcssTensor, oracle: DenseTensor) -> tuple[float, 
     return worst
 
 
-def verify_case(
-    m: int,
-    n: int,
-    p: int,
-    b_a: int,
-    b_c: int,
-    seed: int,
-    tol: float = 1e-10,
-    corrupt_block: tuple | None = None,
-) -> list[CheckResult]:
+def verify_case(m: int, n: int, p: int, b_a: int, b_c: int, seed: int) -> list[CheckResult]:
     """Cross-algorithm equivalence, round trips, and counter checks for one
-    parameter point.  ``corrupt_block`` perturbs that block of the blocked
-    result before comparison (fault-injection hook for tests)."""
+    parameter point."""
     case = (m, n, p, b_a, b_c)
+    results: list[CheckResult] = []
+
+    def within(name: str, value: float, tol: float = 1e-10, ok=None, detail: str = "") -> None:
+        ok = value <= tol if ok is None else ok
+        results.append(CheckResult(case, name, value, tol, ok, "" if ok else detail))
+
+    def exact(name: str, ok: bool, detail: str = "") -> None:
+        results.append(CheckResult(case, name, 0.0 if ok else 1.0, 0.0, ok, "" if ok else detail))
+
     a = random_symmetric(m, n, seed)
     x = random_matrix(p, n, seed + 1)
     oracle = sttsm_naive(a, x)
-    results: list[CheckResult] = []
-
-    err = max_relative_error(sttsm_scalar_temps(a, x), oracle)
-    results.append(CheckResult(case, "scalar_temps vs naive", err, tol, err <= tol))
-
+    within("scalar_temps vs naive", max_relative_error(sttsm_scalar_temps(a, x), oracle))
     dense_counter = OpCounter()
-    dense = sttsm_dense_ttm(a, x, dense_counter)
-    err = max_relative_error(dense, oracle)
-    results.append(CheckResult(case, "dense_ttm vs naive", err, tol, err <= tol))
+    within("dense_ttm vs naive", max_relative_error(sttsm_dense_ttm(a, x, dense_counter), oracle))
 
     packed = compress(a, b_a)
-    round_trip = decompress(packed)
-    exact = bool(np.array_equal(round_trip.array, a.array))
-    results.append(
-        CheckResult(case, "compress/decompress bitwise", 0.0 if exact else 1.0, 0.0, exact)
-    )
-
-    rng = np.random.default_rng(seed + 2)
-    perm = tuple(rng.permutation(m).tolist())
+    exact("compress/decompress bitwise", bool(np.array_equal(decompress(packed).array, a.array)))
+    perm = tuple(np.random.default_rng(seed + 2).permutation(m).tolist())
     back = ipermute(permute(a, perm), perm)
-    exact = bool(np.array_equal(back.array, a.array))
-    results.append(
-        CheckResult(case, "permute/ipermute bitwise", 0.0 if exact else 1.0, 0.0, exact)
-    )
+    exact("permute/ipermute bitwise", bool(np.array_equal(back.array, a.array)))
 
     for reuse in (True, False):
+        label = f"bcss(reuse={'on' if reuse else 'off'})"
         counter = OpCounter()
-        out = sttsm_bcss(packed, x, b_c, counter, reuse=reuse)
-        if corrupt_block is not None:
-            out.blocks[tuple(corrupt_block)] = out.blocks[tuple(corrupt_block)] + 1.0
-        err, worst = compare_bcss_dense(out, oracle)
-        label = f"bcss(reuse={'on' if reuse else 'off'}) vs naive"
-        detail = f"worst block {worst}" if err > tol else ""
-        results.append(CheckResult(case, label, err, tol, err <= tol, detail))
-
+        err, worst = compare_bcss_dense(sttsm_bcss(packed, x, b_c, counter, reuse=reuse), oracle)
+        within(f"{label} vs naive", err, detail=f"worst block {worst}")
         formula = cost_model.bcss_costs(m, n, p, b_a, b_c, meta_k=0, reuse=reuse)
-        ok = counter.flops == formula.flops
-        results.append(
-            CheckResult(
-                case,
-                f"bcss(reuse={'on' if reuse else 'off'}) flops == formula",
-                0.0 if ok else 1.0,
-                0.0,
-                ok,
-                f"counted {counter.flops}, formula {formula.flops}" if not ok else "",
-            )
-        )
+        exact(f"{label} flops == formula", counter.flops == formula.flops,
+              f"counted {counter.flops}, formula {formula.flops}")
         ratio = counter.memops / formula.memops if formula.memops else 1.0
-        ok = 0.5 <= ratio <= 2.0
-        results.append(
-            CheckResult(
-                case,
-                f"bcss(reuse={'on' if reuse else 'off'}) memops within 2x",
-                ratio,
-                2.0,
-                ok,
-            )
-        )
+        within(f"{label} memops within 2x", ratio, 2.0, ok=0.5 <= ratio <= 2.0)
 
-    dense_formula = cost_model.dense_costs(m, n, p)
-    ok = dense_counter.flops == dense_formula.flops
-    results.append(
-        CheckResult(
-            case,
-            "dense flops == formula",
-            0.0 if ok else 1.0,
-            0.0,
-            ok,
-            f"counted {dense_counter.flops}, formula {dense_formula.flops}" if not ok else "",
-        )
-    )
+    formula = cost_model.dense_costs(m, n, p)
+    exact("dense flops == formula", dense_counter.flops == formula.flops,
+          f"counted {dense_counter.flops}, formula {formula.flops}")
     return results
 
 
@@ -180,14 +152,10 @@ def cmd_verify(args) -> int:
         cases = [(args.m, n, _given(args.ba, 1))]
     else:
         cases = default_verify_cases()
-    cap = dense_elem_cap()
     failures = 0
     for m, n, b in cases:
-        if n**m > cap:
-            raise ParameterError(
-                f"dense oracle for m={m}, n={n} exceeds SYMTENSOR_MAX_DENSE_ELEMS={cap}"
-            )
         p = _given(args.p, n)
+        dense_fits(m, n, p, need="verify's dense input and oracle")
         b_c = _given(args.bc, b)
         for res in verify_case(m, n, p, b, b_c, args.seed):
             print(res.line())
@@ -206,9 +174,14 @@ def _given(value: int | None, default: int) -> int:
 
 
 def _check_options(args) -> None:
-    """Dimensions, block dimensions and grid extents are at least one, the
-    meta cost is finite and not negative, and timings take three or more
-    repetitions."""
+    """The order is at least two; dimensions, block dimensions and grid
+    extents are at least one; the seed is not negative; the meta cost is
+    finite and not negative; and timings take three or more repetitions.
+    Every command checks every option, used or not."""
+    if args.m is not None and args.m < 2:
+        raise ParameterError(f"--m must be at least 2, got {args.m}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be at least 0, got {args.seed}")
     for flag in ("n", "p", "ba", "bc", "nbar"):
         value = getattr(args, flag)
         if value is not None and value < 1:
@@ -233,97 +206,77 @@ def cmd_bench(args) -> int:
     p = _given(args.p, n)
     b_a = _given(args.ba, max(1, n // 2))
     b_c = _given(args.bc, b_a)
-    algos = ["naive", "scalar", "dense", "bcss"] if args.algo == "all" else [args.algo]
-    cap = dense_elem_cap()
-    dense_ok = n**m <= cap and p**m <= cap
-
-    rows = []
-    wall: dict[str, float] = {}
+    dense_ok = dense_fits(m, n, p)
     a = random_symmetric(m, n, args.seed) if dense_ok else None
     x = random_matrix(p, n, args.seed + 1)
     packed = None
-    if "bcss" in algos:
-        if dense_ok:
-            packed = compress(a, b_a)
-        else:
-            # Build the compact operand directly; the dense source never exists.
-            packed = random_bcss(m, n, b_a, args.seed)
-
-    for algo in algos:
-        if algo in ("naive", "scalar", "dense") and not dense_ok:
-            formula = cost_model.dense_costs(m, n, p) if algo == "dense" else None
-            rows.append(
-                [algo, m, n, p, b_a, b_c, args.seed, "skipped",
-                 formula.flops if formula else "", formula.memops if formula else ""]
-            )
+    if args.algo in ("bcss", "all"):
+        # Without the dense source, build the compact operand directly.
+        packed = compress(a, b_a) if dense_ok else random_bcss(m, n, b_a, args.seed)
+    run = {
+        "naive": lambda c=None: sttsm_naive(a, x, c),
+        "scalar": lambda c=None: sttsm_scalar_temps(a, x, c),
+        "dense": lambda c=None: sttsm_dense_ttm(a, x, c),
+        "bcss": lambda c=None: sttsm_bcss(packed, x, b_c, c),
+    }
+    rows = []
+    wall: dict[str, float] = {}
+    for algo in run if args.algo == "all" else [args.algo]:
+        if algo != "bcss" and not dense_ok:
+            formula = cost_model.dense_costs(m, n, p)
+            counts = [formula.flops, formula.memops] if algo == "dense" else ["", ""]
+            rows.append([algo, m, n, p, b_a, b_c, args.seed, "skipped", *counts])
             continue
         counter = OpCounter()
-        if algo == "naive":
-            fn = lambda c=None: sttsm_naive(a, x, c)
-        elif algo == "scalar":
-            fn = lambda c=None: sttsm_scalar_temps(a, x, c)
-        elif algo == "dense":
-            fn = lambda c=None: sttsm_dense_ttm(a, x, c)
-        else:
-            fn = lambda c=None: sttsm_bcss(packed, x, b_c, c)
-        fn(counter)
-        seconds = _median_seconds(fn, args.reps)
-        wall[algo] = seconds
-        rows.append(
-            [algo, m, n, p, b_a, b_c, args.seed, f"{seconds:.6f}", counter.flops, counter.memops]
-        )
+        run[algo](counter)
+        wall[algo] = _median_seconds(run[algo], args.reps)
+        rows.append([algo, m, n, p, b_a, b_c, args.seed, f"{wall[algo]:.6f}",
+                     counter.flops, counter.memops])
 
-    out = _io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        ["algorithm", "m", "n", "p", "b_A", "b_C", "seed", "wall_seconds", "flops", "memops"]
-    )
-    writer.writerows(rows)
+    notes = []
     if "dense" in wall and "bcss" in wall and wall["bcss"] > 0:
-        out.write(f"# speedup dense/bcss: {wall['dense'] / wall['bcss']:.3f}\n")
-    _emit(out.getvalue(), args.out)
+        notes.append(f"speedup dense/bcss: {wall['dense'] / wall['bcss']:.3f}")
+    _write_csv(
+        args.out,
+        ["algorithm", "m", "n", "p", "b_A", "b_C", "seed", "wall_seconds", "flops", "memops"],
+        rows,
+        notes,
+    )
     return 0
 
 
 def _model_sweep(args) -> list[tuple[int, int]]:
-    """(n, b) points: fixed block dimension or fixed grid extent."""
-    n_max = _given(args.n, 64)
+    """(n, b) points, n doubling up to ``--n``: a fixed grid extent ``--nbar``
+    (n starts at it), else a fixed block dimension (n starts at the block)."""
+    fixed_grid = args.nbar is not None
+    n = first = args.nbar if fixed_grid else _given(args.ba, 8)
     points = []
-    if args.nbar is not None:
-        n = args.nbar
-        while n <= n_max:
-            points.append((n, n // args.nbar))
-            n *= 2
-    else:
-        b = _given(args.ba, 8)
-        n = b
-        while n <= n_max:
-            points.append((n, b))
-            n *= 2
+    while n <= _given(args.n, 64):
+        points.append((n, n // first if fixed_grid else first))
+        n *= 2
     return points
 
 
 def cmd_model(args) -> int:
     m = _given(args.m, 4)
-    out = _io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        ["variant", "m", "n", "p", "b_A", "b_C", "storage_A", "storage_C",
-         "storage_X", "storage_temps", "flops", "memops"]
-    )
+    rows = []
     for n, b in _model_sweep(args):
         p = _given(args.p, n)
         try:
             blocked = cost_model.bcss_costs(m, n, p, b, _given(args.bc, b), meta_k=args.meta_k)
         except BlockDivisibilityError:
             continue  # the output block dimension does not divide this point's p
-        for rep in (blocked, cost_model.dense_costs(m, n, p)):
-            writer.writerow(
-                [rep.variant, rep.m, rep.n, rep.p, rep.b_a, rep.b_c,
-                 rep.storage_A, rep.storage_C, rep.storage_X,
-                 rep.storage_temps_total, rep.flops, rep.memops]
-            )
-    _emit(out.getvalue(), args.out)
+        rows += [
+            [rep.variant, rep.m, rep.n, rep.p, rep.b_a, rep.b_c, rep.storage_A,
+             rep.storage_C, rep.storage_X, rep.storage_temps_total, rep.flops, rep.memops]
+            for rep in (blocked, cost_model.dense_costs(m, n, p))
+        ]
+    _write_csv(
+        args.out,
+        ["variant", "m", "n", "p", "b_A", "b_C", "storage_A", "storage_C",
+         "storage_X", "storage_temps", "flops", "memops"],
+        rows,
+    )
     return 0
 
 
@@ -333,6 +286,7 @@ def probe_meta_k(m: int, seed: int = 0) -> tuple[float, int, int]:
     Builds a small instance (grid extent 4, unit blocks), returns
     ``(k_in_float_equivalents, meta_bytes, meta_entries)``.
     """
+    dense_fits(m, 4, need="meta probe")
     probe = compress(random_symmetric(m, 4, seed), 1)
     return measured_meta_k(probe), meta_bytes(probe), probe.tables.rank.size
 
@@ -340,43 +294,35 @@ def probe_meta_k(m: int, seed: int = 0) -> tuple[float, int, int]:
 def cmd_storage(args) -> int:
     m, n = _given(args.m, 5), _given(args.n, 64)
     k, probe_bytes, probe_entries = probe_meta_k(m, args.seed)
-    rows, best = cost_model.metadata_sweep(m, n, k)
-    cap = dense_elem_cap()
-    lines = [
-        f"meta probe: {probe_bytes} bytes over {probe_entries} blocks -> k = {k:.3f} floats/block",
-        f"dense element count n^m = {n**m}",
-    ]
-    measured_col = {}
-    if n**m <= cap:
+    sweep, best = cost_model.metadata_sweep(m, n, k)
+    measured = {}
+    if dense_fits(m, n):
         dense = random_symmetric(m, n, args.seed)
-        for b, _, _ in rows:
+        for b, _, _ in sweep:
             if (n // b) ** m <= 10**5:
-                measured_col[b] = compress(dense, b).stored_element_count()[0]
-    if args.csv:
-        out = _io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["b", "payload", "measured_payload", "total_with_meta"])
-        for b, payload, total in rows:
-            writer.writerow([b, payload, measured_col.get(b, ""), f"{float(total):.1f}"])
-        out.write(f"# argmin b = {best}\n")
-        _emit(out.getvalue(), args.out)
-        return 0
-    for b, payload, total in rows:
-        measured = measured_col.get(b)
-        tag = f" measured={measured}" if measured is not None else ""
-        marker = "  <-- min" if b == best else ""
-        lines.append(f"b={b:>5}  payload={payload:>14}  total={float(total):>16.1f}{tag}{marker}")
-    lines.append(f"argmin b = {best}")
-    _emit("\n".join(lines) + "\n", args.out)
+                measured[b] = compress(dense, b).stored_element_count()[0]
+    _write_csv(
+        args.out,
+        ["b", "payload", "measured_payload", "total_with_meta"],
+        [[b, payload, measured.get(b, ""), f"{float(total):.1f}"] for b, payload, total in sweep],
+        [f"meta probe: {probe_bytes} bytes over {probe_entries} blocks -> k = {k:.3f} floats/block",
+         f"argmin b = {best}"],
+    )
     return 0
 
 
-def _emit(text: str, out_path) -> None:
+def _write_csv(out_path, header: list, rows: list, notes: tuple | list = ()) -> None:
+    """A CSV table, then each note as a ``# `` line, to ``out_path`` or stdout."""
+    out = _io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    out.writelines(f"# {note}\n" for note in notes)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.write(out.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out.getvalue())
 
 
 def _int_or_float(text: str):
@@ -405,17 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--meta-k", type=_int_or_float, default=1,
                     help="meta cost per block, in float equivalents")
     ap.add_argument("--out", help="write output to this path instead of stdout")
-    ap.add_argument("--csv", action="store_true", help="storage: CSV output")
     ap.add_argument("--strict", action="store_true",
                     help="verify: also require the blocked timing to beat dense")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.m is not None and args.m < 2:
-        ap.error("--m must be at least 2")  # exits 2
+    args = build_parser().parse_args(argv)
     try:
         _check_options(args)
         if args.cmd == "verify":

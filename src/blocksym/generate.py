@@ -28,12 +28,18 @@ from .indexing import (
 from .storage import BcssTensor
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator for ``seed``, which must be a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def random_symmetric(m: int, n: int, seed: int) -> DenseTensor:
     """Seeded exactly-symmetric order-m tensor with dims ``(n,) * m``."""
     if m < 1 or n < 1:
         raise ParameterError("random_symmetric requires m >= 1 and n >= 1")
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(-1.0, 1.0, size=simplex_count(n, m))
+    draws = _rng(seed).uniform(-1.0, 1.0, size=simplex_count(n, m))
     return DenseTensor(replicate_canonical(draws, n, m))
 
 
@@ -41,7 +47,7 @@ def random_matrix(p: int, n: int, seed: int) -> np.ndarray:
     """Seeded uniform(-1, 1) change-of-basis matrix of shape (p, n)."""
     if p < 1 or n < 1:
         raise ParameterError("random_matrix requires p >= 1 and n >= 1")
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(p, n))
+    return _rng(seed).uniform(-1.0, 1.0, size=(p, n))
 
 
 def random_bcss(m: int, n: int, b: int, seed: int) -> BcssTensor:
@@ -60,7 +66,7 @@ def random_bcss(m: int, n: int, b: int, seed: int) -> BcssTensor:
     if m < 2 or n < 1:
         raise ParameterError("random_bcss requires m >= 2 and n >= 1")
     grid = block_grid(n, b)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     data = np.empty((b,) * m + (simplex_count(grid, m),), dtype=np.float64, order="F")
     for r, key in enumerate(hypertriangle_iter(grid, m)):
         arr = rng.uniform(-1.0, 1.0, size=(b,) * m)

@@ -13,8 +13,10 @@ not serialized; they are rebuilt on load.
 
 Both loaders check the header length, the order (1 to 64 for ``.stns``,
 2 to 64 for ``.bcss``), that the block dimension is at least 1 and
-divides the tensor dimension, and that the payload is exactly as long as the
-header says; a file that fails any check raises :class:`FormatError`.
+divides the tensor dimension, that the redirection tables rebuilt on
+load would hold at most ``2**25`` entries (``(n/b)**order``, the whole
+m=5, n=32 grid at unit blocks), and that the payload is exactly as long as
+the header says; a file that fails any check raises :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ _VERSION = 1
 # NumPy's limit on array dimensions; it also keeps the header arithmetic of
 # a hostile file (products and binomials over ``order`` terms) cheap.
 _MAX_ORDER = 64
+# Entries of the redirection tables a load rebuilds, one ``canonicalize``
+# call each: without a bound, a header of a few hundred bytes could ask for
+# billions.
+_MAX_TABLE_ENTRIES = 2**25
 
 
 def _unpack(fmt: str, raw: bytes, off: int) -> tuple[tuple, int]:
@@ -91,7 +97,10 @@ def load_bcss(path) -> BcssTensor:
         raise FormatError(f"blocked tensor order must be in 2..{_MAX_ORDER}, got {order}")
     if b < 1 or n < 1 or n % b != 0:
         raise FormatError(f"block dimension {b} does not divide tensor dimension {n}")
-    slabs = simplex_count(n // b, order)
+    grid = n // b
+    if grid**order > _MAX_TABLE_ENTRIES:
+        raise FormatError(f"{grid}**{order} table entries exceed {_MAX_TABLE_ENTRIES}")
+    slabs = simplex_count(grid, order)
     _check_payload(raw, off, b**order * slabs)
     data = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
     return BcssTensor(order, n, b, data.reshape((b,) * order + (slabs,), order="F"))

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -40,9 +41,10 @@ def test_verify_default_sweep_passes(capsys):
 
 
 def test_verify_m1_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--cmd", "verify", "--m", "1"])
-    assert exc.value.code == 2
+    status, out, err = run_main(["--cmd", "verify", "--m", "1"], capsys)
+    assert status == 2
+    assert out == ""
+    assert "parameter error: --m must be at least 2" in err
 
 
 def test_verify_rejects_oversized_dense(monkeypatch, capsys):
@@ -52,8 +54,27 @@ def test_verify_rejects_oversized_dense(monkeypatch, capsys):
     assert "SYMTENSOR_MAX_DENSE_ELEMS" in err
 
 
-def test_corrupted_block_detected_and_named():
-    results = verify_case(2, 4, 4, 2, 2, seed=11, corrupt_block=(0, 1))
+def test_verify_oversized_oracle_is_parameter_error(monkeypatch, capsys):
+    # n**m = 16 fits under the cap, but the oracle's p**m = 1600 does not.
+    monkeypatch.setenv("SYMTENSOR_MAX_DENSE_ELEMS", "100")
+    status, out, err = run_main(
+        ["--cmd", "verify", "--m", "2", "--n", "4", "--p", "40", "--ba", "2"], capsys
+    )
+    assert status == 2
+    assert out == ""
+    assert "parameter error:" in err and "SYMTENSOR_MAX_DENSE_ELEMS=100" in err
+
+
+def test_corrupted_block_detected_and_named(monkeypatch):
+    real = cli.sttsm_bcss
+
+    def perturbed(*args, **kwargs):
+        c = real(*args, **kwargs)
+        c.blocks[(0, 1)] = c.blocks[(0, 1)] + 1.0
+        return c
+
+    monkeypatch.setattr(cli, "sttsm_bcss", perturbed)
+    results = verify_case(2, 4, 4, 2, 2, seed=11)
     bad = [r for r in results if not r.ok]
     assert bad
     named = [r for r in bad if "(0, 1)" in r.detail]
@@ -198,23 +219,33 @@ def test_storage_builds_the_dense_tensor_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "random_symmetric", counted)
     status, out, _ = run_main(["--cmd", "storage", "--m", "3", "--n", "12", "--seed", "2"], capsys)
     assert status == 0
-    assert out.count("measured=") == len(cli.cost_model.divisors(12))
+    rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+    assert len(rows) == len(cli.cost_model.divisors(12))
+    assert all(r["measured_payload"] == r["payload"] for r in rows)
     # The meta probe builds its own small tensor; the report's is built once.
     assert calls.count((3, 12, 2)) == 1
 
 
 def test_storage_csv_m5_interior_minimum(capsys):
-    status, out, _ = run_main(
-        ["--cmd", "storage", "--m", "5", "--n", "64", "--csv"], capsys
-    )
+    status, out, _ = run_main(["--cmd", "storage", "--m", "5", "--n", "64"], capsys)
     assert status == 0
-    body, comment = out.split("#")
+    body, notes = out.split("#", 1)
     rows = list(csv.reader(io.StringIO(body)))
     totals = {int(r[0]): float(r[3]) for r in rows[1:] if r}
-    best = int(comment.split("=")[1])
+    assert "k = 1.125 floats/block" in notes
+    best = int(notes.split("# argmin b = ")[1])
     assert best not in (1, 64)
     assert totals[best] < 64**5
     assert totals[1] > 64**5
+
+
+def test_storage_oversized_meta_probe_is_parameter_error(capsys):
+    # The probe's 4**40 dense elements used to end in NumPy's "array is too big".
+    status, out, err = run_main(["--cmd", "storage", "--m", "40", "--n", "2"], capsys)
+    assert status == 2
+    assert out == ""
+    assert "parameter error: meta probe" in err and "SYMTENSOR_MAX_DENSE_ELEMS" in err
+    assert "Traceback" not in err
 
 
 def test_probe_meta_k_reports_measured_cost():
@@ -353,6 +384,20 @@ def test_malformed_dense_cap_is_parameter_error(monkeypatch, capsys, cap, cmd):
     assert "parameter error: SYMTENSOR_MAX_DENSE_ELEMS" in err
 
 
+@pytest.mark.parametrize(
+    "cmd", [["verify"], ["verify", "--m", "2"], ["bench", "--algo", "bcss"], ["bench"],
+            ["model"], ["storage"]]
+)
+def test_negative_seed_is_parameter_error(capsys, cmd):
+    # verify, bench and storage used to end in NumPy's "expected
+    # non-negative integer" traceback with exit 1; model ignored the seed.
+    status, out, err = run_main(["--cmd", *cmd, "--seed", "-1"], capsys)
+    assert status == 2
+    assert out == ""
+    assert "parameter error: --seed must be at least 0, got -1" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("meta_k", ["-5", "-0.5", "nan", "inf"])
 def test_meta_k_must_be_finite_and_not_negative(capsys, meta_k):
     # -5 used to print a negative storage_A.
@@ -390,3 +435,29 @@ def test_module_entry_point(extra, status):
         assert "all checks passed" in proc.stdout
     else:
         assert "--reps must be at least 3" in proc.stderr
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("blocksym --cmd")]
+
+
+def test_readme_lists_every_command():
+    cmds = {shlex.split(line)[2] for line in _readme_commands()}
+    assert cmds == {"verify", "bench", "model", "storage"}
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(tmp_path, line):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blocksym", *shlex.split(line)[1:]],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -131,6 +131,25 @@ def test_random_bcss_rejects_order_below_two():
         random_bcss(1, 4, 2, 1)
 
 
+GENERATORS = {
+    "random_symmetric": lambda seed: random_symmetric(2, 3, seed),
+    "random_matrix": lambda seed: random_matrix(2, 3, seed),
+    "random_bcss": lambda seed: random_bcss(2, 4, 2, seed),
+}
+
+
+@pytest.mark.parametrize("make", GENERATORS.values(), ids=GENERATORS.keys())
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, None])
+def test_generators_reject_a_seed_that_is_not_a_non_negative_integer(make, seed):
+    # -1 used to reach NumPy and raise its own ValueError.
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        make(seed)
+
+
+def test_numpy_integer_seed_draws_as_the_same_int():
+    assert random_matrix(2, 3, np.int64(7)).tobytes() == random_matrix(2, 3, 7).tobytes()
+
+
 # ------------------------------------------------------------ random_symmetric
 
 

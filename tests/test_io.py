@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from blocksym import (
     random_symmetric,
     save_bcss,
     save_tensor,
+    simplex_count,
 )
 from blocksym.dense import DenseTensor
+from blocksym.generate import random_bcss
 
 
 def test_dense_round_trip(tmp_path):
@@ -181,6 +184,46 @@ def test_stns_order_out_of_range_rejected(tmp_path, order):
     path.write_bytes(struct.pack("<4sHH", b"STNS", 1, order) + dims + bytes(8))
     with pytest.raises(FormatError, match="order"):
         load_tensor(path)
+
+
+# A header whose grid of (n/b)**order block indices exceeds 2**25 entries
+# (the whole m=5, n=32 grid at unit blocks) is rejected before any table is
+# built; one at the bound passes that check and fails only on its payload.
+@pytest.mark.parametrize(
+    "order,n,b,error",
+    [(5, 32, 1, "payload"), (25, 2, 1, "payload"), (5, 33, 1, "table entries"),
+     (26, 2, 1, "table entries"), (5, 64, 2, "payload"), (5, 66, 2, "table entries")],
+)
+def test_bcss_table_bound(tmp_path, order, n, b, error):
+    path = tmp_path / "bound.bcss"
+    path.write_bytes(_bcss_header(order, n, b))
+    with pytest.raises(FormatError, match=error):
+        load_bcss(path)
+
+
+def test_bcss_tiny_header_with_huge_grid_rejected_fast(tmp_path):
+    # 248 payload bytes that used to ask for 2**30 table entries, one
+    # canonicalize call each.
+    path = tmp_path / "order30.bcss"
+    path.write_bytes(_bcss_header(30, 2, 1) + bytes(8 * simplex_count(2, 30)))
+    assert path.stat().st_size == 24 + 248
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError, match="table entries"):
+        load_bcss(path)
+    assert time.perf_counter() - t0 < 0.5
+
+
+# The benchmark's two workload shapes and the finest ROADMAP point.
+@pytest.mark.parametrize("m,n,b", [(5, 32, 8), (4, 48, 8), (5, 32, 2)])
+def test_bcss_under_the_table_bound_loads_bitwise(tmp_path, m, n, b):
+    t = random_bcss(m, n, b, 3)
+    path = tmp_path / "t.bcss"
+    save_bcss(t, path)
+    back = load_bcss(path)
+    assert back.data.tobytes(order="F") == t.data.tobytes(order="F")
+    assert np.array_equal(back.tables.rank, t.tables.rank)
+    assert np.array_equal(back.tables.transpose, t.tables.transpose)
+    assert back.tables.transposes == t.tables.transposes
 
 
 def test_bcss_bad_version_rejected(tmp_path):
