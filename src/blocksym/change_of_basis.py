@@ -118,6 +118,8 @@ def sttsm_scalar_temps(
     at depth ``k`` the running temporary is contracted with row ``j_k`` of
     ``x`` (kept as a 1 x n matrix so every contraction is a mode product).
     Only unique entries are computed, then replicated.
+    Counts equal the blocked sums at ``b_A = n, b_C = 1`` (:mod:`~blocksym.costs`)
+    plus ``2 p^m`` memops for the replication.
     """
     x = np.asarray(x, dtype=np.float64)
     m, n, p = _check_sttsm_args(a.dims, x)
@@ -140,8 +142,9 @@ def sttsm_dense_ttm(
 ) -> DenseTensor:
     """Dense baseline: m mode products against the full matrix.
 
-    Exploits neither symmetry nor blocking; its instrumented flop count is
-    exactly ``2 * sum_d p^{d+1} n^{m-d}``.
+    Exploits neither symmetry nor blocking: it is the blocked algorithm at
+    ``b_A = n, b_C = p`` and counts ``dense_costs`` flops and
+    ``bcss_impl_memops(m, n, p, n, p)`` memops (:mod:`~blocksym.costs`).
     """
     x = np.asarray(x, dtype=np.float64)
     m, _, _ = _check_sttsm_args(a.dims, x)

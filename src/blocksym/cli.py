@@ -8,8 +8,8 @@ integer, default 10**7) caps how many elements a dense tensor the CLI
 materializes may hold.  ``verify`` raises a parameter error when its input
 (``n**m``) or its oracle (``p**m``) would exceed the cap, and ``storage``
 when its meta probe (``4**m``) would; ``bench`` reports oversized dense
-algorithms as skipped, and ``storage`` leaves the measured column empty when
-``n**m`` exceeds the cap.
+algorithms as skipped, and ``storage`` leaves the measured column empty, with
+a note, when ``n**m`` exceeds the cap or where ``(n//b)**m > 10**5``.
 """
 
 from __future__ import annotations
@@ -223,8 +223,10 @@ def cmd_bench(args) -> int:
     wall: dict[str, float] = {}
     for algo in run if args.algo == "all" else [args.algo]:
         if algo != "bcss" and not dense_ok:
-            formula = cost_model.dense_costs(m, n, p)
-            counts = [formula.flops, formula.memops] if algo == "dense" else ["", ""]
+            counts = ["", ""]
+            if algo == "dense":  # what the chain counts when it runs
+                counts = [cost_model.dense_costs(m, n, p).flops,
+                          cost_model.bcss_impl_memops(m, n, p, n, p)]
             rows.append([algo, m, n, p, b_a, b_c, args.seed, "skipped", *counts])
             continue
         counter = OpCounter()
@@ -296,7 +298,9 @@ def cmd_storage(args) -> int:
     k, probe_bytes, probe_entries = probe_meta_k(m, args.seed)
     sweep, best = cost_model.metadata_sweep(m, n, k)
     measured = {}
+    bound = f"as {n}**{m} dense elements exceed SYMTENSOR_MAX_DENSE_ELEMS={dense_elem_cap()}"
     if dense_fits(m, n):
+        bound = f"where ({n}//b)**{m} > 10**5 block indices"
         dense = random_symmetric(m, n, args.seed)
         for b, _, _ in sweep:
             if (n // b) ** m <= 10**5:
@@ -306,6 +310,7 @@ def cmd_storage(args) -> int:
         ["b", "payload", "measured_payload", "total_with_meta"],
         [[b, payload, measured.get(b, ""), f"{float(total):.1f}"] for b, payload, total in sweep],
         [f"meta probe: {probe_bytes} bytes over {probe_entries} blocks -> k = {k:.3f} floats/block",
+         *([f"measured_payload is empty {bound}"] if len(measured) < len(sweep) else []),
          f"argmin b = {best}"],
     )
     return 0

@@ -28,14 +28,14 @@ the sums equal the paper's closed forms:
 * temporaries' payload ``b_C b_A^{m-1} sum_{d<m-1} C(nbar+m-d-2, m-d-1) r^d``
   with reuse and ``sum_{d<m-1} b_C^{d+1} n^{m-1-d}`` without; their meta
   ``k * sum_{d<m-1} nbar^{d+1}`` with reuse and 0 without.
-* dense flops ``2 p n^m sum_d (p/n)^d`` and memops
-  ``(1 + 2p/n) n^m sum_d (p/n)^d``.
+* the dense chain (:func:`dense_costs`) is the case ``b_A = n, b_C = p``:
+  flops ``2 p n^m sum_d (p/n)^d``, memops ``(1 + 2p/n) n^m sum_d (p/n)^d``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -156,29 +156,9 @@ def bcss_impl_memops(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = T
 
 
 def dense_costs(m: int, n: int, p: int) -> CostReport:
-    """Costs of the dense mode-product chain (no symmetry, no blocking)."""
-    _check(m, n, p)
-    flops = 2 * sum(p ** (d + 1) * n ** (m - d) for d in range(m))
-    memops = sum(
-        p**d * n ** (m - d) + 2 * p ** (d + 1) * n ** (m - 1 - d) for d in range(m)
-    )
-    temps = sum(p ** (d + 1) * n ** (m - 1 - d) for d in range(m - 1))
-    return CostReport(
-        variant="Dense",
-        m=m,
-        n=n,
-        p=p,
-        b_a=n,
-        b_c=p,
-        meta_k=0,
-        storage_A=n**m,
-        storage_C=p**m,
-        storage_X=p * n,
-        storage_temps=temps,
-        storage_temps_meta=0,
-        flops=flops,
-        memops=memops,
-    )
+    """Costs of the dense mode-product chain: the blocked algorithm at one
+    block per mode, ``b_A = n`` and ``b_C = p``."""
+    return replace(bcss_costs(m, n, p, n, p, meta_k=0), variant="Dense")
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ def random_bcss(m: int, n: int, b: int, seed: int) -> BcssTensor:
         raise ParameterError("random_bcss requires m >= 2 and n >= 1")
     grid = block_grid(n, b)
     rng = _rng(seed)
-    data = np.empty((b,) * m + (simplex_count(grid, m),), dtype=np.float64, order="F")
+    # Built first, so a grid too large for its tables fails before any draw.
+    out = BcssTensor(m, n, b, np.empty((b,) * m + (simplex_count(grid, m),), order="F"))
     for r, key in enumerate(hypertriangle_iter(grid, m)):
         arr = rng.uniform(-1.0, 1.0, size=(b,) * m)
         start = 0
@@ -76,5 +77,5 @@ def random_bcss(m: int, n: int, b: int, seed: int) -> BcssTensor:
             if g > 1:
                 sort_within(arr, start, g)
             start += g
-        data[..., r] = arr
-    return BcssTensor(m, n, b, data)
+        out.data[..., r] = arr
+    return out

@@ -128,7 +128,9 @@ def symmetry_violation(
     the maximum of ``|x - y| / max(|x|, |y|)`` over all adjacent
     transpositions of the sorted mode set (adjacent transpositions generate
     the full permutation group of the set, so this bounds every
-    permutation).  A perfectly symmetric tensor yields ``(0.0, .., ..)``.
+    permutation).  Equal entries (NaN facing NaN included) match; any other
+    pair the ratio leaves undefined, such as a NaN facing a number, is a full
+    mismatch, ``inf``.  A perfectly symmetric tensor yields ``(0.0, .., ..)``.
     """
     modes = sorted(set(modes))
     m = t.order
@@ -140,15 +142,15 @@ def symmetry_violation(
         raise ShapeError(f"modes {modes} have unequal dimensions {sorted(dims)}")
     worst = (0.0, (0,) * m, (0,) * m)
     for a, b in zip(modes, modes[1:]):
-        swapped = np.swapaxes(t.array, a, b)
+        x, y = t.array, np.swapaxes(t.array, a, b)
         # An exactly invariant pair has zero violation everywhere; NaN
         # entries compare unequal and so still take the full report.
-        if np.array_equal(t.array, swapped):
+        if np.array_equal(x, y):
             continue
-        diff = np.abs(t.array - swapped)
-        scale = np.maximum(np.abs(t.array), np.abs(swapped))
         with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.where(diff > 0, diff / np.where(scale > 0, scale, 1.0), 0.0)
+            rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+        rel[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
+        rel[np.isnan(rel)] = np.inf
         flat = int(np.argmax(rel))
         val = float(rel.reshape(-1)[flat])
         if val > worst[0]:

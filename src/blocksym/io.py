@@ -30,7 +30,7 @@ import numpy as np
 from .dense import DenseTensor
 from .errors import FormatError
 from .indexing import simplex_count
-from .storage import BcssTensor
+from .storage import MAX_TABLE_ENTRIES, BcssTensor
 
 _STNS_MAGIC = b"STNS"
 _BCSS_MAGIC = b"BCSS"
@@ -38,10 +38,6 @@ _VERSION = 1
 # NumPy's limit on array dimensions; it also keeps the header arithmetic of
 # a hostile file (products and binomials over ``order`` terms) cheap.
 _MAX_ORDER = 64
-# Entries of the redirection tables a load rebuilds, one ``canonicalize``
-# call each: without a bound, a header of a few hundred bytes could ask for
-# billions.
-_MAX_TABLE_ENTRIES = 2**25
 
 
 def _unpack(fmt: str, raw: bytes, off: int) -> tuple[tuple, int]:
@@ -98,8 +94,9 @@ def load_bcss(path) -> BcssTensor:
     if b < 1 or n < 1 or n % b != 0:
         raise FormatError(f"block dimension {b} does not divide tensor dimension {n}")
     grid = n // b
-    if grid**order > _MAX_TABLE_ENTRIES:
-        raise FormatError(f"{grid}**{order} table entries exceed {_MAX_TABLE_ENTRIES}")
+    # The tables' own bound raises ParameterError; a file must fail with FormatError.
+    if grid**order > MAX_TABLE_ENTRIES:
+        raise FormatError(f"{grid}**{order} table entries exceed {MAX_TABLE_ENTRIES}")
     slabs = simplex_count(grid, order)
     _check_payload(raw, off, b**order * slabs)
     data = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .dense import DenseTensor, MultiIndex
-from .errors import RangeError, ShapeError, SymmetryError
+from .errors import ParameterError, RangeError, ShapeError, SymmetryError
 from .indexing import (
     block_grid,
     canonicalize,
@@ -68,11 +68,19 @@ class BlockTables:
         return [tuple(idx) for idx in np.argwhere(self.transpose == 0).tolist()]
 
 
+# Table entries, one ``canonicalize`` each: the whole m=5, n=32 grid at unit
+# blocks.  Without a bound, a small order and dimension could ask for billions.
+MAX_TABLE_ENTRIES = 2**25
+
+
 def symmetric_tables(grid: int, sym_modes: int, order: int) -> BlockTables:
     """Tables of a tensor symmetric in its leading ``sym_modes`` modes.
 
     Slabs follow hypertriangle order; each grid index is canonicalized once.
+    More than :data:`MAX_TABLE_ENTRIES` grid indices raise :class:`ParameterError`.
     """
+    if grid**sym_modes > MAX_TABLE_ENTRIES:
+        raise ParameterError(f"{grid}**{sym_modes} table entries exceed {MAX_TABLE_ENTRIES}")
     tail = tuple(range(sym_modes, order))
     slab = {key: r for r, key in enumerate(hypertriangle_iter(grid, sym_modes))}
     ids: dict[tuple[int, ...], int] = {}
@@ -255,11 +263,12 @@ def compress(t: DenseTensor, block_dim: int, tol: float = 0.0) -> BcssTensor:
     hypertriangle order, so the round trip through :func:`decompress` is
     bitwise exact whenever ``t`` is exactly symmetric.  Raises
     :class:`SymmetryError` (reporting the worst index pair) if ``t`` is not
-    symmetric within ``tol``.
+    symmetric within ``tol`` (relative, at least 0; NaN rules as in
+    :func:`~blocksym.indexing.symmetry_violation`), or :class:`ShapeError` if its dims differ.
     """
+    if not tol >= 0:
+        raise ParameterError(f"tol must be at least 0, got {tol}")
     m = t.order
-    if len(set(t.dims)) > 1:
-        raise ShapeError(f"tensor dims {t.dims} are not all equal")
     n = t.dims[0]
     grid = block_grid(n, block_dim)
     rel, idx, jdx = symmetry_violation(t, range(m))

@@ -81,6 +81,15 @@ def test_scalar_temps_m2_matrix_oracle():
     assert np.max(np.abs(got.array - want)) / np.max(np.abs(want)) < 1e-12
 
 
+@pytest.mark.parametrize("m,n,p", [(2, 4, 4), (3, 5, 3), (3, 4, 7), (4, 3, 5), (5, 2, 3)])
+def test_scalar_temps_counts_are_the_blocked_sums_at_unit_output_blocks(m, n, p):
+    # One block per input mode and b_C = 1, plus 2 p^m memops of replication.
+    c = OpCounter()
+    sttsm_scalar_temps(random_symmetric(m, n, 11), random_matrix(p, n, 12), c)
+    assert c.flops == bcss_costs(m, n, p, n, 1, meta_k=0).flops
+    assert c.memops == bcss_impl_memops(m, n, p, n, 1) + 2 * p**m
+
+
 def test_scalar_temps_m4_vs_naive():
     a = random_symmetric(4, 3, 10)
     x = random_matrix(2, 3, 11)
@@ -135,6 +144,8 @@ def test_dense_ttm_exact_counts_and_gemm_shapes(m, n, p):
     assert c.memops == sum(
         2 * (p**d * n ** (m - d) + p ** (d + 1) * n ** (m - 1 - d)) for d in range(m)
     )
+    # The chain is the blocked algorithm at one block per mode.
+    assert c.memops == bcss_impl_memops(m, n, p, n, p)
     assert c.flops == dense_costs(m, n, p).flops
     assert calls == [((p**d * n ** (m - 1 - d), n), (n, p)) for d in range(m)]
     want = a.array

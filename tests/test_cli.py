@@ -121,20 +121,24 @@ def test_bench_csv_shape_and_determinism(capsys):
 
 
 def test_bench_skips_oversized_dense(monkeypatch, capsys):
+    args = ["--cmd", "bench", "--m", "4", "--n", "4", "--ba", "2", "--seed", "5"]
+    monkeypatch.delenv("SYMTENSOR_MAX_DENSE_ELEMS", raising=False)
+    status, out, _ = run_main(args + ["--algo", "dense"], capsys)
+    assert status == 0
+    ran = {r[0]: r for r in csv.reader(io.StringIO(out.split("#")[0])) if r}
     monkeypatch.setenv("SYMTENSOR_MAX_DENSE_ELEMS", "100")
-    status, out, _ = run_main(
-        ["--cmd", "bench", "--m", "4", "--n", "4", "--ba", "2", "--seed", "5"], capsys
-    )
+    status, out, _ = run_main(args, capsys)
     assert status == 0
     rows = {r[0]: r for r in csv.reader(io.StringIO(out.split("#")[0])) if r}
     assert rows["dense"][7] == "skipped"
     assert rows["bcss"][7] != "skipped"
-    # Skipped dense rows still carry the formula counts.
-    assert int(rows["dense"][8]) > 0
+    # A skipped dense row carries the counts the chain makes when it runs;
+    # its memops used to be the paper model's 3072.
+    assert rows["dense"][8:] == ran["dense"][8:] == ["8192", "4096"]
 
 
 def test_bench_rows_match_cost_model(capsys):
-    from blocksym import bcss_costs, dense_costs
+    from blocksym import bcss_costs, bcss_impl_memops, dense_costs
 
     status, out, _ = run_main(
         ["--cmd", "bench", "--m", "3", "--n", "8", "--ba", "2", "--seed", "9"], capsys
@@ -143,6 +147,7 @@ def test_bench_rows_match_cost_model(capsys):
     rows = {r[0]: r for r in csv.reader(io.StringIO(out.split("#")[0])) if r}
     dense = dense_costs(3, 8, 8)
     assert int(rows["dense"][8]) == dense.flops
+    assert int(rows["dense"][9]) == bcss_impl_memops(3, 8, 8, 8, 8)
     assert 0.5 <= int(rows["dense"][9]) / dense.memops <= 2.0
     blocked = bcss_costs(3, 8, 8, 2, 2, meta_k=0)
     assert int(rows["bcss"][8]) == blocked.flops
@@ -222,6 +227,7 @@ def test_storage_builds_the_dense_tensor_once(monkeypatch, capsys):
     rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
     assert len(rows) == len(cli.cost_model.divisors(12))
     assert all(r["measured_payload"] == r["payload"] for r in rows)
+    assert "measured_payload" not in "".join(line for line in out.splitlines() if line[0] == "#")
     # The meta probe builds its own small tensor; the report's is built once.
     assert calls.count((3, 12, 2)) == 1
 
@@ -233,10 +239,33 @@ def test_storage_csv_m5_interior_minimum(capsys):
     rows = list(csv.reader(io.StringIO(body)))
     totals = {int(r[0]): float(r[3]) for r in rows[1:] if r}
     assert "k = 1.125 floats/block" in notes
+    assert ("# measured_payload is empty as 64**5 dense elements exceed "
+            "SYMTENSOR_MAX_DENSE_ELEMS=10000000\n# argmin b = ") in notes
     best = int(notes.split("# argmin b = ")[1])
     assert best not in (1, 64)
     assert totals[best] < 64**5
     assert totals[1] > 64**5
+
+
+def test_storage_names_the_grid_bound_that_empties_a_cell(capsys):
+    # 64**3 dense elements fit, but b=1 has 64**3 > 10**5 block indices.
+    status, out, _ = run_main(["--cmd", "storage", "--m", "3", "--n", "64"], capsys)
+    assert status == 0
+    rows = list(csv.DictReader(line for line in out.splitlines() if line[0] != "#"))
+    assert [r["b"] for r in rows if not r["measured_payload"]] == ["1"]
+    notes = [line for line in out.splitlines() if line[0] == "#"]
+    assert notes[1:] == ["# measured_payload is empty where (64//b)**3 > 10**5 block indices",
+                         "# argmin b = 4"]
+
+
+def test_bench_grid_past_the_table_bound_is_parameter_error(capsys):
+    # 2**30 table entries used to be built as Python lists, tens of GB.
+    status, out, err = run_main(
+        ["--cmd", "bench", "--m", "30", "--n", "2", "--ba", "1", "--algo", "bcss"], capsys
+    )
+    assert status == 2
+    assert out == ""
+    assert "parameter error: 2**30 table entries exceed 33554432" in err
 
 
 def test_storage_oversized_meta_probe_is_parameter_error(capsys):

@@ -164,6 +164,25 @@ def test_dense_rejects_p0_supports_p1():
     assert rep.flops == 2 * (4**3 + 4**2 + 4)
 
 
+def test_dense_costs_equal_the_chain_closed_forms():
+    # Mode d of the chain reads p^d n^(m-d) elements, writes p^(d+1)
+    # n^(m-1-d) and keeps that as a temporary unless it is the output.
+    for m, n, p in itertools.product(range(2, 8), range(1, 13), range(1, 13)):
+        rep = dense_costs(m, n, p)
+        want = {
+            "variant": "Dense", "b_a": n, "b_c": p, "meta_k": 0,
+            "storage_A": n**m, "storage_C": p**m, "storage_X": p * n,
+            "storage_temps": sum(p ** (d + 1) * n ** (m - 1 - d) for d in range(m - 1)),
+            "storage_temps_meta": 0,
+            "flops": 2 * sum(p ** (d + 1) * n ** (m - d) for d in range(m)),
+            "memops": sum(
+                p**d * n ** (m - d) + 2 * p ** (d + 1) * n ** (m - 1 - d) for d in range(m)
+            ),
+        }
+        got = {f: getattr(rep, f) for f in want}
+        assert got == want and all(type(got[f]) is type(want[f]) for f in want), (m, n, p)
+
+
 def test_dense_storage_fields():
     rep = dense_costs(3, 4, 2)
     assert rep.storage_A == 64

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ def test_random_bcss_rejects_nondividing_block_dim():
 def test_random_bcss_rejects_order_below_two():
     with pytest.raises(ParameterError):
         random_bcss(1, 4, 2, 1)
+
+
+@pytest.mark.parametrize("m,n,b", [(26, 2, 1), (5, 64, 1)])
+def test_random_bcss_rejects_a_grid_past_the_table_bound_before_drawing(m, n, b):
+    # (26, 2, 1) used to ask for 2**26 table entries built as Python lists,
+    # (5, 64, 1) to draw 10**7 blocks first.
+    t0 = time.perf_counter()
+    with pytest.raises(ParameterError, match="table entries"):
+        random_bcss(m, n, b, 0)
+    assert time.perf_counter() - t0 < 0.5
 
 
 GENERATORS = {

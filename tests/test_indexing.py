@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from blocksym import (
     ParameterError,
     PartialSymTensor,
     ShapeError,
+    SymmetryError,
     approx_costs,
     bcss_costs,
     bcss_impl_memops,
     canonicalize,
     compress,
+    decompress,
     hypertriangle_iter,
     is_sym_in_modes,
     random_matrix,
@@ -190,23 +193,29 @@ def test_symmetry_check_shape_error():
         is_sym_in_modes(t, {0, 1}, 0.0)
 
 
+def _mismatch(x: float, y: float) -> float:
+    """Relative mismatch of two entries: equal ones (zeros of either sign,
+    equal infinities, NaN facing NaN) match, and a NaN facing a number or an
+    infinity facing any other value is a full mismatch."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if math.isnan(x) or math.isnan(y) or math.isinf(x) or math.isinf(y):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
 def full_symmetry_violation(t: DenseTensor, modes):
-    """Reference: the relative report computed for every adjacent pair."""
+    """Reference: the first worst entry, in C order, of every adjacent pair,
+    one entry at a time."""
     modes = sorted(set(modes))
     worst = (0.0, (0,) * t.order, (0,) * t.order)
     for a, b in zip(modes, modes[1:]):
-        swapped = np.swapaxes(t.array, a, b)
-        diff = np.abs(t.array - swapped)
-        scale = np.maximum(np.abs(t.array), np.abs(swapped))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.where(diff > 0, diff / np.where(scale > 0, scale, 1.0), 0.0)
-        flat = int(np.argmax(rel))
-        val = float(rel.reshape(-1)[flat])
-        if val > worst[0]:
-            idx = tuple(int(i) for i in np.unravel_index(flat, t.dims))
+        for idx in np.ndindex(*t.dims):
             jdx = list(idx)
             jdx[a], jdx[b] = jdx[b], jdx[a]
-            worst = (val, idx, tuple(jdx))
+            val = _mismatch(float(t.array[idx]), float(t.array[tuple(jdx)]))
+            if val > worst[0]:
+                worst = (val, idx, tuple(jdx))
     return worst
 
 
@@ -218,9 +227,7 @@ def _sym_in_01(shape, seed):
 
 def _same_report(t, modes):
     got = symmetry_violation(t, modes)
-    ref = full_symmetry_violation(t, modes)
-    assert got[1:] == ref[1:]
-    assert got[0] == ref[0] or (np.isnan(got[0]) and np.isnan(ref[0]))
+    assert got == full_symmetry_violation(t, modes)
     return got
 
 
@@ -257,6 +264,31 @@ def test_symmetry_violation_matches_full_report_with_nan(modes, where):
     for idx in where:
         arr[idx] = np.nan
     _same_report(DenseTensor(arr), modes)
+
+
+@pytest.mark.parametrize("modes", [{0, 1}, {0, 1, 2}, {1, 2}])
+@pytest.mark.parametrize("pair", [(np.inf, np.inf), (np.inf, -np.inf), (np.inf, 1.0)])
+def test_symmetry_violation_matches_full_report_with_inf(modes, pair):
+    arr = _sym_in_01((3, 3, 3), 25)
+    arr[0, 1, 2], arr[1, 0, 2] = pair
+    rel, _, _ = _same_report(DenseTensor(arr), modes)
+    assert rel == (0.0 if pair == (np.inf, np.inf) and modes == {0, 1} else np.inf)
+
+
+def test_nan_facing_a_number_is_a_full_mismatch():
+    # The NaN used to count as no mismatch, so compress accepted this matrix
+    # and decompress returned NaN at (2, 0), where it holds 1.0.
+    arr = np.ones((4, 4))
+    arr[0, 2] = np.nan
+    t = DenseTensor(arr)
+    assert symmetry_violation(t, {0, 1}) == (np.inf, (0, 2), (2, 0))
+    assert not is_sym_in_modes(t, {0, 1}, 1e9)
+    with pytest.raises(SymmetryError, match=r"asymmetry inf .* \(0, 2\) and \(2, 0\)"):
+        compress(t, 2)
+    arr[2, 0] = np.nan
+    assert is_sym_in_modes(DenseTensor(arr), {0, 1})
+    back = decompress(compress(DenseTensor(arr), 2)).array
+    assert np.array_equal(back, arr, equal_nan=True)
 
 
 # ------------------------------------------------------------ replication

@@ -9,6 +9,7 @@ import pytest
 from blocksym import (
     BcssTensor,
     BlockDivisibilityError,
+    ParameterError,
     RangeError,
     ShapeError,
     SymmetryError,
@@ -26,7 +27,7 @@ from blocksym import (
 )
 from blocksym.io import load_bcss, save_bcss
 from blocksym.dense import DenseTensor
-from blocksym.storage import identity_tables, symmetric_tables
+from blocksym.storage import MAX_TABLE_ENTRIES, identity_tables, symmetric_tables
 
 
 # ------------------------------------------------------------ compress
@@ -74,6 +75,18 @@ def test_compress_rejects_asymmetry_and_names_pair():
         compress(t, 2)
     msg = str(exc.value)
     assert "between indices" in msg
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_compress_rejects_a_nan_or_negative_tol(tol):
+    # NaN used to accept any asymmetry, -1 to reject an exactly symmetric tensor.
+    with pytest.raises(ParameterError, match="tol"):
+        compress(random_symmetric(2, 4, 5), 2, tol=tol)
+
+
+def test_compress_rejects_unequal_dims():
+    with pytest.raises(ShapeError, match="unequal dimensions"):
+        compress(DenseTensor(np.zeros((4, 2), order="F")), 2)
 
 
 def test_compress_tolerance_admits_small_asymmetry():
@@ -261,6 +274,15 @@ def test_transpose_ids_sized_to_the_transposes_present():
     assert big.transpose.dtype == np.uint16
     assert int(big.transpose.max()) == 719
     assert symmetric_tables(4, 5, 5).transpose.dtype == np.uint8
+
+
+def test_symmetric_tables_bound_entries():
+    # The whole m=5, n=32 grid at unit blocks; one index more is rejected
+    # before anything is built.
+    assert MAX_TABLE_ENTRIES == 32**5
+    for grid, s in [(2, 26), (33, 5), (2, 30)]:
+        with pytest.raises(ParameterError, match="table entries"):
+            symmetric_tables(grid, s, s)
 
 
 def test_identity_tables_store_every_block_untransposed():
