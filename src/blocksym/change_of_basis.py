@@ -24,6 +24,8 @@ Four routes to the same result, ordered by how much structure they exploit:
     ``reuse=True`` only their canonical blocks are computed and stored
     (redirected reads handle the rest); ``reuse=False`` materializes every
     temporary block, which matches the plain algorithm-by-blocks cost.
+    Where blocks are large, each level's produced blocks are split across
+    the process's CPUs.
 
 All four accept an :class:`~blocksym.counters.OpCounter`; flops count 2 per
 multiply-add and memops count 2 per element moved by a permutation or copy.
@@ -33,11 +35,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from functools import reduce
 from typing import Callable
 
 import numpy as np
 
+from .costs import _levels
 from .counters import OpCounter
 from .dense import DenseTensor, matmul_ref, mode_multiply
 from .errors import ParameterError, ShapeError
@@ -51,6 +58,16 @@ from .storage import (
 )
 
 TempHook = Callable[[int, object], None]
+
+# A level of sttsm_bcss splits its produced blocks across threads only when
+# each summand slab holds at least _SPLIT_SLAB elements and each thread
+# gets at least _SPLIT_BLOCKS blocks (see level_threads).
+_SPLIT_SLAB = 1 << 15
+_SPLIT_BLOCKS = 4
+# The variables that set BLAS's own thread count, the first one set
+# winning.  A threaded BLAS runs GEMMs that arrive from several threads at
+# once one after another, so levels split only when it is set to 1.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _check_sttsm_args(a_dims: tuple[int, ...], x: np.ndarray) -> tuple[int, int, int]:
@@ -169,6 +186,38 @@ def _gather_plan(t_in: BlockTables, t_out: BlockTables, k: int, m: int):
     return t_in.rank.reshape(-1, nbar)[rows], t_in.transpose.reshape(-1, nbar)[rows], axes
 
 
+def _cpus() -> int:
+    """Threads a split level may use: the CPUs this process may run on
+    (``taskset -c 0`` makes it 1), or 1 unless BLAS is set to one thread."""
+    pinned = next((os.environ[v] for v in _BLAS_THREADS if v in os.environ), "")
+    if pinned.strip() != "1":
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def level_threads(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = True) -> list[int]:
+    """Threads :func:`sttsm_bcss` splits each level's produced blocks over,
+    indexed by level ``k``; 1 is the serial path.
+
+    A level is split only when each of its summand slabs holds at least
+    ``_SPLIT_SLAB`` elements and it has at least ``_SPLIT_BLOCKS`` blocks
+    per thread: below that the handoffs between threads cost more than the
+    work they share.  At most one thread per CPU in the
+    process's affinity set, and one in all unless BLAS runs one thread
+    (``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS``,
+    the first that is set, reads 1).
+    """
+    cpus = _cpus()
+    threads = [1] * m
+    for k, _, blocks, gather, _ in _levels(m, n, p, b_a, b_c, reuse):
+        if gather * b_a // n >= _SPLIT_SLAB:  # one summand: an nbar-th of the operand
+            threads[k] = max(1, min(cpus, blocks // _SPLIT_BLOCKS))
+    return threads
+
+
 def _level_product(
     src: np.ndarray,
     plan,
@@ -180,6 +229,8 @@ def _level_product(
     b_c: int,
     m: int,
     counter: OpCounter | None,
+    pool: ThreadPoolExecutor | None,
+    threads: int,
 ) -> None:
     """One temporary level: contract mode ``k`` of ``T(k+1)`` (packed blocks
     ``src``) with block row ``jb`` of ``x``, one GEMM per produced block.
@@ -188,30 +239,65 @@ def _level_product(
     ``plan`` are gathered side by side into one buffer, each with a single
     transpose (redirection fused with moving mode ``k`` last), so the
     buffer reads as a ``(rest x n)`` matrix whose columns run over the
-    whole contracted mode.  One ``(rest x n) @ (n x b_C)`` GEMM against
-    block row ``jb`` of ``x`` gives the block with its new mode last, and
-    one copy writes it in logical mode order into its slab of ``out``.
+    whole contracted mode.  One ``(b_C x n) @ (n x rest)`` GEMM of block
+    row ``jb`` of ``x`` against it gives the block, transposed, as an
+    F-ordered ``(rest x b_C)`` matrix with its new mode last, and one copy
+    writes it in logical mode order into its slab of ``out``.
+
+    With ``threads > 1`` the calling thread and ``threads - 1`` tasks on
+    ``pool`` take the produced blocks one at a time from a shared iterator,
+    each with its own buffer and counter, so a thread that the host slows
+    down takes fewer blocks.  Every block writes only its own slab of
+    ``out``.  The tasks' counts are added to ``counter`` after the join.
     """
     slabs, ids, axes = plan
     nbar = slabs.shape[1]
     rest_dims = (b_a,) * k + (b_c,) * (m - 1 - k)
     rest = math.prod(rest_dims)
     to_logical = (*range(k), m - 1, *range(k, m - 1))
-    x_rows = x[jb * b_c : (jb + 1) * b_c, :].T
+    x_blk = x[jb * b_c : (jb + 1) * b_c, :]
+    rows = enumerate(zip(slabs.tolist(), ids.tolist()))
 
-    # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
-    # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
-    buf = np.empty(rest_dims + (b_a, nbar), dtype=np.float64, order="F")
-    buf_mat = buf.reshape((rest, nbar * b_a), order="F")
-    for r, (row_slabs, row_ids) in enumerate(zip(slabs.tolist(), ids.tolist())):
-        for ib, (slab, t) in enumerate(zip(row_slabs, row_ids)):
-            buf[..., ib] = np.transpose(src[..., slab], axes[t])
+    def produce(take, count: OpCounter | None) -> OpCounter | None:
+        # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
+        # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
+        buf = np.empty(rest_dims + (b_a, nbar), dtype=np.float64, order="F")
+        buf_t = buf.reshape((rest, nbar * b_a), order="F").T
+        for r, (row_slabs, row_ids) in take:
+            for ib, (slab, t) in enumerate(zip(row_slabs, row_ids)):
+                buf[..., ib] = np.transpose(src[..., slab], axes[t])
+            if count is not None:
+                count.count_memops(2 * buf.size)
+            c_mat = matmul_ref(x_blk, buf_t, count).T
+            out[..., r] = np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical)
+            if count is not None:
+                count.count_memops(2 * c_mat.size)
+        return count
+
+    if threads == 1:
+        produce(rows, counter)
+        return
+    taking = threading.Lock()
+
+    def take():
+        # Each thread's own generator; only one at a time advances ``rows``.
+        while True:
+            with taking:
+                row = next(rows, None)
+            if row is None:
+                return
+            yield row
+
+    tasks = [
+        pool.submit(produce, take(), None if counter is None else OpCounter())
+        for _ in range(threads - 1)
+    ]
+    produce(take(), counter)
+    for task in tasks:
+        count = task.result()
         if counter is not None:
-            counter.count_memops(2 * buf.size)
-        c_mat = matmul_ref(buf_mat, x_rows, counter)
-        out[..., r] = np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical)
-        if counter is not None:
-            counter.count_memops(2 * c_mat.size)
+            counter.count_flops(count.flops)
+            counter.count_memops(count.memops)
 
 
 def sttsm_bcss(
@@ -240,6 +326,12 @@ def sttsm_bcss(
     :func:`~blocksym.costs.bcss_costs` and counted memops equal
     :func:`~blocksym.costs.bcss_impl_memops`.
 
+    With BLAS set to one thread, a level whose summand slabs are large
+    splits its produced blocks across the CPUs of the process's affinity
+    set (:func:`level_threads`), on one thread pool that lives for this
+    call only; ``taskset -c 0`` gives the serial path.  The result and the
+    counts do not depend on the split.
+
     ``temp_hook(k, temp)`` is called with each finished temporary, a
     :class:`~blocksym.storage.PartialSymTensor`, mainly so tests can audit
     the partial symmetry through :func:`~blocksym.storage.decompress`.
@@ -264,25 +356,33 @@ def sttsm_bcss(
         plan = _gather_plan(t_in, t_out, k, m)
         levels[k] = (plan, t_out, (b_a,) * k + (b_c,) * (m - k) + (len(plan[0]),))
         t_in = t_out
+    threads = level_threads(m, n, p, b_a, b_c, reuse)
 
     def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
         plan, tables, shape = levels[k]
         for jb in range(j_hi + 1):
             if k == 0:
                 r = out.tables.rank[(jb,) + suffix]
-                _level_product(src, plan, out.data[..., r : r + 1], 0, jb, x, b_a, b_c, m, counter)
+                dst = out.data[..., r : r + 1]
+                _level_product(src, plan, dst, 0, jb, x, b_a, b_c, m, counter, pool, threads[0])
                 continue
             temp = PartialSymTensor(
                 k, n, b_a, (b_c,) * (m - k), np.empty(shape, dtype=np.float64, order="F"), tables
             )
-            _level_product(src, plan, temp.data, k, jb, x, b_a, b_c, m, counter)
+            _level_product(
+                src, plan, temp.data, k, jb, x, b_a, b_c, m, counter, pool, threads[k]
+            )
             if temp_hook is not None:
                 temp_hook(k, temp)
             descend(k - 1, temp.data, jb, (jb,) + suffix)
             # Freed before the next sibling is allocated, to bound peak memory.
             del temp
 
-    descend(m - 1, a.data, pbar - 1, ())
+    # One pool per call.  Its shutdown joins every task, also when one has
+    # raised, so no worker writes a temporary after the call has ended.
+    workers = max(threads) - 1
+    with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
+        descend(m - 1, a.data, pbar - 1, ())
     return out
 
 

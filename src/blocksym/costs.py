@@ -5,7 +5,7 @@ The blocked algorithm contracts modes ``k = m-1, .., 0`` in turn.  Level
 per block index of its temporary: the canonical ``k``-tuples of the block
 grid, ``C(nbar+k-1, k)`` of them, with partial-symmetry reuse, the whole
 ``nbar^k`` grid without.  A produced block holds ``b_A^k b_C^(m-k)``
-elements and costs one ``(rest x n) @ (n x b_C)`` GEMM on a gathered
+elements and costs one ``(b_C x n) @ (n x rest)`` GEMM on a gathered
 operand of ``b_A^k b_C^(m-1-k) n`` elements.  Every blocked count is an
 integer sum of these terms over the levels (:func:`_levels`), so
 "instrumented counter equals formula" is testable as integer equality.

@@ -15,8 +15,10 @@ Both loaders check the header length, the order (1 to 64 for ``.stns``,
 2 to 64 for ``.bcss``), that the block dimension is at least 1 and
 divides the tensor dimension, that the redirection tables rebuilt on
 load would hold at most ``2**25`` entries (``(n/b)**order``, the whole
-m=5, n=32 grid at unit blocks), and that the payload is exactly as long as
-the header says; a file that fails any check raises :class:`FormatError`.
+m=5, n=32 grid at unit blocks) and keep at most ``2**25`` axes of distinct
+transposes (``min(order!, (n/b)**order) * order``), and that the payload
+is exactly as long as the header says; a file that fails any check raises
+:class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .dense import DenseTensor
 from .errors import FormatError
 from .indexing import simplex_count
-from .storage import MAX_TABLE_ENTRIES, BcssTensor
+from .storage import BcssTensor, table_excess
 
 _STNS_MAGIC = b"STNS"
 _BCSS_MAGIC = b"BCSS"
@@ -94,9 +96,10 @@ def load_bcss(path) -> BcssTensor:
     if b < 1 or n < 1 or n % b != 0:
         raise FormatError(f"block dimension {b} does not divide tensor dimension {n}")
     grid = n // b
-    # The tables' own bound raises ParameterError; a file must fail with FormatError.
-    if grid**order > MAX_TABLE_ENTRIES:
-        raise FormatError(f"{grid}**{order} table entries exceed {MAX_TABLE_ENTRIES}")
+    # The tables' own bounds raise ParameterError; a file must fail with FormatError.
+    excess = table_excess(grid, order)
+    if excess:
+        raise FormatError(excess)
     slabs = simplex_count(grid, order)
     _check_payload(raw, off, b**order * slabs)
     data = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)

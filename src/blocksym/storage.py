@@ -27,6 +27,7 @@ two ways out: :meth:`PartialSymTensor.block_at` for one logical block and
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,14 +74,37 @@ class BlockTables:
 MAX_TABLE_ENTRIES = 2**25
 
 
+def table_excess(grid: int, sym_modes: int) -> str | None:
+    """Why :func:`symmetric_tables` would not build tables for a ``(grid,) *
+    sym_modes`` block grid, or ``None`` when it would.
+
+    Two bounds, both at :data:`MAX_TABLE_ENTRIES`: the grid indices, and the
+    axes of the distinct transposes the tables keep, at most
+    ``min(s!, grid**s)`` of ``s`` axes each.  The second caps memory at high
+    order: every index of a 2-grid of order 25 sorts by its own transpose.
+    """
+    entries = grid**sym_modes
+    if entries > MAX_TABLE_ENTRIES:
+        return f"{grid}**{sym_modes} table entries exceed {MAX_TABLE_ENTRIES}"
+    axes = min(math.factorial(sym_modes), entries) * sym_modes
+    if axes > MAX_TABLE_ENTRIES:
+        return (
+            f"{grid}**{sym_modes} table entries may keep {axes} axes of distinct "
+            f"transposes, over {MAX_TABLE_ENTRIES}"
+        )
+    return None
+
+
 def symmetric_tables(grid: int, sym_modes: int, order: int) -> BlockTables:
     """Tables of a tensor symmetric in its leading ``sym_modes`` modes.
 
     Slabs follow hypertriangle order; each grid index is canonicalized once.
-    More than :data:`MAX_TABLE_ENTRIES` grid indices raise :class:`ParameterError`.
+    A grid past either bound of :func:`table_excess` raises
+    :class:`ParameterError` before anything is built.
     """
-    if grid**sym_modes > MAX_TABLE_ENTRIES:
-        raise ParameterError(f"{grid}**{sym_modes} table entries exceed {MAX_TABLE_ENTRIES}")
+    excess = table_excess(grid, sym_modes)
+    if excess:
+        raise ParameterError(excess)
     tail = tuple(range(sym_modes, order))
     slab = {key: r for r, key in enumerate(hypertriangle_iter(grid, sym_modes))}
     ids: dict[tuple[int, ...], int] = {}

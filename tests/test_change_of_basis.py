@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -26,6 +30,8 @@ from blocksym import (
     sttsm_naive,
     sttsm_scalar_temps,
 )
+from blocksym import change_of_basis as cb
+from blocksym.change_of_basis import level_threads
 from blocksym.dense import DenseTensor
 from blocksym.indexing import is_sym_in_modes, symmetry_violation
 
@@ -229,7 +235,7 @@ def test_bcss_one_gemm_per_produced_block(m, n, p, b_a, b_c):
     for reuse in (True, False):
         # Level k (d = m-1-k) is entered C(pbar+d, d+1) times and produces
         # one block per canonical (reuse) or grid (no reuse) k-tuple, each
-        # from a single (rest x n) @ (n x b_C) product.
+        # from a single (b_C x n) @ (n x rest) product.
         expected = Counter()
         for d in range(m):
             k = m - 1 - d
@@ -246,8 +252,8 @@ def test_bcss_one_gemm_per_produced_block(m, n, p, b_a, b_c):
             out = sttsm_bcss(packed, x, b_c, reuse=reuse)
         finally:
             set_matmul_backend(None)
-        assert all(lhs[1] == n and rhs == (n, b_c) for lhs, rhs in calls), calls
-        assert Counter(lhs[0] for lhs, _ in calls) == expected, reuse
+        assert all(lhs == (b_c, n) and rhs[0] == n for lhs, rhs in calls), calls
+        assert Counter(rhs[1] for _, rhs in calls) == expected, reuse
         assert max_relative_error(decompress(out), sttsm_naive(a, x)) < 1e-10
 
 
@@ -337,6 +343,145 @@ def test_bcss_validations():
         sttsm_bcss(packed, random_matrix(4, 4, 28), 3)
     with pytest.raises(Exception):
         sttsm_bcss(packed, random_matrix(4, 5, 29), 2)
+
+
+# ------------------------------------------------------------ split levels
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the affinity set size ``sttsm_bcss`` sees, and make every level
+    with at least one block per thread split, whatever its slab size."""
+    monkeypatch.setattr(cb, "_SPLIT_SLAB", 1)
+    monkeypatch.setattr(cb, "_SPLIT_BLOCKS", 1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cpus
+
+
+def _bcss_run(packed, x, b_c, reuse):
+    counter = OpCounter()
+    out = sttsm_bcss(packed, x, b_c, counter, reuse=reuse)
+    return out.data.tobytes(order="F"), counter.flops, counter.memops
+
+
+def test_level_threads_dispatch(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # The benchmark's large blocks: 2^15-element slabs at every level, split
+    # where each of the 2 threads gets 4 blocks (level 1 has 4 in all).
+    assert level_threads(5, 32, 32, 8, 8) == [1, 1, 2, 2, 2]
+    assert level_threads(5, 32, 32, 8, 8, reuse=False) == [1, 1, 2, 2, 2]
+    assert level_threads(4, 48, 48, 16, 16) == [1, 1, 1, 2]
+    # Slabs of 20,736 elements or fewer, and too few blocks, stay serial.
+    for m, n, b in [(4, 48, 8), (4, 32, 8), (5, 32, 4), (4, 40, 10), (4, 48, 12), (4, 64, 8),
+                    (3, 96, 48)]:
+        assert level_threads(m, n, n, b, b) == [1] * m, (m, n, b)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert level_threads(5, 32, 32, 8, 8) == [1] * 5
+
+
+@pytest.mark.parametrize(
+    "blas",
+    [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}],
+)
+def test_level_threads_serial_with_threaded_blas(monkeypatch, blas):
+    # Concurrent GEMMs on a threaded BLAS queue behind one another.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in cb._BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    assert level_threads(5, 32, 32, 8, 8) == [1] * 5
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("m,n,p,b_a,b_c", [(4, 6, 4, 2, 2), (3, 8, 6, 2, 3)])
+def test_bcss_split_is_bitwise_serial(cpus, m, n, p, b_a, b_c, reuse):
+    packed = compress(random_symmetric(m, n, 60), b_a)
+    x = random_matrix(p, n, 61)
+    cpus(1)
+    serial = _bcss_run(packed, x, b_c, reuse)
+    # 3 threads over levels of 3 to 27 blocks, most not a multiple of 3.
+    # Each thread's first GEMM waits for the other two, so all three run.
+    cpus(3)
+    met = threading.Barrier(3, timeout=10)
+    seen = set()
+
+    def gemm(a, b):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            met.wait()
+        return a @ b
+
+    set_matmul_backend(gemm)
+    try:
+        split = _bcss_run(packed, x, b_c, reuse)
+    finally:
+        set_matmul_backend(None)
+    assert len(seen) == 3
+    assert split == serial
+
+
+def test_bcss_split_stress_many_threads(cpus):
+    # More threads than CPUs, switching every microsecond: a block taken
+    # twice or never would change the output or the counts.
+    packed = compress(random_symmetric(4, 6, 66), 1)
+    x = random_matrix(6, 6, 67)
+    cpus(1)
+    serial = _bcss_run(packed, x, 2, False)
+    cpus(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        split = _bcss_run(packed, x, 2, False)
+    finally:
+        sys.setswitchinterval(interval)
+    assert split == serial
+    assert time.perf_counter() - t0 < 30
+
+
+def test_bcss_worker_error_propagates_and_threads_end(cpus):
+    packed = compress(random_symmetric(4, 6, 62), 2)
+    x = random_matrix(4, 6, 63)
+    cpus(2)
+    before = threading.active_count()
+    failed = threading.Event()
+
+    def gemm(a, b):
+        # The calling thread holds its first block until a worker has failed.
+        if threading.current_thread() is threading.main_thread():
+            failed.wait(10)
+            return a @ b
+        failed.set()
+        raise RuntimeError("worker GEMM failed")
+
+    set_matmul_backend(gemm)
+    try:
+        with pytest.raises(RuntimeError, match="worker GEMM failed"):
+            sttsm_bcss(packed, x, 2)
+    finally:
+        set_matmul_backend(None)
+    assert failed.is_set()
+    assert threading.active_count() == before
+
+
+def test_bcss_one_cpu_makes_no_executor(cpus, monkeypatch):
+    packed = compress(random_symmetric(4, 6, 64), 2)
+    x = random_matrix(4, 6, 65)
+    cpus(2)
+    split = _bcss_run(packed, x, 2, True)
+
+    def no_pool(*args):
+        raise AssertionError("executor made with one CPU")
+
+    cpus(1)
+    monkeypatch.setattr(cb, "ThreadPoolExecutor", no_pool)
+    assert _bcss_run(packed, x, 2, True) == split
 
 
 def test_order_one_rejected_everywhere():

@@ -118,6 +118,18 @@ def test_bench_csv_shape_and_determinism(capsys):
     algos = {r[0] for r in rows[1:] if r}
     assert algos == {"naive", "scalar", "dense", "bcss"}
     assert "# speedup dense/bcss" in out1
+    assert "# bcss workers: 1\n" in out1  # blocks of 4 elements stay on one thread
+
+
+def test_bench_notes_bcss_workers(monkeypatch, capsys):
+    # 2^15-element slabs at m=5, n=32, b=8, one BLAS thread: split across both CPUs.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    args = ["--cmd", "bench", "--m", "5", "--n", "32", "--ba", "8", "--algo", "bcss",
+            "--reps", "3"]
+    status, out, _ = run_main(args, capsys)
+    assert status == 0
+    assert out.endswith("# bcss workers: 2\n")
 
 
 def test_bench_skips_oversized_dense(monkeypatch, capsys):

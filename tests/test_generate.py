@@ -132,9 +132,10 @@ def test_random_bcss_rejects_order_below_two():
         random_bcss(1, 4, 2, 1)
 
 
-@pytest.mark.parametrize("m,n,b", [(26, 2, 1), (5, 64, 1)])
+@pytest.mark.parametrize("m,n,b", [(26, 2, 1), (25, 2, 1), (5, 64, 1)])
 def test_random_bcss_rejects_a_grid_past_the_table_bound_before_drawing(m, n, b):
     # (26, 2, 1) used to ask for 2**26 table entries built as Python lists,
+    # (25, 2, 1) to keep 2**25 distinct 25-axis transposes, several GB, and
     # (5, 64, 1) to draw 10**7 blocks first.
     t0 = time.perf_counter()
     with pytest.raises(ParameterError, match="table entries"):

@@ -189,9 +189,11 @@ def test_stns_order_out_of_range_rejected(tmp_path, order):
 # A header whose grid of (n/b)**order block indices exceeds 2**25 entries
 # (the whole m=5, n=32 grid at unit blocks) is rejected before any table is
 # built; one at the bound passes that check and fails only on its payload.
+# At order 25 and grid 2 the bound holds, but the tables would keep 2**25
+# distinct transposes of 25 axes each, so that header is rejected too.
 @pytest.mark.parametrize(
     "order,n,b,error",
-    [(5, 32, 1, "payload"), (25, 2, 1, "payload"), (5, 33, 1, "table entries"),
+    [(5, 32, 1, "payload"), (25, 2, 1, "transposes"), (5, 33, 1, "table entries"),
      (26, 2, 1, "table entries"), (5, 64, 2, "payload"), (5, 66, 2, "table entries")],
 )
 def test_bcss_table_bound(tmp_path, order, n, b, error):
@@ -209,6 +211,18 @@ def test_bcss_tiny_header_with_huge_grid_rejected_fast(tmp_path):
     assert path.stat().st_size == 24 + 248
     t0 = time.perf_counter()
     with pytest.raises(FormatError, match="table entries"):
+        load_bcss(path)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_bcss_order25_file_rejected_fast(tmp_path):
+    # The complete 232-byte file: its header passes the entry bound, and its
+    # tables would keep 2**25 distinct 25-axis transposes, several GB.
+    path = tmp_path / "order25.bcss"
+    path.write_bytes(_bcss_header(25, 2, 1) + bytes(8 * simplex_count(2, 25)))
+    assert path.stat().st_size == 232
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError, match="transposes"):
         load_bcss(path)
     assert time.perf_counter() - t0 < 0.5
 

@@ -27,7 +27,7 @@ from blocksym import (
 )
 from blocksym.io import load_bcss, save_bcss
 from blocksym.dense import DenseTensor
-from blocksym.storage import MAX_TABLE_ENTRIES, identity_tables, symmetric_tables
+from blocksym.storage import MAX_TABLE_ENTRIES, identity_tables, symmetric_tables, table_excess
 
 
 # ------------------------------------------------------------ compress
@@ -283,6 +283,17 @@ def test_symmetric_tables_bound_entries():
     for grid, s in [(2, 26), (33, 5), (2, 30)]:
         with pytest.raises(ParameterError, match="table entries"):
             symmetric_tables(grid, s, s)
+
+
+def test_symmetric_tables_bound_transposes():
+    # 2**25 indices of a 2-grid, each with its own 25-axis transpose, are
+    # refused before anything is built; grids whose transposes stay few pass.
+    with pytest.raises(ParameterError, match="transposes"):
+        symmetric_tables(2, 25, 25)
+    assert table_excess(2, 25) is not None
+    assert table_excess(4, 9) is None
+    assert table_excess(6, 6) is None
+    assert table_excess(32, 5) is None
 
 
 def test_identity_tables_store_every_block_untransposed():
