@@ -46,7 +46,7 @@ from .errors import (
     ShapeError,
     SymmetryError,
 )
-from .generate import random_matrix, random_symmetric
+from .generate import random_bcss, random_matrix, random_symmetric
 from .indexing import (
     canonicalize,
     hypertriangle_iter,

@@ -79,6 +79,8 @@ def _check_sttsm_args(a_dims: tuple[int, ...], x: np.ndarray) -> tuple[int, int,
     n = a_dims[0]
     if x.ndim != 2 or x.shape[1] != n:
         raise ShapeError(f"matrix shape {x.shape} does not contract dimension {n}")
+    if x.shape[0] < 1:
+        raise ShapeError(f"matrix shape {x.shape} has no rows")
     return m, n, x.shape[0]
 
 

@@ -19,7 +19,7 @@ reports 2 flops per multiply-add.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,16 +38,6 @@ class DenseTensor:
     def __init__(self, array):
         self.array = np.asfortranarray(array, dtype=np.float64)
 
-    @classmethod
-    def from_flat(cls, data, dims: Sequence[int]) -> "DenseTensor":
-        """Build from a flat dimensional-order buffer and a dims tuple."""
-        flat = np.asarray(data, dtype=np.float64)
-        if flat.size != math.prod(dims):
-            raise ShapeError(
-                f"data length {flat.size} != product of dims {tuple(dims)}"
-            )
-        return cls(flat.reshape(tuple(dims), order="F"))
-
     @property
     def order(self) -> int:
         return self.array.ndim
@@ -60,12 +50,6 @@ class DenseTensor:
     def data(self) -> np.ndarray:
         """Flat view of the buffer in dimensional order."""
         return self.array.reshape(-1, order="F")
-
-    def copy(self) -> "DenseTensor":
-        return DenseTensor(self.array.copy(order="F"))
-
-    def __getitem__(self, idx):
-        return self.array[idx]
 
     def __repr__(self) -> str:
         return f"DenseTensor(dims={self.dims})"

@@ -18,7 +18,8 @@ load would hold at most ``2**25`` entries (``(n/b)**order``, the whole
 m=5, n=32 grid at unit blocks) and keep at most ``2**25`` axes of distinct
 transposes (``min(order!, (n/b)**order) * order``), and that the payload
 is exactly as long as the header says; a file that fails any check raises
-:class:`FormatError`.
+:class:`FormatError`.  ``save_bcss`` raises it too for an order outside
+2 to 64, before it opens the file.
 """
 
 from __future__ import annotations
@@ -77,11 +78,19 @@ def load_tensor(path) -> DenseTensor:
         raise FormatError(f"dense tensor order must be in 1..{_MAX_ORDER}, got {order}")
     dims, off = _unpack(f"<{order}Q", raw, off)
     _check_payload(raw, off, math.prod(dims))
-    flat = np.frombuffer(raw, dtype="<f8", offset=off)
-    return DenseTensor.from_flat(flat.astype(np.float64), dims)
+    flat = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
+    return DenseTensor(flat.reshape(dims, order="F"))
+
+
+def _check_bcss_order(order: int) -> None:
+    if not 2 <= order <= _MAX_ORDER:
+        raise FormatError(f"blocked tensor order must be in 2..{_MAX_ORDER}, got {order}")
 
 
 def save_bcss(a: BcssTensor, path) -> None:
+    """Write ``a``; an order that :func:`load_bcss` rejects raises
+    :class:`FormatError` before the file is opened."""
+    _check_bcss_order(a.order)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sHHQQ", _BCSS_MAGIC, _VERSION, a.order, a.n, a.b))
         fh.write(a.data.astype("<f8", copy=False).reshape(-1, order="F"))
@@ -91,8 +100,7 @@ def load_bcss(path) -> BcssTensor:
     raw = Path(path).read_bytes()
     (magic, version, order, n, b), off = _unpack("<4sHHQQ", raw, 0)
     _check_magic_version(magic, version, _BCSS_MAGIC, "blocked symmetric tensor")
-    if not 2 <= order <= _MAX_ORDER:
-        raise FormatError(f"blocked tensor order must be in 2..{_MAX_ORDER}, got {order}")
+    _check_bcss_order(order)
     if b < 1 or n < 1 or n % b != 0:
         raise FormatError(f"block dimension {b} does not divide tensor dimension {n}")
     grid = n // b

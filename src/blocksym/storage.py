@@ -232,23 +232,18 @@ class PartialSymTensor:
             f"blocks={self.data.shape[-1]})"
         )
 
-    def stored_and_transform(self, sym_idx: MultiIndex) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Stored block for ``sym_idx`` plus the full-order permutation
-        mapping (as transpose axes) that turns it into the logical block."""
-        idx = tuple(sym_idx)
-        # Checked here: NumPy would wrap a negative index round to a real slab.
-        if len(idx) != self.sym_modes or not all(0 <= i < self.grid for i in idx):
-            raise RangeError(f"block index {sym_idx} outside grid {self.grid}^{self.sym_modes}")
-        t = self.tables
-        return self.data[..., t.rank[idx]], t.transposes[t.transpose[idx]]
-
     def block_at(self, sym_idx: MultiIndex) -> DenseTensor:
         """Logical block at ``sym_idx``: its stored slab transposed by the
         recorded permutation of the symmetric modes (tail modes pass
         through).  Stored indices return the slab itself, without a copy.
         """
-        stored, axes = self.stored_and_transform(sym_idx)
-        return DenseTensor(np.transpose(stored, axes))
+        idx = tuple(sym_idx)
+        # Checked here: NumPy would wrap a negative index round to a real slab.
+        if len(idx) != self.sym_modes or not all(0 <= i < self.grid for i in idx):
+            raise RangeError(f"block index {sym_idx} outside grid {self.grid}^{self.sym_modes}")
+        t = self.tables
+        stored = self.data[..., t.rank[idx]]
+        return DenseTensor(np.transpose(stored, t.transposes[t.transpose[idx]]))
 
     def stored_element_count(self, meta_k: float = 0) -> tuple[int, float]:
         """(payload, payload + meta_k * meta records) element counts.
@@ -311,9 +306,10 @@ def decompress(a: PartialSymTensor) -> DenseTensor:
     transposed copy of a stored slab per block."""
     out = np.empty(a.dims, dtype=np.float64, order="F")
     tail = tuple(slice(None) for _ in a.tail_dims)
+    t = a.tables
     for key in itertools.product(range(a.grid), repeat=a.sym_modes):
-        stored, axes = a.stored_and_transform(key)
-        out[_block_slices(key, a.block_dim) + tail] = np.transpose(stored, axes)
+        block = np.transpose(a.data[..., t.rank[key]], t.transposes[t.transpose[key]])
+        out[_block_slices(key, a.block_dim) + tail] = block
     return DenseTensor(out)
 
 

@@ -14,6 +14,7 @@ from blocksym import (
     BlockDivisibilityError,
     OpCounter,
     ParameterError,
+    ShapeError,
     bcss_costs,
     bcss_impl_memops,
     compress,
@@ -490,6 +491,42 @@ def test_order_one_rejected_everywhere():
         sttsm_naive(a, np.eye(3))
     with pytest.raises(ParameterError):
         sttsm_dense_ttm(a, np.eye(3))
+
+
+_ALGORITHMS = {
+    "naive": sttsm_naive,
+    "scalar": sttsm_scalar_temps,
+    "dense": sttsm_dense_ttm,
+    "bcss": lambda a, x: sttsm_bcss(compress(a, 2), x, 2),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_ALGORITHMS))
+def test_matrix_without_rows_rejected_at_entry(algo):
+    # The dense chain used to return an empty tensor, and the others failed
+    # deep inside on parameters the caller never passed.
+    with pytest.raises(ShapeError, match=r"matrix shape \(0, 4\) has no rows"):
+        _ALGORITHMS[algo](random_symmetric(3, 4, 9), np.zeros((0, 4)))
+
+
+def test_unequal_dims_rejected():
+    a = DenseTensor(np.ones((4, 2)))
+    for algo in (sttsm_naive, sttsm_scalar_temps, sttsm_dense_ttm):
+        with pytest.raises(ShapeError, match="not all equal"):
+            algo(a, np.eye(4))
+
+
+def test_bcss_needs_blocked_symmetric_input():
+    with pytest.raises(ShapeError, match="blocked compact symmetric"):
+        sttsm_bcss(random_symmetric(2, 4, 3), np.eye(4), 2)
+
+
+def test_max_relative_error_dims_and_zero_reference():
+    with pytest.raises(ShapeError, match="dims differ"):
+        max_relative_error(DenseTensor(np.ones((2, 2))), DenseTensor(np.ones((2, 3))))
+    # Against an all-zero reference the error is absolute.
+    got = max_relative_error(DenseTensor(np.array([0.5, -2.0])), DenseTensor(np.zeros(2)))
+    assert got == 2.0
 
 
 # ------------------------------------------------------------ cross-algorithm

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -83,6 +84,22 @@ def test_corrupted_block_detected_and_named(monkeypatch):
     assert any("worst block (0, 1)" in r.line() for r in named)
 
 
+def test_verify_failure_exits_one_and_counts_failed_checks(monkeypatch, capsys):
+    real = cli.sttsm_bcss
+
+    def perturbed(*args, **kwargs):
+        c = real(*args, **kwargs)
+        c.blocks[(0, 1)] = c.blocks[(0, 1)] + 1.0
+        return c
+
+    monkeypatch.setattr(cli, "sttsm_bcss", perturbed)
+    status, out, err = run_main(["--cmd", "verify", "--m", "2", "--n", "4", "--ba", "2"], capsys)
+    assert status == 1
+    assert out.count(" FAIL worst block (0, 1)") == 2  # reuse on and off
+    assert "all checks passed" not in out
+    assert err == "2 checks failed\n"
+
+
 def test_compare_bcss_dense_localizes_worst_block():
     from blocksym import compress, random_symmetric, sttsm_bcss, random_matrix, sttsm_naive
 
@@ -116,9 +133,42 @@ def test_bench_csv_shape_and_determinism(capsys):
     assert rows[0] == ["algorithm", "m", "n", "p", "b_A", "b_C", "seed",
                        "wall_seconds", "flops", "memops"]
     algos = {r[0] for r in rows[1:] if r}
-    assert algos == {"naive", "scalar", "dense", "bcss"}
+    assert algos == {"dense", "bcss"}
     assert "# speedup dense/bcss" in out1
     assert "# bcss workers: 1\n" in out1  # blocks of 4 elements stay on one thread
+
+
+@pytest.mark.parametrize(
+    "algo,cap,ran,drawn",
+    [(None, None, ["dense", "bcss"], 1), ("all", None, ["naive", "scalar", "dense", "bcss"], 1),
+     ("bcss", None, ["bcss"], 0), ("naive", None, ["naive"], 1), (None, "10", ["dense", "bcss"], 0)],
+)
+def test_bench_runs_only_what_it_reports(monkeypatch, capsys, algo, cap, ran, drawn):
+    # The default used to time the elementwise oracle too, and the bcss
+    # operand was the compressed dense tensor only when the dense one fit.
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append((name, args))
+            return real(*args)
+        return call
+
+    for name in ("random_symmetric", "random_bcss"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    if cap is None:
+        monkeypatch.delenv("SYMTENSOR_MAX_DENSE_ELEMS", raising=False)
+    else:
+        monkeypatch.setenv("SYMTENSOR_MAX_DENSE_ELEMS", cap)
+    args = ["--cmd", "bench", "--m", "3", "--n", "4", "--ba", "2", "--seed", "5"]
+    status, out, _ = run_main(args + (["--algo", algo] if algo else []), capsys)
+    assert status == 0
+    rows = [r for r in csv.reader(io.StringIO(out.split("#")[0])) if r][1:]
+    assert [r[0] for r in rows] == ran
+    assert [r[7] == "skipped" for r in rows] == [cap is not None and a != "bcss" for a in ran]
+    assert calls.count(("random_symmetric", (3, 4, 5))) == drawn
+    assert calls.count(("random_bcss", (3, 4, 2, 5))) == ("bcss" in ran)
+    assert len(calls) == drawn + ("bcss" in ran)
 
 
 def test_bench_notes_bcss_workers(monkeypatch, capsys):
@@ -214,6 +264,30 @@ def test_model_fixed_block_sweep(capsys):
     for n in ("16", "32", "64"):
         pair = {r[iv]: int(r[ia]) for r in rows[1:] if r[i_n] == n}
         assert pair["BCSS"] < pair["Dense"]
+
+
+def test_model_notes_the_points_it_skips(capsys):
+    # --bc 16 does not divide p = n = 8, the sweep's first point.
+    status, out, _ = run_main(
+        ["--cmd", "model", "--m", "3", "--n", "64", "--ba", "8", "--bc", "16"], capsys
+    )
+    assert status == 0
+    body, note = out.split("#", 1)
+    assert {r[2] for r in csv.reader(io.StringIO(body)) if r} == {"n", "16", "32", "64"}
+    assert note == " skipped n = 8, where b_C does not divide p\n"
+
+
+@pytest.mark.parametrize(
+    "flags,why",
+    [(["--n", "32", "--ba", "8", "--bc", "3"], "skipped n = 8, 16, 32, where b_C does not"),
+     (["--n", "4", "--ba", "8"], "the sweep starts above --n 4")],
+)
+def test_model_without_points_is_parameter_error(capsys, flags, why):
+    # Both used to print the CSV header alone and exit 0.
+    status, out, err = run_main(["--cmd", "model", "--m", "3", *flags], capsys)
+    assert status == 2
+    assert out == ""
+    assert f"parameter error: no model point left: {why}" in err
 
 
 def test_storage_report(capsys):
@@ -391,25 +465,6 @@ def test_time_dense_vs_blocked_returns_both_medians():
     assert dense_t > 0 and bcss_t > 0
 
 
-@pytest.mark.parametrize("times,status", [((2.0, 1.0), 0), ((1.0, 1.0), 0), ((1.0, 2.0), 1)])
-def test_verify_strict_gates_on_shared_timing(capsys, monkeypatch, times, status):
-    # --strict times dense against blocked through the function criterion 7 uses.
-    seen = []
-
-    def fake(m, n, b, seed, reps=3):
-        seen.append((m, n, b, seed, reps))
-        return times
-
-    monkeypatch.setattr(cli, "time_dense_vs_blocked", fake)
-    got, out, err = run_main(
-        ["--cmd", "verify", "--m", "2", "--n", "4", "--ba", "2", "--strict"], capsys
-    )
-    assert got == status
-    assert seen == [(5, 32, 8, 1234, 3)]
-    assert "timing: dense" in out
-    assert ("strict timing check failed" in err) == (status == 1)
-
-
 # ------------------------------------------------------------ malformed input
 
 
@@ -488,6 +543,16 @@ def _readme_commands() -> list[str]:
 def test_readme_lists_every_command():
     cmds = {shlex.split(line)[2] for line in _readme_commands()}
     assert cmds == {"verify", "bench", "model", "storage"}
+
+
+def test_readme_documents_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    options = {opt for action in cli.build_parser()._actions if action.dest != "help"
+               for opt in action.option_strings}
+    # "--m" must not count as found inside "--meta-k".
+    missing = {opt for opt in options if not re.search(rf"{opt}(?![\w-])", section)}
+    assert not missing, f"options missing from README's Command line section: {missing}"
 
 
 @pytest.mark.parametrize("line", _readme_commands())

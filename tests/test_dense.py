@@ -58,13 +58,8 @@ def test_dense_tensor_flat_layout_round_trip():
     flat = t.data
     for k, (i2, i1, i0) in enumerate(itertools.product(range(4), range(3), range(2))):
         assert flat[k] == t.array[i0, i1, i2]
-    again = DenseTensor.from_flat(flat, t.dims)
+    again = DenseTensor(flat.reshape(t.dims, order="F"))
     assert np.array_equal(again.array, t.array)
-
-
-def test_from_flat_length_mismatch():
-    with pytest.raises(ShapeError):
-        DenseTensor.from_flat(np.zeros(5), (2, 3))
 
 
 # ---------------------------------------------------------------- permute
@@ -310,9 +305,21 @@ def test_matmul_against_dot_oracle():
 def test_matmul_shape_error_and_flop_count():
     with pytest.raises(ShapeError):
         matmul_ref(np.zeros((2, 3)), np.zeros((2, 3)))
+    for a, b in [(np.zeros(3), np.zeros((3, 2))), (np.zeros((2, 3)), np.zeros((3, 2, 1)))]:
+        with pytest.raises(ShapeError, match="must be matrices"):
+            matmul_ref(a, b)
     c = OpCounter()
     matmul_ref(np.zeros((3, 4)), np.zeros((4, 2)), c)
     assert c.flops == 2 * 3 * 4 * 2
+
+
+def test_counter_rejects_negative_increments():
+    c = OpCounter()
+    with pytest.raises(ValueError, match="flop increment"):
+        c.count_flops(-1)
+    with pytest.raises(ValueError, match="memop increment"):
+        c.count_memops(-1)
+    assert (c.flops, c.memops) == (0, 0)
 
 
 def test_matmul_backend_is_pluggable():

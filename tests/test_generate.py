@@ -127,6 +127,16 @@ def test_random_bcss_rejects_nondividing_block_dim():
         random_bcss(3, 4, 3, 1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_symmetric(2, 0, 1), lambda: random_symmetric(0, 3, 1),
+     lambda: random_matrix(0, 3, 1), lambda: random_matrix(3, 0, 1)],
+)
+def test_dense_generators_reject_a_dimension_below_one(make):
+    with pytest.raises(ParameterError, match=">= 1"):
+        make()
+
+
 def test_random_bcss_rejects_order_below_two():
     with pytest.raises(ParameterError):
         random_bcss(1, 4, 2, 1)

@@ -193,6 +193,12 @@ def test_symmetry_check_shape_error():
         is_sym_in_modes(t, {0, 1}, 0.0)
 
 
+@pytest.mark.parametrize("modes", [{0, 2}, {-1, 0}])
+def test_symmetry_violation_mode_out_of_range(modes):
+    with pytest.raises(ShapeError, match="out of range for order 2"):
+        symmetry_violation(DenseTensor(np.eye(3)), modes)
+
+
 def _mismatch(x: float, y: float) -> float:
     """Relative mismatch of two entries: equal ones (zeros of either sign,
     equal infinities, NaN facing NaN) match, and a NaN facing a number or an

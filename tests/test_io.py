@@ -76,9 +76,9 @@ def test_bcss_meta_reconstructed(tmp_path):
     save_bcss(packed, path)
     back = load_bcss(path)
     assert back.tables.rank.shape == (2, 2)
-    stored, axes = back.stored_and_transform((1, 0))
-    assert np.array_equal(stored, back.blocks[(0, 1)])
-    assert axes == (1, 0)
+    tables = back.tables
+    assert np.array_equal(back.data[..., tables.rank[1, 0]], back.blocks[(0, 1)])
+    assert tables.transposes[tables.transpose[1, 0]] == (1, 0)
     assert np.array_equal(back.block_at((1, 0)).array, t.array[2:4, 0:2])
 
 
@@ -173,6 +173,15 @@ def test_bcss_order_out_of_range_rejected(tmp_path, order):
     path.write_bytes(_bcss_header(order, 4, 2) + bytes(16))
     with pytest.raises(FormatError, match="order"):
         load_bcss(path)
+
+
+def test_save_bcss_refuses_an_order_the_loader_rejects(tmp_path):
+    # An order-1 tensor used to be written, and then failed to load.
+    packed = compress(DenseTensor(np.arange(4.0)), 2)
+    path = tmp_path / "t.bcss"
+    with pytest.raises(FormatError, match=r"order must be in 2\.\.64, got 1"):
+        save_bcss(packed, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("order", [0, 65, 65535])

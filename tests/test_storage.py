@@ -10,6 +10,7 @@ from blocksym import (
     BcssTensor,
     BlockDivisibilityError,
     ParameterError,
+    PartialSymTensor,
     RangeError,
     ShapeError,
     SymmetryError,
@@ -47,11 +48,10 @@ def test_matrix_compress_hand_enumerated():
     t = random_symmetric(2, 4, 1)
     packed = compress(t, 2)
     assert sorted(packed.blocks) == [(0, 0), (0, 1), (1, 1)]
-    stored, axes = packed.stored_and_transform((1, 0))
-    assert np.shares_memory(stored, packed.blocks[(0, 1)])
-    assert np.array_equal(stored, packed.blocks[(0, 1)])
-    assert axes == (1, 0)
-    assert packed.tables.rank[1, 0] == packed.tables.rank[0, 1] == 1
+    tables = packed.tables
+    assert tables.rank[1, 0] == tables.rank[0, 1] == 1
+    assert tables.transposes[tables.transpose[1, 0]] == (1, 0)
+    assert tables.transposes[tables.transpose[0, 1]] == (0, 1)
     got = packed.block_at((1, 0))
     assert np.array_equal(got.array, packed.blocks[(0, 1)].T)
     assert np.array_equal(got.array, t.array[2:4, 0:2])
@@ -153,12 +153,14 @@ def test_block_at_out_of_grid():
 def test_meta_grid_is_dense_over_block_grid():
     # Every grid index resolves to the slab of its sorted (canonical) index.
     packed = compress(random_symmetric(3, 6, 10), 2)
-    assert packed.tables.rank.shape == packed.tables.transpose.shape == (3, 3, 3)
+    tables = packed.tables
+    assert tables.rank.shape == tables.transpose.shape == (3, 3, 3)
     for idx in itertools.product(range(3), repeat=3):
-        stored, axes = packed.stored_and_transform(idx)
         canonical = tuple(sorted(idx))
         assert canonical in packed.blocks
+        stored = packed.data[..., tables.rank[idx]]
         assert np.shares_memory(stored, packed.blocks[canonical])
+        axes = tables.transposes[tables.transpose[idx]]
         assert tuple(canonical[a] for a in axes) == idx
 
 
@@ -380,3 +382,14 @@ def test_measured_meta_k_is_nine_bytes_per_record():
 def test_packed_shape_mismatch_is_rejected():
     with pytest.raises(ShapeError):
         BcssTensor(2, 4, 2, np.zeros((2, 2, 4), order="F"))
+
+
+def test_partial_sym_tensor_needs_a_symmetric_mode():
+    with pytest.raises(ShapeError, match="at least one symmetric mode"):
+        PartialSymTensor(0, 4, 2, (3,), np.zeros((3, 1)))
+
+
+def test_partial_sym_tensor_rejects_tables_of_another_grid():
+    # Tables of a 3-grid given to a tensor whose grid is 2.
+    with pytest.raises(ShapeError, match=r"tables cover grid \(3, 3\), expected 2\^2"):
+        PartialSymTensor(2, 4, 2, (), np.zeros((2, 2, 3)), symmetric_tables(3, 2, 2))
