@@ -30,7 +30,6 @@ from .costs import (
 from .dense import (
     DenseTensor,
     MultiIndex,
-    group_modes,
     ipermute,
     matmul_ref,
     mode_multiply,

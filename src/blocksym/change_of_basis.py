@@ -48,7 +48,7 @@ from .costs import _levels
 from .counters import OpCounter
 from .dense import DenseTensor, matmul_ref, mode_multiply
 from .errors import ParameterError, ShapeError
-from .indexing import block_grid, hypertriangle_iter, replicate_canonical, simplex_count
+from .indexing import block_grid, hypertriangle_iter, replicate_canonical
 from .storage import (
     BcssTensor,
     BlockTables,
@@ -345,32 +345,28 @@ def sttsm_bcss(
     b_a = a.b
     pbar = block_grid(p, b_c)
     nbar = a.grid
-    out = BcssTensor(
-        m, p, b_c, np.empty((b_c,) * m + (simplex_count(pbar, m),), dtype=np.float64, order="F")
-    )
+    out = BcssTensor(m, p, b_c)
 
-    # Per level k: gather plan over T(k+1), then T(k)'s tables and packed
-    # shape.  T(0) is one output block.
+    # Per level k: gather plan over T(k+1), then T(k)'s tables.  T(0) is
+    # one output block.
     levels = [None] * m
     t_in = a.tables
     for k in range(m - 1, -1, -1):
         t_out = symmetric_tables(nbar, k, m) if reuse and k else identity_tables(nbar, k, m)
         plan = _gather_plan(t_in, t_out, k, m)
-        levels[k] = (plan, t_out, (b_a,) * k + (b_c,) * (m - k) + (len(plan[0]),))
+        levels[k] = (plan, t_out)
         t_in = t_out
     threads = level_threads(m, n, p, b_a, b_c, reuse)
 
     def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
-        plan, tables, shape = levels[k]
+        plan, tables = levels[k]
         for jb in range(j_hi + 1):
             if k == 0:
                 r = out.tables.rank[(jb,) + suffix]
                 dst = out.data[..., r : r + 1]
                 _level_product(src, plan, dst, 0, jb, x, b_a, b_c, m, counter, pool, threads[0])
                 continue
-            temp = PartialSymTensor(
-                k, n, b_a, (b_c,) * (m - k), np.empty(shape, dtype=np.float64, order="F"), tables
-            )
+            temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), tables)
             _level_product(
                 src, plan, temp.data, k, jb, x, b_a, b_c, m, counter, pool, threads[k]
             )

@@ -39,6 +39,7 @@ from .counters import OpCounter
 from .dense import DenseTensor, ipermute, permute
 from .errors import BlockDivisibilityError, ParameterError
 from .generate import random_bcss, random_matrix, random_symmetric
+from .indexing import block_grid
 from .storage import BcssTensor, compress, decompress, measured_meta_k, meta_bytes
 
 DEFAULT_MAX_DENSE = 10**7
@@ -207,6 +208,9 @@ def cmd_bench(args) -> int:
     p = _given(args.p, n)
     b_a = _given(args.ba, max(1, n // 2))
     b_c = _given(args.bc, b_a)
+    # Every row reports both block dimensions, so both divide whatever runs.
+    block_grid(n, b_a)
+    block_grid(p, b_c)
     run = {
         "naive": lambda c=None: sttsm_naive(a, x, c),
         "scalar": lambda c=None: sttsm_scalar_temps(a, x, c),
@@ -311,7 +315,7 @@ def cmd_storage(args) -> int:
         dense = random_symmetric(m, n, args.seed)
         for b, _, _ in sweep:
             if (n // b) ** m <= 10**5:
-                measured[b] = compress(dense, b).stored_element_count()[0]
+                measured[b] = compress(dense, b).data.size
     _write_csv(
         args.out,
         ["b", "payload", "measured_payload", "total_with_meta"],

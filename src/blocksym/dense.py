@@ -3,17 +3,16 @@
 A tensor is linearized in *dimensional order*: the generalization of
 column-major layout where mode 0 varies fastest.  Element ``(i_0, ..,
 i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.  All kernels
-here are built from three primitives:
+here are built from two primitives:
 
 * ``permute`` / ``ipermute`` -- materialized data rearrangement,
-* ``group_modes`` -- zero-copy matrix view of grouped leading/trailing modes,
 * ``matmul_ref`` -- the single matrix-multiply seam.
 
 ``mode_multiply`` casts the mode-k tensor-times-matrix product onto these:
-permute mode k to the front, view as a matrix, multiply, view back, inverse
-permute.  When a :class:`~blocksym.counters.OpCounter` is supplied, the two
-permutations report 2 memops per moved element and the matrix product
-reports 2 flops per multiply-add.
+permute mode k to the front, reshape to a matrix without a copy, multiply,
+reshape back, inverse permute.  When a :class:`~blocksym.counters.OpCounter`
+is supplied, the two permutations report 2 memops per moved element and the
+matrix product reports 2 flops per multiply-add.
 """
 
 from __future__ import annotations
@@ -148,19 +147,6 @@ def ipermute(t: DenseTensor, axes: tuple[int, ...], counter: OpCounter | None = 
     return permute(t, tuple(sorted(range(t.order), key=axes.__getitem__)), counter)
 
 
-def group_modes(t: DenseTensor, split: int) -> np.ndarray:
-    """Matrix view with rows = modes ``< split`` grouped, cols = the rest.
-
-    Pure relabeling: the returned matrix shares ``t``'s buffer.
-    """
-    if not 0 < split < t.order:
-        raise ShapeError(f"split {split} not in (0, {t.order})")
-    dims = t.dims
-    rows = math.prod(dims[:split])
-    cols = math.prod(dims[split:])
-    return t.array.reshape((rows, cols), order="F")
-
-
 def _default_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
@@ -200,10 +186,11 @@ def mode_multiply(
 
     Result dims replace ``I_k`` by ``J``; element ``(.., j, ..)`` equals
     ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``.  Implemented exactly as
-    permute -> group_modes -> matmul_ref -> ungroup -> ipermute.  The GEMM
-    is ``(N' x I_k) @ (I_k x J)`` on the transposed views, ``N'`` the
-    product of the other dims, so it writes the F-ordered ``(J x N')``
-    matrix that the inverse permute reads, with no copy in between.
+    permute -> reshape -> matmul_ref -> reshape -> ipermute.  The permuted
+    tensor is viewed as the F-ordered ``(I_k x N')`` matrix, ``N'`` the
+    product of the other dims.  The GEMM is ``(N' x I_k) @ (I_k x J)`` on
+    the transposed views, so it writes the F-ordered ``(J x N')`` matrix
+    that the inverse permute reads, with no copy in between.
     """
     if not 0 <= k < t.order:
         raise ModeError(f"mode {k} out of range for order {t.order}")
@@ -214,7 +201,8 @@ def mode_multiply(
         )
     front = (k, *range(k), *range(k + 1, t.order))
     pa = permute(t, front, counter)
-    a_mat = group_modes(pa, 1) if t.order > 1 else pa.array.reshape((t.dims[k], 1), order="F")
+    n_prime = math.prod(pa.dims[1:])
+    a_mat = pa.array.reshape((t.dims[k], n_prime), order="F")
     # Transposed back, the C-ordered (N' x J) product is F-ordered (J x N'),
     # so the reshape below is a view; b @ a_mat would need a copy here.
     c_mat = matmul_ref(a_mat.T, b.T, counter).T

@@ -18,13 +18,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .errors import ParameterError
-from .indexing import (
-    block_grid,
-    hypertriangle_iter,
-    replicate_canonical,
-    simplex_count,
-    sort_within,
-)
+from .indexing import replicate_canonical, simplex_count, sort_within
 from .storage import BcssTensor
 
 
@@ -65,11 +59,10 @@ def random_bcss(m: int, n: int, b: int, seed: int) -> BcssTensor:
     """
     if m < 2 or n < 1:
         raise ParameterError("random_bcss requires m >= 2 and n >= 1")
-    grid = block_grid(n, b)
     rng = _rng(seed)
     # Built first, so a grid too large for its tables fails before any draw.
-    out = BcssTensor(m, n, b, np.empty((b,) * m + (simplex_count(grid, m),), order="F"))
-    for r, key in enumerate(hypertriangle_iter(grid, m)):
+    out = BcssTensor(m, n, b)
+    for r, key in enumerate(out.tables.stored_keys()):
         arr = rng.uniform(-1.0, 1.0, size=(b,) * m)
         start = 0
         for _, run in itertools.groupby(key):

@@ -8,8 +8,8 @@ Blocked compact symmetric tensor (``.bcss``): magic ``BCSS``, version u16,
 order u16, tensor dimension u64, block dimension u64, then the canonical
 blocks in hypertriangle order, each as raw doubles in dimensional order:
 exactly the bytes of the packed block array, so a save is one buffer write
-and a load one copy out of the file's bytes.  The redirection tables are
-not serialized; they are rebuilt on load.
+and a load one copy out of the file's bytes into the array the tensor
+allocates.  The redirection tables are not serialized; they are rebuilt on load.
 
 Both loaders check the header length, the order (1 to 64 for ``.stns``,
 2 to 64 for ``.bcss``), that the block dimension is at least 1 and
@@ -108,7 +108,8 @@ def load_bcss(path) -> BcssTensor:
     excess = table_excess(grid, order)
     if excess:
         raise FormatError(excess)
-    slabs = simplex_count(grid, order)
-    _check_payload(raw, off, b**order * slabs)
-    data = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
-    return BcssTensor(order, n, b, data.reshape((b,) * order + (slabs,), order="F"))
+    _check_payload(raw, off, b**order * simplex_count(grid, order))
+    out = BcssTensor(order, n, b)
+    payload = np.frombuffer(raw, dtype="<f8", offset=off)
+    out.data[...] = payload.reshape(out.data.shape, order="F")
+    return out

@@ -5,12 +5,13 @@ A symmetric order-m tensor with every mode of dimension ``n`` is cut into
 block index is nondecreasing (the upper hypertriangle of the block grid)
 are stored.  They are packed into one F-ordered array whose last axis runs
 over the stored blocks in hypertriangle order, so each block is one
-contiguous slab.  Two integer tables over the block grid redirect every
-block index, canonical or not: the rank of the slab holding its canonical
-block, and the id of the transpose that turns that slab into the requested
-block (:class:`BlockTables`).  Diagonal-ish blocks are stored fully dense
-even though they carry internal symmetry; this keeps the access pattern of
-block-level kernels uniform.
+contiguous slab.  The constructor is the one place that works out this
+layout: it allocates the array uninitialized, and its callers fill it.  Two
+integer tables over the block grid redirect every block index, canonical or
+not: the rank of the slab holding its canonical block, and the id of the
+transpose that turns that slab into the requested block (:class:`BlockTables`).
+Diagonal-ish blocks are stored fully dense even though they carry internal
+symmetry; this keeps the access pattern of block-level kernels uniform.
 
 :class:`PartialSymTensor` generalizes the scheme to tensors whose leading
 ``s`` modes form one symmetric group (blocked at ``b``) while the trailing
@@ -40,7 +41,6 @@ from .indexing import (
     block_grid,
     canonicalize,
     hypertriangle_iter,
-    simplex_count,
     symmetry_violation,
 )
 
@@ -174,13 +174,12 @@ class PartialSymTensor:
         ``n/b``.
     tail_dims:
         Dimensions of the trailing non-symmetric modes, one block each.
-    data:
-        The stored blocks packed along a last axis, shape
-        ``(b,)*s + tail_dims + (slabs,)``; kept without a copy when it is
-        already F-ordered float64.
     tables:
         Redirection tables over the block grid; by default those of the
         symmetric group (:func:`symmetric_tables`).
+
+    ``data`` is allocated here, uninitialized, with shape ``(b,)*s +
+    tail_dims + (slabs,)``; slab ``r`` holds block ``tables.stored_keys()[r]``.
     """
 
     def __init__(
@@ -189,7 +188,6 @@ class PartialSymTensor:
         sym_dim: int,
         block_dim: int,
         tail_dims: tuple[int, ...],
-        data: np.ndarray,
         tables: BlockTables | None = None,
     ):
         if sym_modes < 1:
@@ -206,9 +204,7 @@ class PartialSymTensor:
                 f"tables cover grid {tables.rank.shape}, expected {self.grid}^{sym_modes}"
             )
         shape = (block_dim,) * sym_modes + self.tail_dims + (int(tables.rank.max()) + 1,)
-        if data.shape != shape:
-            raise ShapeError(f"packed blocks have shape {data.shape}, expected {shape}")
-        self.data = np.asfortranarray(data, dtype=np.float64)
+        self.data = np.empty(shape, dtype=np.float64, order="F")
         self.tables = tables
 
     @property
@@ -245,22 +241,12 @@ class PartialSymTensor:
         stored = self.data[..., t.rank[idx]]
         return DenseTensor(np.transpose(stored, t.transposes[t.transpose[idx]]))
 
-    def stored_element_count(self, meta_k: float = 0) -> tuple[int, float]:
-        """(payload, payload + meta_k * meta records) element counts.
-
-        ``payload`` is the size of the packed blocks; ``meta_k`` prices one
-        redirection record (one per block index) in double-precision-float
-        equivalents.
-        """
-        payload = self.data.size
-        return payload, payload + meta_k * self.tables.rank.size
-
 
 class BcssTensor(PartialSymTensor):
     """Fully symmetric tensor stored by canonical blocks (all modes grouped)."""
 
-    def __init__(self, order: int, dim: int, block_dim: int, data: np.ndarray):
-        super().__init__(order, dim, block_dim, (), data)
+    def __init__(self, order: int, dim: int, block_dim: int):
+        super().__init__(order, dim, block_dim, ())
 
     @property
     def n(self) -> int:
@@ -289,16 +275,16 @@ def compress(t: DenseTensor, block_dim: int, tol: float = 0.0) -> BcssTensor:
         raise ParameterError(f"tol must be at least 0, got {tol}")
     m = t.order
     n = t.dims[0]
-    grid = block_grid(n, block_dim)
+    block_grid(n, block_dim)  # before the scan of every entry
     rel, idx, jdx = symmetry_violation(t, range(m))
     if rel > tol:
         raise SymmetryError(
             f"asymmetry {rel:.3e} > tol {tol:.3e} between indices {idx} and {jdx}"
         )
-    data = np.empty((block_dim,) * m + (simplex_count(grid, m),), dtype=np.float64, order="F")
-    for r, key in enumerate(hypertriangle_iter(grid, m)):
-        data[..., r] = t.array[_block_slices(key, block_dim)]
-    return BcssTensor(m, n, block_dim, data)
+    out = BcssTensor(m, n, block_dim)
+    for r, key in enumerate(out.tables.stored_keys()):
+        out.data[..., r] = t.array[_block_slices(key, block_dim)]
+    return out
 
 
 def decompress(a: PartialSymTensor) -> DenseTensor:

@@ -60,7 +60,7 @@ def sweep():
                 packed = compress(a, b)
                 out = sttsm_bcss(packed, x, b)
                 err = max_relative_error(decompress(out), oracle)
-                payload = packed.stored_element_count()[0]
+                payload = packed.data.size
                 payload_ok = payload == b**m * simplex_count(n // b, m)
                 round_ok = bool(np.array_equal(decompress(packed).array, a.array))
                 perm = tuple(rng.permutation(m).tolist())
@@ -97,7 +97,7 @@ def test_criterion_2_storage_exactness(sweep):
     ratio_fail = []
     minimal = simplex_count(512, 2)
     for nbar, (want_min, want_dense) in published.items():
-        payload = compress(big, 512 // nbar).stored_element_count()[0]
+        payload = compress(big, 512 // nbar).data.size
         got_min = minimal / payload
         got_dense = 512**2 / payload
         if abs(got_min - want_min) > 0.005 or abs(got_dense - want_dense) > 0.005:

@@ -392,6 +392,18 @@ def test_bench_nondividing_block_is_parameter_error(monkeypatch, capsys, cap, bl
     assert "parameter error:" in err
 
 
+@pytest.mark.parametrize("algo", ["dense", "scalar", "naive"])
+@pytest.mark.parametrize("blocks", [["--ba", "3"], ["--ba", "2", "--bc", "3"]])
+def test_bench_nondividing_block_fails_before_any_algorithm(capsys, algo, blocks):
+    # The dense algorithms take no block dimension, but their rows report both.
+    status, out, err = run_main(
+        ["--cmd", "bench", "--m", "3", "--n", "4", "--algo", algo, *blocks], capsys
+    )
+    assert status == 2
+    assert out == ""
+    assert "parameter error: block dimension 3 does not divide 4" in err
+
+
 def test_verify_nondividing_block_is_parameter_error(capsys):
     status, _, err = run_main(["--cmd", "verify", "--m", "3", "--n", "4", "--ba", "3"], capsys)
     assert status == 2

@@ -11,7 +11,6 @@ from blocksym import (
     DenseTensor,
     ModeError,
     ShapeError,
-    group_modes,
     ipermute,
     matmul_ref,
     mode_multiply,
@@ -243,33 +242,6 @@ def test_permute_of_composition_and_ipermute_property(perms, seed):
     assert np.array_equal(permute(t, a_then_b).array, permute(permute(t, a), b).array)
     assert np.array_equal(ipermute(permute(t, a), a).array, t.array)
     assert np.array_equal(permute(ipermute(t, a), a).array, t.array)
-
-
-# ---------------------------------------------------------------- grouping
-
-
-def test_group_modes_shapes():
-    t = rand_tensor((2, 3, 4), 8)
-    assert group_modes(t, 1).shape == (2, 12)
-    assert group_modes(t, 2).shape == (6, 4)
-    m = rand_tensor((5, 7), 9)
-    assert group_modes(m, 1).shape == (5, 7)
-    assert np.array_equal(group_modes(m, 1), m.array)
-
-
-def test_group_modes_is_zero_copy_offset_identity():
-    t = rand_tensor((2, 3, 4), 10)
-    view = group_modes(t, 2)
-    assert np.shares_memory(view, t.array)
-    for i0, i1, i2 in itertools.product(range(2), range(3), range(4)):
-        assert view[i0 + 2 * i1, i2] == t.array[i0, i1, i2]
-
-
-def test_group_modes_split_out_of_range():
-    t = rand_tensor((2, 3), 11)
-    for bad in (0, 2, 5):
-        with pytest.raises(ShapeError):
-            group_modes(t, bad)
 
 
 # ---------------------------------------------------------------- matmul

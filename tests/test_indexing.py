@@ -340,8 +340,8 @@ def _sym(m, n):
 # Every public entry point that takes a block dimension, given one for n = 4.
 BLOCK_DIM_CALLS = {
     "compress": lambda b: compress(_sym(2, 4), b),
-    "BcssTensor": lambda b: BcssTensor(2, 4, b, np.zeros((1, 1, 1))),
-    "PartialSymTensor": lambda b: PartialSymTensor(2, 4, b, (3,), np.zeros((1, 1, 3, 1))),
+    "BcssTensor": lambda b: BcssTensor(2, 4, b),
+    "PartialSymTensor": lambda b: PartialSymTensor(2, 4, b, (3,)),
     "random_bcss": lambda b: random_bcss(2, 4, b, 0),
     "sttsm_bcss(b_c)": lambda b: sttsm_bcss(compress(_sym(2, 4), 2), random_matrix(4, 4, 1), b),
     "bcss_costs(b_a)": lambda b: bcss_costs(2, 4, 4, b, 2),

@@ -111,8 +111,7 @@ def test_bcss_file_size_is_header_plus_payload(tmp_path):
     packed = compress(t, 3)
     path = tmp_path / "t.bcss"
     save_bcss(packed, path)
-    payload, _ = packed.stored_element_count()
-    assert path.stat().st_size == struct.calcsize("<4sHHQQ") + payload * 8
+    assert path.stat().st_size == struct.calcsize("<4sHHQQ") + packed.data.size * 8
 
 
 # ------------------------------------------------------------ malformed files

@@ -19,6 +19,7 @@ from blocksym import (
     hypertriangle_iter,
     measured_meta_k,
     meta_bytes,
+    metadata_sweep,
     mode_multiply,
     random_matrix,
     random_symmetric,
@@ -166,17 +167,19 @@ def test_meta_grid_is_dense_over_block_grid():
 
 def test_stored_element_count_formula():
     # payload = b^m * C(nbar + m - 1, m); meta adds k per grid cell.
-    packed = compress(random_symmetric(2, 16, 11), 4)
-    payload, total = packed.stored_element_count(meta_k=4)
-    assert payload == 160
-    assert total == 224
+    dense = random_symmetric(2, 16, 11)
+    rows, _ = metadata_sweep(2, 16, 4)
+    for b, payload, total in rows:
+        packed = compress(dense, b)
+        assert packed.data.size == payload
+        assert packed.data.size + 4 * packed.tables.rank.size == total
+    assert rows[2] == (4, 160, 224)
 
 
 def test_stored_element_count_matches_simplex_formula():
     for m, n, b in [(2, 8, 2), (3, 6, 3), (4, 4, 2)]:
         packed = compress(random_symmetric(m, n, m + n + b), b)
-        payload, _ = packed.stored_element_count()
-        assert payload == b**m * simplex_count(n // b, m)
+        assert packed.data.size == b**m * simplex_count(n // b, m)
 
 
 def test_savings_ratio_approaches_factorial():
@@ -379,17 +382,25 @@ def test_measured_meta_k_is_nine_bytes_per_record():
     assert measured_meta_k(packed) == 1.125
 
 
-def test_packed_shape_mismatch_is_rejected():
-    with pytest.raises(ShapeError):
-        BcssTensor(2, 4, 2, np.zeros((2, 2, 4), order="F"))
+@pytest.mark.parametrize("m,n,b", [(2, 4, 2), (3, 6, 2), (4, 4, 4), (3, 5, 1), (5, 4, 1)])
+def test_constructor_allocates_the_packed_array(m, n, b):
+    # One F-ordered float64 slab per canonical block, b = n and b = 1 included.
+    data = BcssTensor(m, n, b).data
+    assert data.dtype == np.float64
+    assert data.flags.f_contiguous and data.flags.writeable
+    assert data.shape == (b,) * m + (math.comb(n // b + m - 1, m),)
+    grid, tail = n // b, (3, 2)
+    temp = PartialSymTensor(m, n, b, tail, identity_tables(grid, m, m + len(tail)))
+    assert temp.data.flags.f_contiguous
+    assert temp.data.shape == (b,) * m + tail + (grid**m,)
 
 
 def test_partial_sym_tensor_needs_a_symmetric_mode():
     with pytest.raises(ShapeError, match="at least one symmetric mode"):
-        PartialSymTensor(0, 4, 2, (3,), np.zeros((3, 1)))
+        PartialSymTensor(0, 4, 2, (3,))
 
 
 def test_partial_sym_tensor_rejects_tables_of_another_grid():
     # Tables of a 3-grid given to a tensor whose grid is 2.
     with pytest.raises(ShapeError, match=r"tables cover grid \(3, 3\), expected 2\^2"):
-        PartialSymTensor(2, 4, 2, (), np.zeros((2, 2, 3)), symmetric_tables(3, 2, 2))
+        PartialSymTensor(2, 4, 2, (), symmetric_tables(3, 2, 2))
