@@ -14,7 +14,8 @@ Four routes to the same result, ordered by how much structure they exploit:
 
 ``sttsm_dense_ttm``
     The dense baseline: m successive mode products against the full matrix,
-    ignoring symmetry and blocking.
+    ignoring symmetry and blocking.  Large mode products share their
+    cache-sized chunks across the process's CPUs.
 
 ``sttsm_bcss``
     Algorithm-by-blocks over blocked compact symmetric storage.  Output
@@ -35,8 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from functools import reduce
@@ -46,9 +45,10 @@ import numpy as np
 
 from .costs import _levels
 from .counters import OpCounter
-from .dense import DenseTensor, matmul_ref, mode_multiply
+from .dense import DenseTensor, matmul_ref, mode_multiply, mode_threads
 from .errors import ParameterError, ShapeError
 from .indexing import block_grid, hypertriangle_iter, replicate_canonical
+from .split import cpus, share
 from .storage import (
     BcssTensor,
     BlockTables,
@@ -64,10 +64,6 @@ TempHook = Callable[[int, object], None]
 # gets at least _SPLIT_BLOCKS blocks (see level_threads).
 _SPLIT_SLAB = 1 << 15
 _SPLIT_BLOCKS = 4
-# The variables that set BLAS's own thread count, the first one set
-# winning.  A threaded BLAS runs GEMMs that arrive from several threads at
-# once one after another, so levels split only when it is set to 1.
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _check_sttsm_args(a_dims: tuple[int, ...], x: np.ndarray) -> tuple[int, int, int]:
@@ -164,6 +160,9 @@ def sttsm_dense_ttm(
     Exploits neither symmetry nor blocking: it is the blocked algorithm at
     ``b_A = n, b_C = p`` and counts ``dense_costs`` flops and
     ``bcss_impl_memops(m, n, p, n, p)`` memops (:mod:`~blocksym.costs`).
+    Each mode product splits as :func:`chain_threads` says, under the CPU
+    rule :func:`sttsm_bcss` follows; the result and the counts do not
+    depend on the split.
     """
     x = np.asarray(x, dtype=np.float64)
     m, _, _ = _check_sttsm_args(a.dims, x)
@@ -188,18 +187,6 @@ def _gather_plan(t_in: BlockTables, t_out: BlockTables, k: int, m: int):
     return t_in.rank.reshape(-1, nbar)[rows], t_in.transpose.reshape(-1, nbar)[rows], axes
 
 
-def _cpus() -> int:
-    """Threads a split level may use: the CPUs this process may run on
-    (``taskset -c 0`` makes it 1), or 1 unless BLAS is set to one thread."""
-    pinned = next((os.environ[v] for v in _BLAS_THREADS if v in os.environ), "")
-    if pinned.strip() != "1":
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def level_threads(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = True) -> list[int]:
     """Threads :func:`sttsm_bcss` splits each level's produced blocks over,
     indexed by level ``k``; 1 is the serial path.
@@ -207,17 +194,22 @@ def level_threads(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = True
     A level is split only when each of its summand slabs holds at least
     ``_SPLIT_SLAB`` elements and it has at least ``_SPLIT_BLOCKS`` blocks
     per thread: below that the handoffs between threads cost more than the
-    work they share.  At most one thread per CPU in the
-    process's affinity set, and one in all unless BLAS runs one thread
-    (``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS``,
-    the first that is set, reads 1).
+    work they share.  At most one thread per CPU in the process's affinity
+    set, and one in all unless BLAS runs one thread
+    (:func:`~blocksym.split.cpus`).
     """
-    cpus = _cpus()
+    most = cpus()
     threads = [1] * m
     for k, _, blocks, gather, _ in _levels(m, n, p, b_a, b_c, reuse):
         if gather * b_a // n >= _SPLIT_SLAB:  # one summand: an nbar-th of the operand
-            threads[k] = max(1, min(cpus, blocks // _SPLIT_BLOCKS))
+            threads[k] = max(1, min(most, blocks // _SPLIT_BLOCKS))
     return threads
+
+
+def chain_threads(m: int, n: int, p: int) -> list[int]:
+    """Threads each mode product of :func:`sttsm_dense_ttm` shares its
+    chunks among (:func:`~blocksym.dense.mode_threads`), indexed by mode."""
+    return [mode_threads((p,) * k + (n,) * (m - k), k, p) for k in range(m)]
 
 
 def _level_product(
@@ -246,11 +238,10 @@ def _level_product(
     F-ordered ``(rest x b_C)`` matrix with its new mode last, and one copy
     writes it in logical mode order into its slab of ``out``.
 
-    With ``threads > 1`` the calling thread and ``threads - 1`` tasks on
-    ``pool`` take the produced blocks one at a time from a shared iterator,
-    each with its own buffer and counter, so a thread that the host slows
-    down takes fewer blocks.  Every block writes only its own slab of
-    ``out``.  The tasks' counts are added to ``counter`` after the join.
+    With ``threads > 1`` the produced blocks are shared among ``threads``
+    threads, the caller and tasks on ``pool``, by
+    :func:`~blocksym.split.share`, each thread with its own buffer and
+    counter.  Every block writes only its own slab of ``out``.
     """
     slabs, ids, axes = plan
     nbar = slabs.shape[1]
@@ -258,9 +249,8 @@ def _level_product(
     rest = math.prod(rest_dims)
     to_logical = (*range(k), m - 1, *range(k, m - 1))
     x_blk = x[jb * b_c : (jb + 1) * b_c, :]
-    rows = enumerate(zip(slabs.tolist(), ids.tolist()))
 
-    def produce(take, count: OpCounter | None) -> OpCounter | None:
+    def produce(take, count: OpCounter | None) -> None:
         # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
         # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
         buf = np.empty(rest_dims + (b_a, nbar), dtype=np.float64, order="F")
@@ -274,32 +264,8 @@ def _level_product(
             out[..., r] = np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical)
             if count is not None:
                 count.count_memops(2 * c_mat.size)
-        return count
 
-    if threads == 1:
-        produce(rows, counter)
-        return
-    taking = threading.Lock()
-
-    def take():
-        # Each thread's own generator; only one at a time advances ``rows``.
-        while True:
-            with taking:
-                row = next(rows, None)
-            if row is None:
-                return
-            yield row
-
-    tasks = [
-        pool.submit(produce, take(), None if counter is None else OpCounter())
-        for _ in range(threads - 1)
-    ]
-    produce(take(), counter)
-    for task in tasks:
-        count = task.result()
-        if counter is not None:
-            counter.count_flops(count.flops)
-            counter.count_memops(count.memops)
+    share(produce, enumerate(zip(slabs.tolist(), ids.tolist())), threads, counter, pool)
 
 
 def sttsm_bcss(

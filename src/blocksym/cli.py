@@ -28,6 +28,7 @@ import numpy as np
 
 from . import costs as cost_model
 from .change_of_basis import (
+    chain_threads,
     level_threads,
     max_relative_error,
     sttsm_bcss,
@@ -241,6 +242,8 @@ def cmd_bench(args) -> int:
     notes = []
     if "dense" in wall and "bcss" in wall and wall["bcss"] > 0:
         notes.append(f"speedup dense/bcss: {wall['dense'] / wall['bcss']:.3f}")
+    if "dense" in wall:
+        notes.append(f"dense workers: {max(chain_threads(m, n, p))}")
     if "bcss" in wall:
         notes.append(f"bcss workers: {max(level_threads(m, n, p, b_a, b_c))}")
     _write_csv(

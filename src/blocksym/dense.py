@@ -2,17 +2,17 @@
 
 A tensor is linearized in *dimensional order*: the generalization of
 column-major layout where mode 0 varies fastest.  Element ``(i_0, ..,
-i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.  All kernels
-here are built from two primitives:
+i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.
 
 * ``permute`` / ``ipermute`` -- materialized data rearrangement,
-* ``matmul_ref`` -- the single matrix-multiply seam.
+* ``matmul_ref`` -- the single matrix-multiply seam,
+* ``mode_multiply`` -- the mode-k tensor-times-matrix product, one fused
+  kernel that walks cache-sized chunks: transpose a chunk in, one
+  ``matmul_ref`` GEMM, transpose the result out.
 
-``mode_multiply`` casts the mode-k tensor-times-matrix product onto these:
-permute mode k to the front, reshape to a matrix without a copy, multiply,
-reshape back, inverse permute.  When a :class:`~blocksym.counters.OpCounter`
-is supplied, the two permutations report 2 memops per moved element and the
-matrix product reports 2 flops per multiply-add.
+When a :class:`~blocksym.counters.OpCounter` is supplied, every element a
+permutation or a mode product moves in or out reports 2 memops and every
+matrix product 2 flops per multiply-add.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .counters import OpCounter
 from .errors import ModeError, ShapeError
+from .split import cpus, share
 
 # A multi-index is a plain tuple of non-negative ints, one per mode.
 MultiIndex = tuple[int, ...]
@@ -54,37 +55,6 @@ class DenseTensor:
         return f"DenseTensor(dims={self.dims})"
 
 
-# Doubles per slab of a tiled permute, per index of the merged axes other
-# than the two swapped ones: small enough that a slab's source lines stay
-# in cache while the output's fastest axis runs over the slab.
-_SLAB = 1 << 15
-
-
-def _merged_axes(
-    shape: tuple[int, ...], axes: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduce ``np.transpose(a, axes)`` of an F-ordered ``a`` of ``shape``.
-
-    Size-1 axes are dropped, and each run of input axes that stays adjacent
-    and in order in the output becomes one axis.  Returns the merged input
-    shape (still mode 0 fastest) and the merged axis order, so ``(lead, n,
-    rest) -> (n, lead, rest)`` comes back as ``(1, 0, 2)`` whatever the
-    number of modes in ``lead`` and ``rest``.
-    """
-    kept = [j for j in axes if shape[j] != 1]
-    rank = {j: r for r, j in enumerate(sorted(kept))}
-    runs: list[list[int]] = []
-    for j in kept:
-        if runs and rank[runs[-1][-1]] + 1 == rank[j]:
-            runs[-1].append(j)
-        else:
-            runs.append([j])
-    by_input = sorted(range(len(runs)), key=lambda r: runs[r][0])
-    merged_shape = tuple(math.prod(shape[j] for j in runs[r]) for r in by_input)
-    position = {r: i for i, r in enumerate(by_input)}
-    return merged_shape, tuple(position[r] for r in range(len(runs)))
-
-
 def _check_axes(axes: tuple[int, ...], order: int) -> None:
     """Raise :class:`ShapeError` unless ``axes`` holds each of ``0..order-1`` once."""
     if sorted(axes) != list(range(order)):
@@ -99,46 +69,12 @@ def permute(t: DenseTensor, axes: tuple[int, ...], counter: OpCounter | None = N
     unless ``axes`` holds each mode of ``t`` once.  Always copies (2 memops
     per element), even for the identity, so that instrumented counts reflect
     the explicit data movement this layout strategy pays for.
-
-    The copy is cache-tiled where that helps (see :func:`_tiled_transpose`);
-    the values and layout of the result do not depend on the tiling.
     """
     _check_axes(axes, t.order)
-    out = _tiled_transpose(t.array, axes)
+    out = np.array(np.transpose(t.array, axes), order="F", copy=True)
     if counter is not None:
         counter.count_memops(2 * out.size)
     return DenseTensor(out)
-
-
-def _tiled_transpose(src: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """F-ordered copy of ``np.transpose(src, axes)`` for F-contiguous ``src``.
-
-    NumPy copies in output order, so when the output's fastest axis is the
-    longer of the two swapped axes (the source's fastest and the output's
-    fastest), each source cache line would be evicted before its next
-    element is read.  A source of more than ``_SLAB`` elements is then
-    copied in slabs cut along the output's fastest axis, each about
-    ``_SLAB`` elements per index of the other merged axes (``rest`` in
-    ``(lead, n, rest)``).  :func:`_merged_axes` first reduces the
-    transpose, so the front permutation of :func:`mode_multiply` and its
-    inverse become a batched 2-D transpose.  Every other case, including
-    mode 0 staying fastest, takes one transposed copy: slabs would leave
-    NumPy's inner loop as it is, and a source of at most one slab skips the
-    cost of merging axes, which would dominate small permutes.
-    """
-    if src.size > _SLAB:
-        shape, merged = _merged_axes(src.shape, axes)
-        fast = merged[0]
-        if fast != 0 and shape[fast] >= shape[0]:
-            out = np.empty(tuple(src.shape[j] for j in axes), dtype=np.float64, order="F")
-            s = src.reshape(shape, order="F")
-            o = out.reshape(tuple(shape[j] for j in merged), order="F")
-            step = max(1, _SLAB // shape[0])
-            lead = (slice(None),) * fast
-            for lo in range(0, shape[fast], step):
-                o[lo : lo + step] = np.transpose(s[lead + (slice(lo, lo + step),)], merged)
-            return out
-    return np.array(np.transpose(src, axes), order="F", copy=True)
 
 
 def ipermute(t: DenseTensor, axes: tuple[int, ...], counter: OpCounter | None = None) -> DenseTensor:
@@ -176,6 +112,54 @@ def matmul_ref(a: np.ndarray, b: np.ndarray, counter: OpCounter | None = None) -
     return _gemm_backend(a, b)
 
 
+# Elements of one chunk of a mode product (its operand or its result,
+# whichever is larger): small enough that both stay in a core's L2 cache
+# between the transposes and the GEMM.  Chosen from a sweep, recorded in
+# BENCH_dense_chunks.json.
+_CHUNK = 1 << 16
+# A mode product is split across threads only when each thread gets at
+# least this many chunks: below that the pool costs more than it saves.
+_SPLIT_CHUNKS = 4
+
+
+def _chunk_grid(lead: int, n: int, trail: int, rows: int) -> tuple[int, int, int]:
+    """Chunk widths ``(w_lead, w_trail)`` over ``lead x trail``, and the
+    number of chunks.
+
+    ``lead`` is cut first, so a chunk's operand stays about ``_CHUNK``
+    elements however the modes are split around the contracted one; a
+    chunk spans several ``trail`` indices only when it holds all of
+    ``lead``.  Each axis is cut into near-equal widths, so no chunk is a
+    sliver left over at the end.
+    """
+    per = max(n, rows, 1)
+    cuts_lead = -(-lead // max(1, _CHUNK // per))
+    w_lead = -(-lead // cuts_lead) if cuts_lead else 1
+    cuts_trail = -(-trail // max(1, _CHUNK // (per * w_lead)))
+    w_trail = -(-trail // cuts_trail) if cuts_trail else 1
+    return w_lead, w_trail, cuts_lead * cuts_trail
+
+
+def _threads(chunks: int) -> int:
+    # Below two threads' worth of chunks, skip asking for the CPU count.
+    if chunks < 2 * _SPLIT_CHUNKS:
+        return 1
+    return min(cpus(), chunks // _SPLIT_CHUNKS)
+
+
+def mode_threads(dims: tuple[int, ...], k: int, rows: int) -> int:
+    """Threads :func:`mode_multiply` shares the mode-``k`` product of a
+    ``dims`` tensor with a ``rows``-row matrix among; 1 is the serial path.
+
+    At most one per CPU in the process's affinity set, one in all unless
+    BLAS runs one thread (:func:`~blocksym.split.cpus`, the rule
+    ``sttsm_bcss`` uses too), and only with at least ``_SPLIT_CHUNKS``
+    chunks per thread.
+    """
+    grid = _chunk_grid(math.prod(dims[:k]), dims[k], math.prod(dims[k + 1 :]), rows)
+    return _threads(grid[2])
+
+
 def mode_multiply(
     t: DenseTensor,
     k: int,
@@ -185,27 +169,59 @@ def mode_multiply(
     """Contract matrix ``b`` (J x I_k) against mode ``k`` of ``t``.
 
     Result dims replace ``I_k`` by ``J``; element ``(.., j, ..)`` equals
-    ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``.  Implemented exactly as
-    permute -> reshape -> matmul_ref -> reshape -> ipermute.  The permuted
-    tensor is viewed as the F-ordered ``(I_k x N')`` matrix, ``N'`` the
-    product of the other dims.  The GEMM is ``(N' x I_k) @ (I_k x J)`` on
-    the transposed views, so it writes the F-ordered ``(J x N')`` matrix
-    that the inverse permute reads, with no copy in between.
+    ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``.
+
+    The input is viewed as F-ordered ``(lead, I_k, trail)`` and the output
+    as ``(lead, J, trail)``, and a fixed grid of cache-sized chunks
+    (:func:`_chunk_grid`) is walked over ``lead x trail``.  Each chunk is
+    transposed into a buffer that reads as the F-ordered ``(I_k x w)``
+    matrix (the front permute), multiplied as ``(w x I_k) @ (I_k x J)`` on
+    the transposed views, and the F-ordered ``(J x w)`` result is
+    transposed straight into the chunk's slice of the output (the inverse
+    permute).  Each element is moved once in and once out, 2 memops each,
+    and the GEMMs count ``2 * J * I_k`` flops per column, as a whole-tensor
+    permute, GEMM and inverse permute would; the intermediates stay in
+    cache.
+
+    Large tensors share their chunks across threads (:func:`mode_threads`,
+    :func:`~blocksym.split.share`); every chunk writes its own slice of the
+    output, so the result and the counts do not depend on the split.
     """
-    if not 0 <= k < t.order:
-        raise ModeError(f"mode {k} out of range for order {t.order}")
+    dims = t.dims
+    if not 0 <= k < len(dims):
+        raise ModeError(f"mode {k} out of range for order {len(dims)}")
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2 or b.shape[1] != t.dims[k]:
+    if b.ndim != 2 or b.shape[1] != dims[k]:
         raise ShapeError(
-            f"matrix shape {b.shape} does not contract mode {k} of dims {t.dims}"
+            f"matrix shape {b.shape} does not contract mode {k} of dims {dims}"
         )
-    front = (k, *range(k), *range(k + 1, t.order))
-    pa = permute(t, front, counter)
-    n_prime = math.prod(pa.dims[1:])
-    a_mat = pa.array.reshape((t.dims[k], n_prime), order="F")
-    # Transposed back, the C-ordered (N' x J) product is F-ordered (J x N'),
-    # so the reshape below is a view; b @ a_mat would need a copy here.
-    c_mat = matmul_ref(a_mat.T, b.T, counter).T
-    out_front_dims = (b.shape[0],) + pa.dims[1:]
-    pc = DenseTensor(c_mat.reshape(out_front_dims, order="F"))
-    return ipermute(pc, front, counter)
+    rows, n = b.shape
+    lead, trail = math.prod(dims[:k]), math.prod(dims[k + 1 :])
+    out = np.empty(dims[:k] + (rows,) + dims[k + 1 :], dtype=np.float64, order="F")
+    src = t.array.reshape((lead, n, trail), order="F")
+    dst = out.reshape((lead, rows, trail), order="F")
+    b_t = b.T
+    w_lead, w_trail, number = _chunk_grid(lead, n, trail, rows)
+
+    def product(take, count: OpCounter | None) -> None:
+        whole = np.empty((n, w_lead, w_trail), dtype=np.float64, order="F")
+        for l0, t0 in take:
+            part = src[l0 : l0 + w_lead, :, t0 : t0 + w_trail]
+            wl, _, wt = part.shape
+            buf = whole
+            if (wl, wt) != (w_lead, w_trail):  # a last, narrower chunk
+                buf = whole.reshape(-1, order="F")[: n * wl * wt].reshape((n, wl, wt), order="F")
+            buf[...] = part.transpose(1, 0, 2)
+            # Transposed back, the C-ordered (w x J) product is the
+            # F-ordered (J x w) matrix, so the reshape below is a view.
+            c_t = matmul_ref(buf.reshape((n, wl * wt), order="F").T, b_t, count).T
+            dst[l0 : l0 + wl, :, t0 : t0 + wt] = c_t.reshape((rows, wl, wt), order="F").transpose(
+                1, 0, 2
+            )
+            if count is not None:
+                count.count_memops(2 * (buf.size + c_t.size))
+
+    # Chunks run along lead first, so consecutive chunks are neighbours in memory.
+    chunks = ((l0, t0) for t0 in range(0, trail, w_trail) for l0 in range(0, lead, w_lead))
+    share(product, chunks, _threads(number), counter)
+    return DenseTensor(out)

@@ -8,8 +8,8 @@ Blocked compact symmetric tensor (``.bcss``): magic ``BCSS``, version u16,
 order u16, tensor dimension u64, block dimension u64, then the canonical
 blocks in hypertriangle order, each as raw doubles in dimensional order:
 exactly the bytes of the packed block array, so a save is one buffer write
-and a load one copy out of the file's bytes into the array the tensor
-allocates.  The redirection tables are not serialized; they are rebuilt on load.
+and a load one read straight into the array the tensor allocates.  The
+redirection tables are not serialized; they are rebuilt on load.
 
 Both loaders check the header length, the order (1 to 64 for ``.stns``,
 2 to 64 for ``.bcss``), that the block dimension is at least 1 and
@@ -25,8 +25,9 @@ is exactly as long as the header says; a file that fails any check raises
 from __future__ import annotations
 
 import math
+import os
 import struct
-from pathlib import Path
+import sys
 
 import numpy as np
 
@@ -43,12 +44,13 @@ _VERSION = 1
 _MAX_ORDER = 64
 
 
-def _unpack(fmt: str, raw: bytes, off: int) -> tuple[tuple, int]:
-    """Header fields at ``off`` plus the offset just past them."""
+def _unpack(fmt: str, fh, size: int, off: int) -> tuple[tuple, int]:
+    """Header fields read from ``fh`` at ``off`` (a file of ``size`` bytes)
+    plus the offset just past them."""
     end = off + struct.calcsize(fmt)
-    if len(raw) < end:
-        raise FormatError(f"header needs {end} bytes, file has {len(raw)}")
-    return struct.unpack_from(fmt, raw, off), end
+    if size < end:
+        raise FormatError(f"header needs {end} bytes, file has {size}")
+    return struct.unpack(fmt, fh.read(end - off)), end
 
 
 def _check_magic_version(magic: bytes, version: int, expected: bytes, kind: str) -> None:
@@ -58,9 +60,20 @@ def _check_magic_version(magic: bytes, version: int, expected: bytes, kind: str)
         raise FormatError(f"unsupported {kind} format version {version}")
 
 
-def _check_payload(raw: bytes, off: int, elems: int) -> None:
-    if len(raw) - off != 8 * elems:
-        raise FormatError(f"payload is {len(raw) - off} bytes, header implies {8 * elems}")
+def _check_payload(size: int, off: int, elems: int) -> None:
+    if size - off != 8 * elems:
+        raise FormatError(f"payload is {size - off} bytes, header implies {8 * elems}")
+
+
+def _read_payload(fh, array: np.ndarray) -> None:
+    """Fill the F-contiguous float64 ``array`` from ``fh``'s little-endian
+    doubles, read straight into its buffer."""
+    flat = array.reshape(-1, order="F")
+    got = fh.readinto(memoryview(flat).cast("B"))
+    if got != flat.nbytes:
+        raise FormatError(f"payload is {got} bytes, header implies {flat.nbytes}")
+    if sys.byteorder == "big":
+        flat.byteswap(inplace=True)
 
 
 def save_tensor(t: DenseTensor, path) -> None:
@@ -71,15 +84,20 @@ def save_tensor(t: DenseTensor, path) -> None:
 
 
 def load_tensor(path) -> DenseTensor:
-    raw = Path(path).read_bytes()
-    (magic, version, order), off = _unpack("<4sHH", raw, 0)
-    _check_magic_version(magic, version, _STNS_MAGIC, "dense tensor")
-    if not 1 <= order <= _MAX_ORDER:
-        raise FormatError(f"dense tensor order must be in 1..{_MAX_ORDER}, got {order}")
-    dims, off = _unpack(f"<{order}Q", raw, off)
-    _check_payload(raw, off, math.prod(dims))
-    flat = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
-    return DenseTensor(flat.reshape(dims, order="F"))
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        (magic, version, order), off = _unpack("<4sHH", fh, size, 0)
+        _check_magic_version(magic, version, _STNS_MAGIC, "dense tensor")
+        if not 1 <= order <= _MAX_ORDER:
+            raise FormatError(f"dense tensor order must be in 1..{_MAX_ORDER}, got {order}")
+        dims, off = _unpack(f"<{order}Q", fh, size, off)
+        _check_payload(size, off, math.prod(dims))
+        try:  # dims of an empty payload can still be too large for NumPy
+            array = np.empty(dims, dtype=np.float64, order="F")
+        except ValueError as exc:
+            raise FormatError(f"dims {dims} make no array: {exc}") from None
+        _read_payload(fh, array)
+    return DenseTensor(array)
 
 
 def _check_bcss_order(order: int) -> None:
@@ -97,19 +115,19 @@ def save_bcss(a: BcssTensor, path) -> None:
 
 
 def load_bcss(path) -> BcssTensor:
-    raw = Path(path).read_bytes()
-    (magic, version, order, n, b), off = _unpack("<4sHHQQ", raw, 0)
-    _check_magic_version(magic, version, _BCSS_MAGIC, "blocked symmetric tensor")
-    _check_bcss_order(order)
-    if b < 1 or n < 1 or n % b != 0:
-        raise FormatError(f"block dimension {b} does not divide tensor dimension {n}")
-    grid = n // b
-    # The tables' own bounds raise ParameterError; a file must fail with FormatError.
-    excess = table_excess(grid, order)
-    if excess:
-        raise FormatError(excess)
-    _check_payload(raw, off, b**order * simplex_count(grid, order))
-    out = BcssTensor(order, n, b)
-    payload = np.frombuffer(raw, dtype="<f8", offset=off)
-    out.data[...] = payload.reshape(out.data.shape, order="F")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        (magic, version, order, n, b), off = _unpack("<4sHHQQ", fh, size, 0)
+        _check_magic_version(magic, version, _BCSS_MAGIC, "blocked symmetric tensor")
+        _check_bcss_order(order)
+        if b < 1 or n < 1 or n % b != 0:
+            raise FormatError(f"block dimension {b} does not divide tensor dimension {n}")
+        grid = n // b
+        # The tables' own bounds raise ParameterError; a file must fail with FormatError.
+        excess = table_excess(grid, order)
+        if excess:
+            raise FormatError(excess)
+        _check_payload(size, off, b**order * simplex_count(grid, order))
+        out = BcssTensor(order, n, b)
+        _read_payload(fh, out.data)
     return out

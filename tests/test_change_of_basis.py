@@ -32,6 +32,8 @@ from blocksym import (
     sttsm_scalar_temps,
 )
 from blocksym import change_of_basis as cb
+from blocksym import dense as dense_module
+from blocksym import split
 from blocksym.change_of_basis import level_threads
 from blocksym.dense import DenseTensor
 from blocksym.indexing import is_sym_in_modes, symmetry_violation
@@ -132,8 +134,8 @@ def test_dense_ttm_flop_counter_anchor():
 def test_dense_ttm_exact_counts_and_gemm_shapes(m, n, p):
     # Mode d reads p^d n^(m-d) elements through the front permute and writes
     # p^(d+1) n^(m-1-d) through the inverse one, 2 memops each, between
-    # them one (N' x n) @ (n x p) GEMM with N' = p^d n^(m-1-d).  The last
-    # two cases are larger than one slab of the tiled permute.
+    # them (w x n) @ (n x p) GEMMs, one per chunk, whose w sum to
+    # N' = p^d n^(m-1-d).  The last two cases span more than one chunk.
     a = random_symmetric(m, n, 17)
     x = random_matrix(p, n, 18)
     calls = []
@@ -154,7 +156,16 @@ def test_dense_ttm_exact_counts_and_gemm_shapes(m, n, p):
     # The chain is the blocked algorithm at one block per mode.
     assert c.memops == bcss_impl_memops(m, n, p, n, p)
     assert c.flops == dense_costs(m, n, p).flops
-    assert calls == [((p**d * n ** (m - 1 - d), n), (n, p)) for d in range(m)]
+    assert all(lhs[1] == n and rhs == (n, p) for lhs, rhs in calls)
+    widths = iter(lhs[0] for lhs, _ in calls)
+    for d in range(m):
+        left = p**d * n ** (m - 1 - d)
+        while left > 0:
+            left -= next(widths)
+        assert left == 0, d
+    assert next(widths, None) is None
+    if (m, n, p) == (3, 40, 50):
+        assert len(calls) > m
     want = a.array
     for k in range(m):
         want = np.moveaxis(np.tensordot(x, want, axes=([1], [k])), 0, k)
@@ -392,7 +403,7 @@ def test_level_threads_dispatch(monkeypatch):
 def test_level_threads_serial_with_threaded_blas(monkeypatch, blas):
     # Concurrent GEMMs on a threaded BLAS queue behind one another.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for var in cb._BLAS_THREADS:
+    for var in split._BLAS_THREADS:
         monkeypatch.delenv(var, raising=False)
     for var, value in blas.items():
         monkeypatch.setenv(var, value)
@@ -483,6 +494,66 @@ def test_bcss_one_cpu_makes_no_executor(cpus, monkeypatch):
     cpus(1)
     monkeypatch.setattr(cb, "ThreadPoolExecutor", no_pool)
     assert _bcss_run(packed, x, 2, True) == split
+
+
+def _dense_run(a, x):
+    counter = OpCounter()
+    out = sttsm_dense_ttm(a, x, counter)
+    return out.array.tobytes(order="F"), counter.flops, counter.memops
+
+
+@pytest.mark.parametrize("m,n,p", [(3, 8, 5), (4, 6, 6), (5, 4, 7)])
+def test_dense_chain_split_is_bitwise_serial(cpus, monkeypatch, m, n, p):
+    # Chunks of at most 50 elements, so every mode product splits.
+    monkeypatch.setattr(dense_module, "_CHUNK", 50)
+    monkeypatch.setattr(dense_module, "_SPLIT_CHUNKS", 1)
+    a = random_symmetric(m, n, 70 + m)
+    x = random_matrix(p, n, 71 + m)
+    cpus(1)
+    assert cb.chain_threads(m, n, p) == [1] * m
+    serial = _dense_run(a, x)
+    assert serial[1:] == (dense_costs(m, n, p).flops, bcss_impl_memops(m, n, p, n, p))
+    cpus(3)
+    assert cb.chain_threads(m, n, p) == [3] * m
+    assert _dense_run(a, x) == serial
+
+
+def test_chain_threads_dispatch(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cb.chain_threads(5, 32, 32) == [2] * 5
+    assert cb.chain_threads(4, 48, 48) == [2] * 4
+    assert cb.chain_threads(3, 8, 8) == [1] * 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cb.chain_threads(5, 32, 32) == [1] * 5
+
+
+@pytest.mark.parametrize("fail_at", [1, 5, 40])
+def test_dense_chain_error_propagates_and_threads_end(cpus, monkeypatch, fail_at):
+    # The fail_at-th GEMM of the chain raises, on whichever thread makes it.
+    monkeypatch.setattr(dense_module, "_CHUNK", 50)
+    monkeypatch.setattr(dense_module, "_SPLIT_CHUNKS", 1)
+    a = random_symmetric(4, 6, 72)
+    x = random_matrix(6, 6, 73)
+    cpus(2)
+    before = threading.active_count()
+    calls = []
+    counting = threading.Lock()
+
+    def gemm(lhs, rhs):
+        with counting:
+            calls.append(threading.get_ident())
+            if len(calls) == fail_at:
+                raise RuntimeError(f"GEMM {fail_at} failed")
+        return lhs @ rhs
+
+    set_matmul_backend(gemm)
+    try:
+        with pytest.raises(RuntimeError, match=f"GEMM {fail_at} failed"):
+            sttsm_dense_ttm(a, x)
+    finally:
+        set_matmul_backend(None)
+    assert threading.active_count() == before
 
 
 def test_order_one_rejected_everywhere():

@@ -136,6 +136,7 @@ def test_bench_csv_shape_and_determinism(capsys):
     assert algos == {"dense", "bcss"}
     assert "# speedup dense/bcss" in out1
     assert "# bcss workers: 1\n" in out1  # blocks of 4 elements stay on one thread
+    assert "# dense workers: 1\n" in out1  # and the dense chain is one chunk
 
 
 @pytest.mark.parametrize(
@@ -180,6 +181,22 @@ def test_bench_notes_bcss_workers(monkeypatch, capsys):
     status, out, _ = run_main(args, capsys)
     assert status == 0
     assert out.endswith("# bcss workers: 2\n")
+
+
+def test_bench_notes_dense_workers(monkeypatch, capsys):
+    # 81 chunks per mode product at m=4, n=48: split across both CPUs,
+    # unless BLAS runs its own threads.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    args = ["--cmd", "bench", "--m", "4", "--n", "48", "--ba", "8", "--algo", "dense",
+            "--reps", "3"]
+    status, out, _ = run_main(args, capsys)
+    assert status == 0
+    assert out.endswith("# dense workers: 2\n")
+    assert "bcss workers" not in out
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    status, out, _ = run_main(args, capsys)
+    assert out.endswith("# dense workers: 1\n")
 
 
 def test_bench_skips_oversized_dense(monkeypatch, capsys):

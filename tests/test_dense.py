@@ -1,6 +1,9 @@
 import itertools
 import math
-from unittest import mock
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from blocksym import (
     permute,
     set_matmul_backend,
 )
-from blocksym import dense
+from blocksym import dense, split
 from blocksym.counters import OpCounter
 
 
@@ -144,29 +147,29 @@ def _tensor_and_permutation(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_tensor_and_permutation(), st.integers(1, 40))
-@example(((3, 1, 4, 1, 5), (4, 1, 0, 3, 2), 0), 1)
-@example(((8, 1, 8), (2, 1, 0), 1), 5)
-@example(((1, 1, 1), (2, 0, 1), 2), 1)
-@example(((0, 3, 4), (1, 0, 2), 3), 1)
-@example(((5, 4, 0), (2, 0, 1), 4), 1)
-def test_permute_matches_numpy_property(case, slab):
-    # A small slab sends these small shapes through the tiled copy.
+@given(_tensor_and_permutation())
+@example(((3, 1, 4, 1, 5), (4, 1, 0, 3, 2), 0))
+@example(((8, 1, 8), (2, 1, 0), 1))
+@example(((1, 1, 1), (2, 0, 1), 2))
+@example(((0, 3, 4), (1, 0, 2), 3))
+@example(((5, 4, 0), (2, 0, 1), 4))
+def test_permute_matches_numpy_property(case):
     dims, p, seed = case
-    t = rand_tensor(dims, seed)
-    _assert_permute_matches_numpy(t, p)
-    with mock.patch.object(dense, "_SLAB", slab):
-        _assert_permute_matches_numpy(t, p)
+    _assert_permute_matches_numpy(rand_tensor(dims, seed), p)
+
+
+# Tensors past this many elements span many cache lines per output line.
+_LARGE = 1 << 15
 
 
 @st.composite
 def _larger_than_slab(draw):
-    # Every dim but one is small; the long one puts the size past one slab.
+    # Every dim but one is small; the long one puts the size past _LARGE.
     m = draw(st.integers(2, 5))
     dims = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
     long = draw(st.integers(0, m - 1))
     others = math.prod(dims) // dims[long]
-    dims[long] = dense._SLAB // others + 1 + draw(st.integers(0, 50))
+    dims[long] = _LARGE // others + 1 + draw(st.integers(0, 50))
     perm = tuple(draw(st.permutations(range(m))))
     return tuple(dims), perm, draw(st.integers(0, 2**16))
 
@@ -178,16 +181,16 @@ def _larger_than_slab(draw):
 def test_permute_larger_than_one_slab_matches_numpy(case):
     dims, p, seed = case
     t = rand_tensor(dims, seed)
-    assert t.array.size > dense._SLAB
+    assert t.array.size > _LARGE
     _assert_permute_matches_numpy(t, p)
 
 
 @pytest.mark.parametrize("m,n", [(4, 16), (5, 9), (3, 40)])
 def test_mode_product_permutes_round_trip_past_one_slab(m, n):
-    # The front permutation of each mode product and its inverse, the two
-    # transposes the dense chain runs on whole tensors.
+    # The front permutation of a mode product and its inverse, on tensors
+    # past _LARGE elements.
     t = rand_tensor((n,) * m, m + n)
-    assert t.array.size > dense._SLAB
+    assert t.array.size > _LARGE
     for k in range(m):
         front = (k, *range(k), *range(k + 1, m))
         moved = permute(t, front)
@@ -197,30 +200,29 @@ def test_mode_product_permutes_round_trip_past_one_slab(m, n):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_mode_product_permutes_merge_to_batched_transpose(m):
-    # Whatever m and k, the front permutation is (lead, n, rest) ->
-    # (n, lead, rest) after merging and its inverse the reverse; at k = 0
-    # both are the identity on one merged axis.
+    # Whatever m and k, a mode product's front permutation is the batched
+    # transpose (lead, n, trail) -> (n, lead, trail) of the input, which the
+    # GEMM reads as its (w x n) operand, and its inverse the reverse: with
+    # the identity matrix the output is the input, bitwise.
     n = 3
-    dims = (n,) * m
+    t = rand_tensor((n,) * m, m)
     for k in range(m):
-        front = (k, *range(k), *range(k + 1, m))
-        back = (*range(1, k + 1), 0, *range(k + 1, m))
-        if k == 0:
-            assert dense._merged_axes(dims, front) == ((n**m,), (0,))
-            assert dense._merged_axes(dims, back) == ((n**m,), (0,))
-            continue
-        lead, rest = n**k, n ** (m - 1 - k)
-        keep = 3 if rest > 1 else 2
-        axes = (1, 0, 2)[:keep]
-        assert dense._merged_axes(dims, front) == ((lead, n, rest)[:keep], axes)
-        assert dense._merged_axes(dims, back) == ((n, lead, rest)[:keep], axes)
+        lead, trail = n**k, n ** (m - 1 - k)
+        seen = []
 
+        def capture(a, b):
+            seen.append(a.copy())
+            return a @ b
 
-def test_merged_axes_drops_unit_axes():
-    assert dense._merged_axes((3, 1, 4), (2, 1, 0)) == ((3, 4), (1, 0))
-    assert dense._merged_axes((2, 3, 1, 5), (3, 2, 0, 1)) == ((6, 5), (1, 0))
-    assert dense._merged_axes((2, 3, 1, 5), (2, 0, 1, 3)) == ((30,), (0,))
-    assert dense._merged_axes((1, 1), (1, 0)) == ((), ())
+        set_matmul_backend(capture)
+        try:
+            out = mode_multiply(t, k, np.eye(n))
+        finally:
+            set_matmul_backend(None)
+        moved = np.transpose(t.array.reshape((lead, n, trail), order="F"), (1, 0, 2))
+        assert len(seen) == 1  # at most 3^6 elements: one chunk
+        assert np.array_equal(seen[0], moved.reshape((n, lead * trail), order="F").T)
+        assert np.array_equal(out.array, t.array)
 
 
 @st.composite
@@ -382,3 +384,135 @@ def test_mode_multiply_counts():
     mode_multiply(t, 1, np.zeros((5, 3)), c)
     assert c.flops == 2 * 5 * 3 * 8
     assert c.memops == 2 * 24 + 2 * 40
+
+
+def test_mode_multiply_empty_modes():
+    # No chunk when lead or trail is empty; an empty contracted mode sums
+    # nothing, so the product is zero.
+    out = mode_multiply(DenseTensor(np.zeros((3, 0, 2))), 1, np.ones((4, 0)))
+    assert out.dims == (3, 4, 2) and not out.array.any()
+    c = OpCounter()
+    out = mode_multiply(DenseTensor(np.zeros((0, 3))), 1, np.ones((2, 3)), c)
+    assert out.dims == (0, 2) and (c.flops, c.memops) == (0, 0)
+
+
+# ---------------------------------------------------------------- chunks and threads
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the affinity set size the kernels see; one BLAS thread."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cpus
+
+
+def _product(t, k, b):
+    c = OpCounter()
+    out = mode_multiply(t, k, b, c)
+    return out.array.tobytes(order="F"), c.flops, c.memops
+
+
+@pytest.mark.parametrize("chunk", [7, 20, 50, 1 << 16])
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_mode_multiply_split_is_bitwise_serial(cpus, monkeypatch, chunk, rows):
+    # Non-cubic dims, J != I_k, and chunk widths that mostly do not divide
+    # lead or trail; 3 threads, each of which takes a chunk before any
+    # GEMM returns, so all three run.
+    monkeypatch.setattr(dense, "_CHUNK", chunk)
+    monkeypatch.setattr(dense, "_SPLIT_CHUNKS", 1)
+    rng = np.random.default_rng(chunk + rows)
+    ragged = False
+    for dims, k in [(d, k) for d in [(4, 3, 2, 5, 6), (7, 3, 5, 2, 11)] for k in range(5)]:
+        t = DenseTensor(rng.standard_normal(dims))
+        b = rng.standard_normal((rows, dims[k]))
+        lead, trail = math.prod(dims[:k]), math.prod(dims[k + 1 :])
+        w_lead, w_trail, _ = dense._chunk_grid(lead, dims[k], trail, rows)
+        ragged |= bool(lead % w_lead or trail % w_trail)
+        cpus(1)
+        assert dense.mode_threads(dims, k, rows) == 1
+        serial = _product(t, k, b)
+        want = contract_mode_oracle(t, k, b)
+        got = np.frombuffer(serial[0]).reshape(want.shape, order="F")
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert serial[1:] == (2 * rows * t.array.size, 2 * (t.array.size + want.size))
+        cpus(3)
+        threads = dense.mode_threads(dims, k, rows)
+        if threads == 1:
+            assert -(-lead // w_lead) * -(-trail // w_trail) < 2
+            continue
+        met = threading.Barrier(threads, timeout=10)
+        seen = set()
+
+        def gemm(a, b):
+            if threading.get_ident() not in seen:
+                seen.add(threading.get_ident())
+                met.wait()
+            return a @ b
+
+        set_matmul_backend(gemm)
+        try:
+            assert _product(t, k, b) == serial
+        finally:
+            set_matmul_backend(None)
+        assert len(seen) == threads
+    if chunk in (20, 50):
+        assert ragged  # some chunk is narrower than the others
+
+
+def test_mode_threads_rule(cpus, monkeypatch):
+    cpus(2)
+    # Every mode of the benchmark's dense chain: 16 to 32 chunks of 2^16.
+    assert [dense.mode_threads((32,) * 5, k, 32) for k in range(5)] == [2] * 5
+    # One chunk, as in every mode product of sttsm_scalar_temps there.
+    assert dense.mode_threads((16,) * 4, 3, 1) == 1
+    assert dense.mode_threads((8,) * 4, 2, 8) == 1
+    cpus(1)  # taskset -c 0
+    assert dense.mode_threads((32,) * 5, 0, 32) == 1
+    cpus(2)
+    for var in split._BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    assert dense.mode_threads((32,) * 5, 0, 32) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert dense.mode_threads((32,) * 5, 0, 32) == 1
+
+
+def test_mode_multiply_serial_makes_no_executor(cpus, monkeypatch):
+    monkeypatch.setattr(dense, "_CHUNK", 8)
+    monkeypatch.setattr(dense, "_SPLIT_CHUNKS", 1)
+    t = rand_tensor((5, 4, 3), 20)
+    b = np.random.default_rng(21).standard_normal((2, 4))
+    cpus(2)
+    split_run = _product(t, 1, b)
+
+    def no_pool(*args):
+        raise AssertionError("executor made with one CPU")
+
+    cpus(1)
+    monkeypatch.setattr(split, "ThreadPoolExecutor", no_pool)
+    assert _product(t, 1, b) == split_run
+
+
+def test_mode_multiply_split_stress_many_threads(cpus, monkeypatch):
+    # More threads than CPUs, switching every microsecond: a chunk taken
+    # twice or never would change the output or the counts.
+    monkeypatch.setattr(dense, "_CHUNK", 6)
+    monkeypatch.setattr(dense, "_SPLIT_CHUNKS", 1)
+    t = rand_tensor((5, 7, 6), 22)
+    b = np.random.default_rng(23).standard_normal((4, 7))
+    cpus(1)
+    serial = _product(t, 1, b)
+    cpus(8)
+    assert dense.mode_threads(t.dims, 1, 4) == 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        split_run = _product(t, 1, b)
+    finally:
+        sys.setswitchinterval(interval)
+    assert split_run == serial
+    assert time.perf_counter() - t0 < 30

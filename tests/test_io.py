@@ -194,6 +194,16 @@ def test_stns_order_out_of_range_rejected(tmp_path, order):
         load_tensor(path)
 
 
+@pytest.mark.parametrize("dims", [(0, 2**62), (0, 2**63 + 5), (2**33, 2**33, 0)])
+def test_stns_empty_payload_with_oversized_dims_rejected(tmp_path, dims):
+    # Zero elements, so the payload check passes; NumPy still refuses the shape.
+    path = tmp_path / "empty.stns"
+    header = struct.pack("<4sHH", b"STNS", 1, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+    path.write_bytes(header)
+    with pytest.raises(FormatError, match="make no array"):
+        load_tensor(path)
+
+
 # A header whose grid of (n/b)**order block indices exceeds 2**25 entries
 # (the whole m=5, n=32 grid at unit blocks) is rejected before any table is
 # built; one at the bound passes that check and fails only on its payload.
