@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from functools import reduce
 from typing import Callable
 
@@ -48,7 +46,7 @@ from .counters import OpCounter
 from .dense import DenseTensor, matmul_ref, mode_multiply, mode_threads
 from .errors import ParameterError, ShapeError
 from .indexing import block_grid, hypertriangle_iter, replicate_canonical
-from .split import cpus, share
+from .split import share, threads, workers
 from .storage import (
     BcssTensor,
     BlockTables,
@@ -58,12 +56,6 @@ from .storage import (
 )
 
 TempHook = Callable[[int, object], None]
-
-# A level of sttsm_bcss splits its produced blocks across threads only when
-# each summand slab holds at least _SPLIT_SLAB elements and each thread
-# gets at least _SPLIT_BLOCKS blocks (see level_threads).
-_SPLIT_SLAB = 1 << 15
-_SPLIT_BLOCKS = 4
 
 
 def _check_sttsm_args(a_dims: tuple[int, ...], x: np.ndarray) -> tuple[int, int, int]:
@@ -160,9 +152,9 @@ def sttsm_dense_ttm(
     Exploits neither symmetry nor blocking: it is the blocked algorithm at
     ``b_A = n, b_C = p`` and counts ``dense_costs`` flops and
     ``bcss_impl_memops(m, n, p, n, p)`` memops (:mod:`~blocksym.costs`).
-    Each mode product splits as :func:`chain_threads` says, under the CPU
-    rule :func:`sttsm_bcss` follows; the result and the counts do not
-    depend on the split.
+    Each mode product splits as :func:`chain_threads` says, by the rule
+    :func:`sttsm_bcss`'s levels follow (:func:`~blocksym.split.threads`);
+    the result and the counts do not depend on the split.
     """
     x = np.asarray(x, dtype=np.float64)
     m, _, _ = _check_sttsm_args(a.dims, x)
@@ -191,19 +183,13 @@ def level_threads(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = True
     """Threads :func:`sttsm_bcss` splits each level's produced blocks over,
     indexed by level ``k``; 1 is the serial path.
 
-    A level is split only when each of its summand slabs holds at least
-    ``_SPLIT_SLAB`` elements and it has at least ``_SPLIT_BLOCKS`` blocks
-    per thread: below that the handoffs between threads cost more than the
-    work they share.  At most one thread per CPU in the process's affinity
-    set, and one in all unless BLAS runs one thread
-    (:func:`~blocksym.split.cpus`).
+    A level's items are its produced blocks, each the size of one summand
+    slab, ``b_A^k b_C^(m-1-k)`` elements (an ``nbar``-th of the GEMM
+    operand); :func:`~blocksym.split.threads` is the rule, the one the
+    dense chain's mode products follow too.
     """
-    most = cpus()
-    threads = [1] * m
-    for k, _, blocks, gather, _ in _levels(m, n, p, b_a, b_c, reuse):
-        if gather * b_a // n >= _SPLIT_SLAB:  # one summand: an nbar-th of the operand
-            threads[k] = max(1, min(most, blocks // _SPLIT_BLOCKS))
-    return threads
+    levels = _levels(m, n, p, b_a, b_c, reuse)  # k = m-1 .. 0
+    return [threads(blocks, gather * b_a // n) for _, _, blocks, gather, _ in levels][::-1]
 
 
 def chain_threads(m: int, n: int, p: int) -> list[int]:
@@ -223,7 +209,7 @@ def _level_product(
     b_c: int,
     m: int,
     counter: OpCounter | None,
-    pool: ThreadPoolExecutor | None,
+    pool,
     threads: int,
 ) -> None:
     """One temporary level: contract mode ``k`` of ``T(k+1)`` (packed blocks
@@ -296,9 +282,9 @@ def sttsm_bcss(
 
     With BLAS set to one thread, a level whose summand slabs are large
     splits its produced blocks across the CPUs of the process's affinity
-    set (:func:`level_threads`), on one thread pool that lives for this
-    call only; ``taskset -c 0`` gives the serial path.  The result and the
-    counts do not depend on the split.
+    set (:func:`level_threads`), on one pool (:func:`~blocksym.split.workers`)
+    for this call only; ``taskset -c 0`` gives the serial path.  The result
+    and the counts do not depend on the split.
 
     ``temp_hook(k, temp)`` is called with each finished temporary, a
     :class:`~blocksym.storage.PartialSymTensor`, mainly so tests can audit
@@ -322,7 +308,7 @@ def sttsm_bcss(
         plan = _gather_plan(t_in, t_out, k, m)
         levels[k] = (plan, t_out)
         t_in = t_out
-    threads = level_threads(m, n, p, b_a, b_c, reuse)
+    split = level_threads(m, n, p, b_a, b_c, reuse)
 
     def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
         plan, tables = levels[k]
@@ -330,11 +316,11 @@ def sttsm_bcss(
             if k == 0:
                 r = out.tables.rank[(jb,) + suffix]
                 dst = out.data[..., r : r + 1]
-                _level_product(src, plan, dst, 0, jb, x, b_a, b_c, m, counter, pool, threads[0])
+                _level_product(src, plan, dst, 0, jb, x, b_a, b_c, m, counter, pool, split[0])
                 continue
             temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), tables)
             _level_product(
-                src, plan, temp.data, k, jb, x, b_a, b_c, m, counter, pool, threads[k]
+                src, plan, temp.data, k, jb, x, b_a, b_c, m, counter, pool, split[k]
             )
             if temp_hook is not None:
                 temp_hook(k, temp)
@@ -344,8 +330,7 @@ def sttsm_bcss(
 
     # One pool per call.  Its shutdown joins every task, also when one has
     # raised, so no worker writes a temporary after the call has ended.
-    workers = max(threads) - 1
-    with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
+    with workers(max(split)) as pool:
         descend(m - 1, a.data, pbar - 1, ())
     return out
 

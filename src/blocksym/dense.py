@@ -24,7 +24,7 @@ import numpy as np
 
 from .counters import OpCounter
 from .errors import ModeError, ShapeError
-from .split import cpus, share
+from .split import share, threads
 
 # A multi-index is a plain tuple of non-negative ints, one per mode.
 MultiIndex = tuple[int, ...]
@@ -117,14 +117,12 @@ def matmul_ref(a: np.ndarray, b: np.ndarray, counter: OpCounter | None = None) -
 # between the transposes and the GEMM.  Chosen from a sweep, recorded in
 # BENCH_dense_chunks.json.
 _CHUNK = 1 << 16
-# A mode product is split across threads only when each thread gets at
-# least this many chunks: below that the pool costs more than it saves.
-_SPLIT_CHUNKS = 4
 
 
 def _chunk_grid(lead: int, n: int, trail: int, rows: int) -> tuple[int, int, int]:
     """Chunk widths ``(w_lead, w_trail)`` over ``lead x trail``, and the
-    number of chunks.
+    threads that share the chunks (:func:`~blocksym.split.threads`, each
+    chunk the size of its larger side, operand or result).
 
     ``lead`` is cut first, so a chunk's operand stays about ``_CHUNK``
     elements however the modes are split around the contracted one; a
@@ -137,27 +135,18 @@ def _chunk_grid(lead: int, n: int, trail: int, rows: int) -> tuple[int, int, int
     w_lead = -(-lead // cuts_lead) if cuts_lead else 1
     cuts_trail = -(-trail // max(1, _CHUNK // (per * w_lead)))
     w_trail = -(-trail // cuts_trail) if cuts_trail else 1
-    return w_lead, w_trail, cuts_lead * cuts_trail
-
-
-def _threads(chunks: int) -> int:
-    # Below two threads' worth of chunks, skip asking for the CPU count.
-    if chunks < 2 * _SPLIT_CHUNKS:
-        return 1
-    return min(cpus(), chunks // _SPLIT_CHUNKS)
+    return w_lead, w_trail, threads(cuts_lead * cuts_trail, per * w_lead * w_trail)
 
 
 def mode_threads(dims: tuple[int, ...], k: int, rows: int) -> int:
     """Threads :func:`mode_multiply` shares the mode-``k`` product of a
     ``dims`` tensor with a ``rows``-row matrix among; 1 is the serial path.
 
-    At most one per CPU in the process's affinity set, one in all unless
-    BLAS runs one thread (:func:`~blocksym.split.cpus`, the rule
-    ``sttsm_bcss`` uses too), and only with at least ``_SPLIT_CHUNKS``
-    chunks per thread.
+    Its items are the chunks of :func:`_chunk_grid`;
+    :func:`~blocksym.split.threads` is the rule, the one ``sttsm_bcss``'s
+    levels follow too.
     """
-    grid = _chunk_grid(math.prod(dims[:k]), dims[k], math.prod(dims[k + 1 :]), rows)
-    return _threads(grid[2])
+    return _chunk_grid(math.prod(dims[:k]), dims[k], math.prod(dims[k + 1 :]), rows)[2]
 
 
 def mode_multiply(
@@ -201,7 +190,7 @@ def mode_multiply(
     src = t.array.reshape((lead, n, trail), order="F")
     dst = out.reshape((lead, rows, trail), order="F")
     b_t = b.T
-    w_lead, w_trail, number = _chunk_grid(lead, n, trail, rows)
+    w_lead, w_trail, split = _chunk_grid(lead, n, trail, rows)
 
     def product(take, count: OpCounter | None) -> None:
         whole = np.empty((n, w_lead, w_trail), dtype=np.float64, order="F")
@@ -223,5 +212,5 @@ def mode_multiply(
 
     # Chunks run along lead first, so consecutive chunks are neighbours in memory.
     chunks = ((l0, t0) for t0 in range(0, trail, w_trail) for l0 in range(0, lead, w_lead))
-    share(product, chunks, _threads(number), counter)
+    share(product, chunks, split, counter)
     return DenseTensor(out)

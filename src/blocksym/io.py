@@ -19,7 +19,8 @@ m=5, n=32 grid at unit blocks) and keep at most ``2**25`` axes of distinct
 transposes (``min(order!, (n/b)**order) * order``), and that the payload
 is exactly as long as the header says; a file that fails any check raises
 :class:`FormatError`.  ``save_bcss`` raises it too for an order outside
-2 to 64, before it opens the file.
+2 to 64, and each saver :class:`ShapeError` for a tensor of the other
+kind (or an ``sttsm_bcss`` temporary), before it opens the file.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import sys
 import numpy as np
 
 from .dense import DenseTensor
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .indexing import simplex_count
 from .storage import BcssTensor, table_excess
 
@@ -76,11 +77,21 @@ def _read_payload(fh, array: np.ndarray) -> None:
         flat.byteswap(inplace=True)
 
 
+def _write_payload(fh, array: np.ndarray) -> None:
+    """Write the float64 ``array`` to ``fh`` as little-endian doubles in
+    dimensional order, straight from its buffer when it is F-contiguous."""
+    fh.write(array.astype("<f8", copy=False).reshape(-1, order="F"))
+
+
 def save_tensor(t: DenseTensor, path) -> None:
+    """Write ``t``; anything but a :class:`~blocksym.dense.DenseTensor`
+    raises :class:`ShapeError` before the file is opened."""
+    if not isinstance(t, DenseTensor):
+        raise ShapeError("save_tensor needs a dense tensor")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sHH", _STNS_MAGIC, _VERSION, t.order))
         fh.write(struct.pack(f"<{t.order}Q", *t.dims))
-        fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        _write_payload(fh, t.array)
 
 
 def load_tensor(path) -> DenseTensor:
@@ -106,12 +117,15 @@ def _check_bcss_order(order: int) -> None:
 
 
 def save_bcss(a: BcssTensor, path) -> None:
-    """Write ``a``; an order that :func:`load_bcss` rejects raises
-    :class:`FormatError` before the file is opened."""
+    """Write ``a``.  Anything but a :class:`~blocksym.storage.BcssTensor`
+    raises :class:`ShapeError`, and an order that :func:`load_bcss` rejects
+    :class:`FormatError`, before the file is opened."""
+    if not isinstance(a, BcssTensor):
+        raise ShapeError("save_bcss needs blocked compact symmetric input")
     _check_bcss_order(a.order)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sHHQQ", _BCSS_MAGIC, _VERSION, a.order, a.n, a.b))
-        fh.write(a.data.astype("<f8", copy=False).reshape(-1, order="F"))
+        _write_payload(fh, a.data)
 
 
 def load_bcss(path) -> BcssTensor:

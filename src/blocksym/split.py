@@ -1,10 +1,10 @@
-"""Sharing independent work items across the CPUs of the process.
+"""The one split policy: sharing work items across the process's CPUs.
 
-Both kernels that split their work, a level of ``sttsm_bcss`` and a dense
-mode product, use the one CPU rule (:func:`cpus`) and the one way to share
-(:func:`share`): the calling thread and pool workers take items one at a
-time from a shared iterator, each with its own counter, so a thread that
-the host slows down takes fewer items.
+A level of ``sttsm_bcss`` (its items are produced blocks) and a dense mode
+product (chunks) say only how many items they have and how large each is.
+:func:`threads` picks the thread count and :func:`workers` makes the pool;
+in :func:`share` the calling thread and pool workers take items one at a
+time from a shared iterator, so a thread the host slows down takes fewer.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from .counters import OpCounter
 # once one after another, so work is split only when it is set to 1.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
+# Below these, handing items between threads costs more than they share.
+_SPLIT_SIZE = 1 << 15
+_SPLIT_ITEMS = 4
+
 _DONE = object()
 
 
@@ -35,6 +39,23 @@ def cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def threads(items: int, size: int) -> int:
+    """Threads to share ``items`` work items of ``size`` elements each among:
+    1 (serial) unless each copies at least ``_SPLIT_SIZE`` elements and each
+    of two threads gets ``_SPLIT_ITEMS`` items, else one thread per
+    ``_SPLIT_ITEMS`` items, at most :func:`cpus`."""
+    if size < _SPLIT_SIZE or items < 2 * _SPLIT_ITEMS:
+        return 1
+    return min(cpus(), items // _SPLIT_ITEMS)
+
+
+def workers(threads: int):
+    """Context manager holding the pool of ``threads - 1`` workers that
+    :func:`share` adds to the calling thread, or ``None`` when ``threads``
+    is 1.  Leaving it joins every task, also when one has raised."""
+    return ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext()
 
 
 def share(
@@ -79,7 +100,7 @@ def share(
             raise
         return count
 
-    with ThreadPoolExecutor(threads - 1) if pool is None else nullcontext(pool) as ex:
+    with workers(threads) if pool is None else nullcontext(pool) as ex:
         tasks = [
             ex.submit(run, None if counter is None else OpCounter()) for _ in range(threads - 1)
         ]

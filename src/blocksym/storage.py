@@ -139,7 +139,8 @@ class _SlabViews(Mapping):
 
     Assigning a block copies the value into its slab, so every reader of
     the packed array sees it; an index that is not stored raises
-    ``KeyError``.  No method adds or removes a block.
+    ``KeyError``, and a value not of the block's shape ``ShapeError``.  No
+    method adds or removes a block.
     """
 
     __slots__ = ("_views",)
@@ -157,7 +158,10 @@ class _SlabViews(Mapping):
         return len(self._views)
 
     def __setitem__(self, key: MultiIndex, value) -> None:
-        self._views[key][...] = value
+        view = self._views[key]
+        if np.shape(value) != view.shape:
+            raise ShapeError(f"block {key} has shape {view.shape}, value {np.shape(value)}")
+        view[...] = value
 
 
 class PartialSymTensor:

@@ -360,20 +360,6 @@ def test_bcss_validations():
 # ------------------------------------------------------------ split levels
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the affinity set size ``sttsm_bcss`` sees, and make every level
-    with at least one block per thread split, whatever its slab size."""
-    monkeypatch.setattr(cb, "_SPLIT_SLAB", 1)
-    monkeypatch.setattr(cb, "_SPLIT_BLOCKS", 1)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
-    def set_cpus(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-    return set_cpus
-
-
 def _bcss_run(packed, x, b_c, reuse):
     counter = OpCounter()
     out = sttsm_bcss(packed, x, b_c, counter, reuse=reuse)
@@ -486,14 +472,14 @@ def test_bcss_one_cpu_makes_no_executor(cpus, monkeypatch):
     packed = compress(random_symmetric(4, 6, 64), 2)
     x = random_matrix(4, 6, 65)
     cpus(2)
-    split = _bcss_run(packed, x, 2, True)
+    shared = _bcss_run(packed, x, 2, True)
 
     def no_pool(*args):
         raise AssertionError("executor made with one CPU")
 
     cpus(1)
-    monkeypatch.setattr(cb, "ThreadPoolExecutor", no_pool)
-    assert _bcss_run(packed, x, 2, True) == split
+    monkeypatch.setattr(split, "ThreadPoolExecutor", no_pool)
+    assert _bcss_run(packed, x, 2, True) == shared
 
 
 def _dense_run(a, x):
@@ -506,7 +492,6 @@ def _dense_run(a, x):
 def test_dense_chain_split_is_bitwise_serial(cpus, monkeypatch, m, n, p):
     # Chunks of at most 50 elements, so every mode product splits.
     monkeypatch.setattr(dense_module, "_CHUNK", 50)
-    monkeypatch.setattr(dense_module, "_SPLIT_CHUNKS", 1)
     a = random_symmetric(m, n, 70 + m)
     x = random_matrix(p, n, 71 + m)
     cpus(1)
@@ -532,7 +517,6 @@ def test_chain_threads_dispatch(monkeypatch):
 def test_dense_chain_error_propagates_and_threads_end(cpus, monkeypatch, fail_at):
     # The fail_at-th GEMM of the chain raises, on whichever thread makes it.
     monkeypatch.setattr(dense_module, "_CHUNK", 50)
-    monkeypatch.setattr(dense_module, "_SPLIT_CHUNKS", 1)
     a = random_symmetric(4, 6, 72)
     x = random_matrix(6, 6, 73)
     cpus(2)

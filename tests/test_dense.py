@@ -399,17 +399,6 @@ def test_mode_multiply_empty_modes():
 # ---------------------------------------------------------------- chunks and threads
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the affinity set size the kernels see; one BLAS thread."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
-    def set_cpus(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-    return set_cpus
-
-
 def _product(t, k, b):
     c = OpCounter()
     out = mode_multiply(t, k, b, c)
@@ -423,7 +412,6 @@ def test_mode_multiply_split_is_bitwise_serial(cpus, monkeypatch, chunk, rows):
     # lead or trail; 3 threads, each of which takes a chunk before any
     # GEMM returns, so all three run.
     monkeypatch.setattr(dense, "_CHUNK", chunk)
-    monkeypatch.setattr(dense, "_SPLIT_CHUNKS", 1)
     rng = np.random.default_rng(chunk + rows)
     ragged = False
     for dims, k in [(d, k) for d in [(4, 3, 2, 5, 6), (7, 3, 5, 2, 11)] for k in range(5)]:
@@ -463,16 +451,18 @@ def test_mode_multiply_split_is_bitwise_serial(cpus, monkeypatch, chunk, rows):
         assert ragged  # some chunk is narrower than the others
 
 
-def test_mode_threads_rule(cpus, monkeypatch):
-    cpus(2)
+def test_mode_threads_rule(monkeypatch):
+    # The real split constants, so not the cpus fixture.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # Every mode of the benchmark's dense chain: 16 to 32 chunks of 2^16.
     assert [dense.mode_threads((32,) * 5, k, 32) for k in range(5)] == [2] * 5
     # One chunk, as in every mode product of sttsm_scalar_temps there.
     assert dense.mode_threads((16,) * 4, 3, 1) == 1
     assert dense.mode_threads((8,) * 4, 2, 8) == 1
-    cpus(1)  # taskset -c 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # taskset -c 0
     assert dense.mode_threads((32,) * 5, 0, 32) == 1
-    cpus(2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for var in split._BLAS_THREADS:
         monkeypatch.delenv(var, raising=False)
     assert dense.mode_threads((32,) * 5, 0, 32) == 1
@@ -482,7 +472,6 @@ def test_mode_threads_rule(cpus, monkeypatch):
 
 def test_mode_multiply_serial_makes_no_executor(cpus, monkeypatch):
     monkeypatch.setattr(dense, "_CHUNK", 8)
-    monkeypatch.setattr(dense, "_SPLIT_CHUNKS", 1)
     t = rand_tensor((5, 4, 3), 20)
     b = np.random.default_rng(21).standard_normal((2, 4))
     cpus(2)
@@ -500,7 +489,6 @@ def test_mode_multiply_split_stress_many_threads(cpus, monkeypatch):
     # More threads than CPUs, switching every microsecond: a chunk taken
     # twice or never would change the output or the counts.
     monkeypatch.setattr(dense, "_CHUNK", 6)
-    monkeypatch.setattr(dense, "_SPLIT_CHUNKS", 1)
     t = rand_tensor((5, 7, 6), 22)
     b = np.random.default_rng(23).standard_normal((4, 7))
     cpus(1)

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from blocksym import (
     FormatError,
+    ShapeError,
     compress,
     decompress,
     load_bcss,
     load_tensor,
+    random_matrix,
     random_symmetric,
     save_bcss,
     save_tensor,
     simplex_count,
+    sttsm_bcss,
 )
 from blocksym.dense import DenseTensor
 from blocksym.generate import random_bcss
@@ -181,6 +184,34 @@ def test_save_bcss_refuses_an_order_the_loader_rejects(tmp_path):
     with pytest.raises(FormatError, match=r"order must be in 2\.\.64, got 1"):
         save_bcss(packed, path)
     assert not path.exists()
+
+
+def test_save_bcss_refuses_a_partial_symmetric_tensor_before_opening(tmp_path):
+    # A temporary of sttsm_bcss has a tail of unblocked modes that the
+    # format cannot hold; the file already there must keep its bytes.
+    temps = []
+    packed = compress(random_symmetric(3, 4, 5), 2)
+    sttsm_bcss(packed, random_matrix(4, 4, 6), 2, temp_hook=lambda k, t: temps.append(t))
+    path = tmp_path / "t.bcss"
+    save_bcss(packed, path)
+    before = path.read_bytes()
+    for temp in temps:
+        with pytest.raises(ShapeError, match="blocked compact symmetric"):
+            save_bcss(temp, path)
+    assert path.read_bytes() == before
+
+
+def test_savers_refuse_the_other_kind_of_tensor_before_opening(tmp_path):
+    # Each saver checks the kind of tensor before it opens the file.
+    dense = random_symmetric(3, 4, 7)
+    packed = compress(dense, 2)
+    for saver, wrong, good in [(save_tensor, packed, dense), (save_bcss, dense, packed)]:
+        path = tmp_path / "t"
+        saver(good, path)
+        before = path.read_bytes()
+        with pytest.raises(ShapeError, match="needs"):
+            saver(wrong, path)
+        assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("order", [0, 65, 65535])

@@ -43,3 +43,50 @@ def test_unused_imports_finds_what_no_expression_reads():
         "    return prod(x.shape)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 4: c"]
+
+
+def split_policy_breaches(source: str) -> list[str]:
+    """Imports of ``concurrent.futures`` or ``threading``, and ``_SPLIT*``
+    names assigned, in ``source``: the split policy belongs to ``split.py``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        modules = []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id.startswith("_SPLIT"):
+                found.append(f"line {node.lineno}: {node.id}")
+        found += [
+            f"line {node.lineno}: import {name}"
+            for name in modules
+            if name.split(".")[0] in ("threading", "concurrent")
+        ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "split.py"], ids=lambda p: p.name
+)
+def test_split_policy_stays_in_split_module(path):
+    assert split_policy_breaches(path.read_text()) == []
+
+
+def test_split_policy_breaches_finds_pools_locks_and_constants():
+    source = (
+        "import threading\n"
+        "import concurrent.futures as cf\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from contextlib import nullcontext\n"
+        "_SPLIT_SLAB = 1 << 15\n"
+        "_SPLIT_CHUNKS: int = 4\n"
+        "_CHUNK = 1 << 16\n"
+    )
+    assert split_policy_breaches(source) == [
+        "line 1: import threading",
+        "line 2: import concurrent.futures",
+        "line 3: import concurrent.futures",
+        "line 5: _SPLIT_SLAB",
+        "line 6: _SPLIT_CHUNKS",
+    ]

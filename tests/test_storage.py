@@ -375,6 +375,16 @@ def test_assigning_a_block_writes_its_slab_for_every_reader(tmp_path):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("value", [np.ones(2), np.ones((2, 2)), np.ones((1, 2, 2)), 5.0])
+def test_assigning_a_block_of_another_shape_is_rejected(value):
+    # NumPy would broadcast each of these across the (2, 2, 2) slab.
+    packed = compress(random_symmetric(3, 4, 1), 2)
+    before = packed.data.copy()
+    with pytest.raises(ShapeError, match=r"block \(0, 1, 1\) has shape \(2, 2, 2\)"):
+        packed.blocks[(0, 1, 1)] = value
+    assert np.array_equal(packed.data, before)
+
+
 def test_measured_meta_k_is_nine_bytes_per_record():
     # One intp slab rank plus one 8-bit transpose id per block index.
     packed = compress(random_symmetric(5, 4, 26), 1)
