@@ -41,9 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import _levels
 from .counters import OpCounter
-from .dense import DenseTensor, matmul_ref, mode_multiply, mode_threads
+from .dense import DenseTensor, matmul_ref, mode_multiply
 from .errors import ParameterError, ShapeError
 from .indexing import block_grid, hypertriangle_iter, replicate_canonical
 from .split import share, threads, workers
@@ -152,9 +151,11 @@ def sttsm_dense_ttm(
     Exploits neither symmetry nor blocking: it is the blocked algorithm at
     ``b_A = n, b_C = p`` and counts ``dense_costs`` flops and
     ``bcss_impl_memops(m, n, p, n, p)`` memops (:mod:`~blocksym.costs`).
-    Each mode product splits as :func:`chain_threads` says, by the rule
+    Each mode product shares its chunks among the threads
+    :func:`~blocksym.dense.mode_multiply` picks, by the rule
     :func:`sttsm_bcss`'s levels follow (:func:`~blocksym.split.threads`);
-    the result and the counts do not depend on the split.
+    the result and the counts do not depend on the split, and
+    ``counter.threads`` reports the largest count.
     """
     x = np.asarray(x, dtype=np.float64)
     m, _, _ = _check_sttsm_args(a.dims, x)
@@ -177,25 +178,6 @@ def _gather_plan(t_in: BlockTables, t_out: BlockTables, k: int, m: int):
     back = (*range(k), *range(k + 1, m), k)
     axes = [tuple(t[f] for f in back) for t in t_in.transposes]
     return t_in.rank.reshape(-1, nbar)[rows], t_in.transpose.reshape(-1, nbar)[rows], axes
-
-
-def level_threads(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = True) -> list[int]:
-    """Threads :func:`sttsm_bcss` splits each level's produced blocks over,
-    indexed by level ``k``; 1 is the serial path.
-
-    A level's items are its produced blocks, each the size of one summand
-    slab, ``b_A^k b_C^(m-1-k)`` elements (an ``nbar``-th of the GEMM
-    operand); :func:`~blocksym.split.threads` is the rule, the one the
-    dense chain's mode products follow too.
-    """
-    levels = _levels(m, n, p, b_a, b_c, reuse)  # k = m-1 .. 0
-    return [threads(blocks, gather * b_a // n) for _, _, blocks, gather, _ in levels][::-1]
-
-
-def chain_threads(m: int, n: int, p: int) -> list[int]:
-    """Threads each mode product of :func:`sttsm_dense_ttm` shares its
-    chunks among (:func:`~blocksym.dense.mode_threads`), indexed by mode."""
-    return [mode_threads((p,) * k + (n,) * (m - k), k, p) for k in range(m)]
 
 
 def _level_product(
@@ -282,9 +264,12 @@ def sttsm_bcss(
 
     With BLAS set to one thread, a level whose summand slabs are large
     splits its produced blocks across the CPUs of the process's affinity
-    set (:func:`level_threads`), on one pool (:func:`~blocksym.split.workers`)
-    for this call only; ``taskset -c 0`` gives the serial path.  The result
-    and the counts do not depend on the split.
+    set: once per call, each level's thread count is
+    :func:`~blocksym.split.threads` of its gather plan's rows and their
+    slab size.  A call with a split level makes one pool
+    (:func:`~blocksym.split.workers`) for this call only; ``taskset -c 0``
+    gives the serial path.  The result and the counts do not depend on the
+    split, and ``counter.threads`` reports the largest level's count.
 
     ``temp_hook(k, temp)`` is called with each finished temporary, a
     :class:`~blocksym.storage.PartialSymTensor`, mainly so tests can audit
@@ -299,29 +284,28 @@ def sttsm_bcss(
     nbar = a.grid
     out = BcssTensor(m, p, b_c)
 
-    # Per level k: gather plan over T(k+1), then T(k)'s tables.  T(0) is
-    # one output block.
+    # Per level k: gather plan over T(k+1), T(k)'s tables, and the threads
+    # its produced blocks (the plan's rows, each from a summand slab of
+    # b_A^(k+1) b_C^(m-1-k) elements) are shared among.  T(0) is one
+    # output block.
     levels = [None] * m
     t_in = a.tables
     for k in range(m - 1, -1, -1):
         t_out = symmetric_tables(nbar, k, m) if reuse and k else identity_tables(nbar, k, m)
         plan = _gather_plan(t_in, t_out, k, m)
-        levels[k] = (plan, t_out)
+        levels[k] = (plan, t_out, threads(len(plan[0]), b_a ** (k + 1) * b_c ** (m - 1 - k)))
         t_in = t_out
-    split = level_threads(m, n, p, b_a, b_c, reuse)
 
     def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
-        plan, tables = levels[k]
+        plan, tables, split = levels[k]
         for jb in range(j_hi + 1):
             if k == 0:
                 r = out.tables.rank[(jb,) + suffix]
                 dst = out.data[..., r : r + 1]
-                _level_product(src, plan, dst, 0, jb, x, b_a, b_c, m, counter, pool, split[0])
+                _level_product(src, plan, dst, 0, jb, x, b_a, b_c, m, counter, pool, split)
                 continue
             temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), tables)
-            _level_product(
-                src, plan, temp.data, k, jb, x, b_a, b_c, m, counter, pool, split[k]
-            )
+            _level_product(src, plan, temp.data, k, jb, x, b_a, b_c, m, counter, pool, split)
             if temp_hook is not None:
                 temp_hook(k, temp)
             descend(k - 1, temp.data, jb, (jb,) + suffix)
@@ -330,7 +314,7 @@ def sttsm_bcss(
 
     # One pool per call.  Its shutdown joins every task, also when one has
     # raised, so no worker writes a temporary after the call has ended.
-    with workers(max(split)) as pool:
+    with workers(max(split for _, _, split in levels)) as pool:
         descend(m - 1, a.data, pbar - 1, ())
     return out
 

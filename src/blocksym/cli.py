@@ -28,8 +28,6 @@ import numpy as np
 
 from . import costs as cost_model
 from .change_of_basis import (
-    chain_threads,
-    level_threads,
     max_relative_error,
     sttsm_bcss,
     sttsm_dense_ttm,
@@ -225,6 +223,7 @@ def cmd_bench(args) -> int:
     x = random_matrix(p, n, args.seed + 1)
     rows = []
     wall: dict[str, float] = {}
+    used: dict[str, int] = {}  # threads each algorithm's counted run used
     for algo in algos:
         if algo != "bcss" and not dense_ok:
             counts = ["", ""]
@@ -235,6 +234,7 @@ def cmd_bench(args) -> int:
             continue
         counter = OpCounter()
         run[algo](counter)
+        used[algo] = counter.threads
         wall[algo] = _median_seconds(run[algo], args.reps)
         rows.append([algo, m, n, p, b_a, b_c, args.seed, f"{wall[algo]:.6f}",
                      counter.flops, counter.memops])
@@ -242,10 +242,7 @@ def cmd_bench(args) -> int:
     notes = []
     if "dense" in wall and "bcss" in wall and wall["bcss"] > 0:
         notes.append(f"speedup dense/bcss: {wall['dense'] / wall['bcss']:.3f}")
-    if "dense" in wall:
-        notes.append(f"dense workers: {max(chain_threads(m, n, p))}")
-    if "bcss" in wall:
-        notes.append(f"bcss workers: {max(level_threads(m, n, p, b_a, b_c))}")
+    notes += [f"{algo} workers: {used[algo]}" for algo in ("dense", "bcss") if algo in used]
     _write_csv(
         args.out,
         ["algorithm", "m", "n", "p", "b_A", "b_C", "seed", "wall_seconds", "flops", "memops"],

@@ -53,6 +53,12 @@ def _check(m: int, *dims: int) -> None:
         )
 
 
+def _check_meta_k(meta_k: Number) -> None:
+    """A per-block meta cost is finite and at least 0 (a NaN is neither)."""
+    if not 0 <= meta_k < math.inf:
+        raise ParameterError(f"meta_k must be finite and at least 0, got {meta_k}")
+
+
 def _payload(m: int, n: int, b: int) -> int:
     """``b^m * C(nbar + m - 1, m)``, the elements in the canonical blocks of
     an order-``m`` symmetric tensor of dimension ``n`` blocked at ``b``."""
@@ -119,6 +125,7 @@ def bcss_costs(
     temporary-level block counts are simplex numbers, without it they are
     full grid powers.
     """
+    _check_meta_k(meta_k)
     levels = list(_levels(m, n, p, b_a, b_c, reuse))
     nbar, pbar = n // b_a, p // b_c
     return CostReport(
@@ -228,6 +235,7 @@ def metadata_sweep(
     ``total = meta_k * nbar^m + b^m * C(nbar + m - 1, m)``.
     """
     _check(m, n)
+    _check_meta_k(meta_k)
     rows = []
     for b in divisors(n):
         payload = _payload(m, n, b)

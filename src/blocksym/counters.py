@@ -11,20 +11,29 @@ Conventions used throughout the package:
 
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 
 @dataclass
 class OpCounter:
-    """Per-invocation flop and memop tallies; zeroed at construction."""
+    """Per-invocation flop and memop tallies; zeroed at construction.
+
+    ``threads`` is the most threads any one piece of shareable work of the
+    call ran on (a level of ``sttsm_bcss``, a mode product), as
+    :func:`~blocksym.split.share` records it: 1 when every piece ran
+    serially, 0 when the call has no such piece.
+    """
 
     flops: int = 0
     memops: int = 0
+    threads: int = 0
 
     def count_flops(self, n: int) -> None:
         if n < 0:
-            raise ValueError("flop increment must be non-negative")
+            raise ParameterError("flop increment must be non-negative")
         self.flops += n
 
     def count_memops(self, n: int) -> None:
         if n < 0:
-            raise ValueError("memop increment must be non-negative")
+            raise ParameterError("memop increment must be non-negative")
         self.memops += n

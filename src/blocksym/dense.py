@@ -120,9 +120,11 @@ _CHUNK = 1 << 16
 
 
 def _chunk_grid(lead: int, n: int, trail: int, rows: int) -> tuple[int, int, int]:
-    """Chunk widths ``(w_lead, w_trail)`` over ``lead x trail``, and the
-    threads that share the chunks (:func:`~blocksym.split.threads`, each
-    chunk the size of its larger side, operand or result).
+    """Chunk widths ``(w_lead, w_trail)`` over ``lead x trail`` of the
+    product of an F-ordered ``(lead, n, trail)`` tensor with a ``rows x n``
+    matrix, and the threads :func:`mode_multiply` shares the chunks among
+    (:func:`~blocksym.split.threads`, each chunk the size of its larger
+    side, operand or result; 1 is the serial path).
 
     ``lead`` is cut first, so a chunk's operand stays about ``_CHUNK``
     elements however the modes are split around the contracted one; a
@@ -136,17 +138,6 @@ def _chunk_grid(lead: int, n: int, trail: int, rows: int) -> tuple[int, int, int
     cuts_trail = -(-trail // max(1, _CHUNK // (per * w_lead)))
     w_trail = -(-trail // cuts_trail) if cuts_trail else 1
     return w_lead, w_trail, threads(cuts_lead * cuts_trail, per * w_lead * w_trail)
-
-
-def mode_threads(dims: tuple[int, ...], k: int, rows: int) -> int:
-    """Threads :func:`mode_multiply` shares the mode-``k`` product of a
-    ``dims`` tensor with a ``rows``-row matrix among; 1 is the serial path.
-
-    Its items are the chunks of :func:`_chunk_grid`;
-    :func:`~blocksym.split.threads` is the rule, the one ``sttsm_bcss``'s
-    levels follow too.
-    """
-    return _chunk_grid(math.prod(dims[:k]), dims[k], math.prod(dims[k + 1 :]), rows)[2]
 
 
 def mode_multiply(
@@ -172,9 +163,10 @@ def mode_multiply(
     permute, GEMM and inverse permute would; the intermediates stay in
     cache.
 
-    Large tensors share their chunks across threads (:func:`mode_threads`,
-    :func:`~blocksym.split.share`); every chunk writes its own slice of the
-    output, so the result and the counts do not depend on the split.
+    Large tensors share their chunks across the threads
+    :func:`_chunk_grid` gives (:func:`~blocksym.split.share`, which records
+    the count in ``counter.threads``); every chunk writes its own slice of
+    the output, so the result and the counts do not depend on the split.
     """
     dims = t.dims
     if not 0 <= k < len(dims):

@@ -4,7 +4,8 @@ A level of ``sttsm_bcss`` (its items are produced blocks) and a dense mode
 product (chunks) say only how many items they have and how large each is.
 :func:`threads` picks the thread count and :func:`workers` makes the pool;
 in :func:`share` the calling thread and pool workers take items one at a
-time from a shared iterator, so a thread the host slows down takes fewer.
+time from a shared iterator, so a thread the host slows down takes fewer,
+and the count is recorded in the caller's ``OpCounter.threads``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def share(
     counter: OpCounter | None,
     pool: ThreadPoolExecutor | None = None,
 ) -> None:
-    """Run ``work(take, count)`` until ``items`` is used up.
+    """Run ``work(take, count)`` until ``items`` is used up, and raise
+    ``counter.threads`` to ``threads`` if it is lower.
 
     With ``threads == 1`` the calling thread takes every item, counting into
     ``counter``.  Otherwise it and ``threads - 1`` tasks on ``pool`` (or on
@@ -76,6 +78,8 @@ def share(
     thread has raised, the others take no further item; every task has
     ended before the error is raised here.
     """
+    if counter is not None:
+        counter.threads = max(counter.threads, threads)
     if threads == 1:
         work(iter(items), counter)
         return

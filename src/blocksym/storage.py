@@ -196,11 +196,13 @@ class PartialSymTensor:
     ):
         if sym_modes < 1:
             raise ShapeError("need at least one symmetric mode")
+        self.tail_dims = tuple(tail_dims)
+        if min(self.tail_dims, default=0) < 0:
+            raise ShapeError(f"tail dims {self.tail_dims} include a negative dimension")
         self.grid = block_grid(sym_dim, block_dim)
         self.sym_modes = sym_modes
         self.sym_dim = sym_dim
         self.block_dim = block_dim
-        self.tail_dims = tuple(tail_dims)
         if tables is None:
             tables = symmetric_tables(self.grid, sym_modes, self.order)
         if tables.rank.shape != (self.grid,) * sym_modes:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksym import (
+    BcssTensor,
     BlockDivisibilityError,
     OpCounter,
     ParameterError,
@@ -34,7 +35,6 @@ from blocksym import (
 from blocksym import change_of_basis as cb
 from blocksym import dense as dense_module
 from blocksym import split
-from blocksym.change_of_basis import level_threads
 from blocksym.dense import DenseTensor
 from blocksym.indexing import is_sym_in_modes, symmetry_violation
 
@@ -366,20 +366,46 @@ def _bcss_run(packed, x, b_c, reuse):
     return out.data.tobytes(order="F"), counter.flops, counter.memops
 
 
+def spy_share(monkeypatch, module, skip=False):
+    """Record ``(k, threads)`` for each call of ``share`` in ``module``,
+    ``k`` being the caller's level or mode; with ``skip`` no work runs."""
+    used = []
+
+    def spy(work, items, threads, counter, pool=None):
+        # The caller, _level_product or mode_multiply, names its level or mode k.
+        used.append((sys._getframe(1).f_locals["k"], threads))
+        if not skip:
+            split.share(work, items, threads, counter, pool)
+
+    monkeypatch.setattr(module, "share", spy)
+    return used
+
+
+def level_split(monkeypatch, m, n, b, reuse=True):
+    """Threads each level of a real ``sttsm_bcss`` call at ``n = p`` and
+    ``b_A = b_C = b`` shares its blocks among, indexed by level ``k``; the
+    work is skipped, so the operands are left unfilled."""
+    used = spy_share(monkeypatch, cb, skip=True)
+    sttsm_bcss(BcssTensor(m, n, b), np.empty((n, n)), b, reuse=reuse)
+    per_level = [{t for level, t in used if level == k} for k in range(m)]
+    assert all(len(counts) == 1 for counts in per_level)  # one count per level and call
+    return [counts.pop() for counts in per_level]
+
+
 def test_level_threads_dispatch(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     # The benchmark's large blocks: 2^15-element slabs at every level, split
     # where each of the 2 threads gets 4 blocks (level 1 has 4 in all).
-    assert level_threads(5, 32, 32, 8, 8) == [1, 1, 2, 2, 2]
-    assert level_threads(5, 32, 32, 8, 8, reuse=False) == [1, 1, 2, 2, 2]
-    assert level_threads(4, 48, 48, 16, 16) == [1, 1, 1, 2]
+    assert level_split(monkeypatch, 5, 32, 8) == [1, 1, 2, 2, 2]
+    assert level_split(monkeypatch, 5, 32, 8, reuse=False) == [1, 1, 2, 2, 2]
+    assert level_split(monkeypatch, 4, 48, 16) == [1, 1, 1, 2]
     # Slabs of 20,736 elements or fewer, and too few blocks, stay serial.
     for m, n, b in [(4, 48, 8), (4, 32, 8), (5, 32, 4), (4, 40, 10), (4, 48, 12), (4, 64, 8),
                     (3, 96, 48)]:
-        assert level_threads(m, n, n, b, b) == [1] * m, (m, n, b)
+        assert level_split(monkeypatch, m, n, b) == [1] * m, (m, n, b)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert level_threads(5, 32, 32, 8, 8) == [1] * 5
+    assert level_split(monkeypatch, 5, 32, 8) == [1] * 5
 
 
 @pytest.mark.parametrize(
@@ -393,7 +419,7 @@ def test_level_threads_serial_with_threaded_blas(monkeypatch, blas):
         monkeypatch.delenv(var, raising=False)
     for var, value in blas.items():
         monkeypatch.setenv(var, value)
-    assert level_threads(5, 32, 32, 8, 8) == [1] * 5
+    assert level_split(monkeypatch, 5, 32, 8) == [1] * 5
 
 
 @pytest.mark.parametrize("reuse", [True, False])
@@ -494,23 +520,32 @@ def test_dense_chain_split_is_bitwise_serial(cpus, monkeypatch, m, n, p):
     monkeypatch.setattr(dense_module, "_CHUNK", 50)
     a = random_symmetric(m, n, 70 + m)
     x = random_matrix(p, n, 71 + m)
+    used = spy_share(monkeypatch, dense_module)
     cpus(1)
-    assert cb.chain_threads(m, n, p) == [1] * m
     serial = _dense_run(a, x)
+    assert used == [(k, 1) for k in range(m)]
     assert serial[1:] == (dense_costs(m, n, p).flops, bcss_impl_memops(m, n, p, n, p))
+    used.clear()
     cpus(3)
-    assert cb.chain_threads(m, n, p) == [3] * m
     assert _dense_run(a, x) == serial
+    assert used == [(k, 3) for k in range(m)]
+
+
+def chain_split(m, n, p):
+    """Threads each mode product of the dense chain shares its chunks
+    among, indexed by mode: the mode-k product takes a (p,)*k + (n,)*(m-k)
+    tensor to p rows."""
+    return [dense_module._chunk_grid(p**k, n, n ** (m - 1 - k), p)[2] for k in range(m)]
 
 
 def test_chain_threads_dispatch(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert cb.chain_threads(5, 32, 32) == [2] * 5
-    assert cb.chain_threads(4, 48, 48) == [2] * 4
-    assert cb.chain_threads(3, 8, 8) == [1] * 3
+    assert chain_split(5, 32, 32) == [2] * 5
+    assert chain_split(4, 48, 48) == [2] * 4
+    assert chain_split(3, 8, 8) == [1] * 3
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert cb.chain_threads(5, 32, 32) == [1] * 5
+    assert chain_split(5, 32, 32) == [1] * 5
 
 
 @pytest.mark.parametrize("fail_at", [1, 5, 40])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from blocksym import (
     DenseTensor,
     ModeError,
+    ParameterError,
     ShapeError,
     ipermute,
     matmul_ref,
@@ -289,9 +290,10 @@ def test_matmul_shape_error_and_flop_count():
 
 def test_counter_rejects_negative_increments():
     c = OpCounter()
-    with pytest.raises(ValueError, match="flop increment"):
+    # The package's own error, a ValueError.
+    with pytest.raises(ParameterError, match="flop increment"):
         c.count_flops(-1)
-    with pytest.raises(ValueError, match="memop increment"):
+    with pytest.raises(ParameterError, match="memop increment"):
         c.count_memops(-1)
     assert (c.flops, c.memops) == (0, 0)
 
@@ -399,6 +401,12 @@ def test_mode_multiply_empty_modes():
 # ---------------------------------------------------------------- chunks and threads
 
 
+def chunk_threads(dims, k, rows):
+    """Threads mode_multiply shares the mode-k product of a dims tensor
+    with a rows-row matrix among."""
+    return dense._chunk_grid(math.prod(dims[:k]), dims[k], math.prod(dims[k + 1 :]), rows)[2]
+
+
 def _product(t, k, b):
     c = OpCounter()
     out = mode_multiply(t, k, b, c)
@@ -421,14 +429,14 @@ def test_mode_multiply_split_is_bitwise_serial(cpus, monkeypatch, chunk, rows):
         w_lead, w_trail, _ = dense._chunk_grid(lead, dims[k], trail, rows)
         ragged |= bool(lead % w_lead or trail % w_trail)
         cpus(1)
-        assert dense.mode_threads(dims, k, rows) == 1
+        assert chunk_threads(dims, k, rows) == 1
         serial = _product(t, k, b)
         want = contract_mode_oracle(t, k, b)
         got = np.frombuffer(serial[0]).reshape(want.shape, order="F")
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert serial[1:] == (2 * rows * t.array.size, 2 * (t.array.size + want.size))
         cpus(3)
-        threads = dense.mode_threads(dims, k, rows)
+        threads = chunk_threads(dims, k, rows)
         if threads == 1:
             assert -(-lead // w_lead) * -(-trail // w_trail) < 2
             continue
@@ -456,18 +464,18 @@ def test_mode_threads_rule(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # Every mode of the benchmark's dense chain: 16 to 32 chunks of 2^16.
-    assert [dense.mode_threads((32,) * 5, k, 32) for k in range(5)] == [2] * 5
+    assert [chunk_threads((32,) * 5, k, 32) for k in range(5)] == [2] * 5
     # One chunk, as in every mode product of sttsm_scalar_temps there.
-    assert dense.mode_threads((16,) * 4, 3, 1) == 1
-    assert dense.mode_threads((8,) * 4, 2, 8) == 1
+    assert chunk_threads((16,) * 4, 3, 1) == 1
+    assert chunk_threads((8,) * 4, 2, 8) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # taskset -c 0
-    assert dense.mode_threads((32,) * 5, 0, 32) == 1
+    assert chunk_threads((32,) * 5, 0, 32) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for var in split._BLAS_THREADS:
         monkeypatch.delenv(var, raising=False)
-    assert dense.mode_threads((32,) * 5, 0, 32) == 1
+    assert chunk_threads((32,) * 5, 0, 32) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert dense.mode_threads((32,) * 5, 0, 32) == 1
+    assert chunk_threads((32,) * 5, 0, 32) == 1
 
 
 def test_mode_multiply_serial_makes_no_executor(cpus, monkeypatch):
@@ -494,7 +502,7 @@ def test_mode_multiply_split_stress_many_threads(cpus, monkeypatch):
     cpus(1)
     serial = _product(t, 1, b)
     cpus(8)
-    assert dense.mode_threads(t.dims, 1, 4) == 8
+    assert chunk_threads(t.dims, 1, 4) == 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

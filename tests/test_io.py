@@ -1,4 +1,6 @@
+import io
 import struct
+import sys
 import time
 
 import numpy as np
@@ -20,6 +22,7 @@ from blocksym import (
     simplex_count,
     sttsm_bcss,
 )
+from blocksym import io as blocksym_io
 from blocksym.dense import DenseTensor
 from blocksym.generate import random_bcss
 
@@ -310,3 +313,19 @@ def test_any_cut_or_extension_of_a_file_is_a_format_error(tmp_path_factory, data
     path.write_bytes(raw[:keep] + extra)
     with pytest.raises(FormatError):
         loader(path)
+
+
+def test_read_payload_short_read_is_a_format_error():
+    # A file that shrinks between the size check and the read.
+    with pytest.raises(FormatError, match="payload is 16 bytes, header implies 24"):
+        blocksym_io._read_payload(io.BytesIO(bytes(16)), np.empty(3))
+
+
+def test_read_payload_swaps_bytes_on_a_big_endian_host(monkeypatch):
+    # On a big-endian host the file's little-endian doubles read in swapped,
+    # as big-endian doubles do here, and the loader swaps them back.
+    want = np.array([[1.5, -2.0], [3.25, 1e300]], order="F")
+    monkeypatch.setattr(sys, "byteorder", "big")
+    got = np.empty((2, 2), order="F")
+    blocksym_io._read_payload(io.BytesIO(want.astype(">f8").tobytes(order="F")), got)
+    assert np.array_equal(got, want)

@@ -90,3 +90,42 @@ def test_split_policy_breaches_finds_pools_locks_and_constants():
         "line 5: _SPLIT_SLAB",
         "line 6: _SPLIT_CHUNKS",
     ]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that ``source`` imports from a package module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "blocksym"
+        ):
+            found += [
+                f"line {node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_imports_no_private_name(path):
+    # A name another module needs belongs to that module's public surface.
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_imports_finds_underscore_names_from_the_package():
+    source = (
+        "import io as _io\n"
+        "from os import _exit\n"
+        "from .costs import _levels\n"
+        "from .split import share, _DONE as done\n"
+        "from blocksym.dense import _chunk_grid\n"
+        "from . import _private\n"
+        "from .dense import DenseTensor\n"
+    )
+    assert private_imports(source) == [
+        "line 3: _levels",
+        "line 4: _DONE",
+        "line 5: _chunk_grid",
+        "line 6: _private",
+    ]

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from blocksym import split
+from blocksym import OpCounter, split
 
 BIG = 1 << 15  # the smallest item that may be split
 
@@ -45,3 +45,25 @@ def test_threads_serial_under_a_threaded_blas(eight_cpus, monkeypatch, blas):
     for var, value in blas.items():
         monkeypatch.setenv(var, value)
     assert split.threads(10**6, BIG) == 1
+
+
+@pytest.mark.parametrize("count,want", [(3, 3), (None, 1)])
+def test_cpus_without_an_affinity_call_reads_the_cpu_count(eight_cpus, monkeypatch, count, want):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert split.cpus() == want
+
+
+def test_share_records_the_most_threads_in_the_counter():
+    def work(take, count):
+        for item in take:
+            count.count_flops(item)
+
+    counter = OpCounter()
+    assert counter.threads == 0  # no shared work yet
+    split.share(work, range(10), 1, counter)
+    assert (counter.flops, counter.threads) == (45, 1)
+    split.share(work, range(10), 3, counter)
+    assert (counter.flops, counter.threads) == (90, 3)
+    split.share(work, range(10), 2, counter)  # a smaller count leaves the largest
+    assert (counter.flops, counter.threads) == (135, 3)

@@ -410,6 +410,18 @@ def test_partial_sym_tensor_needs_a_symmetric_mode():
         PartialSymTensor(0, 4, 2, (3,))
 
 
+@pytest.mark.parametrize("tail", [(-1,), (3, -2)])
+def test_partial_sym_tensor_rejects_a_negative_tail_dim(tail):
+    # Checked before any table is built or np.empty raises a bare ValueError.
+    with pytest.raises(ShapeError, match=r"tail dims .* include a negative dimension"):
+        PartialSymTensor(1, 4, 2, tail)
+
+
+def test_partial_sym_tensor_tail_dim_zero_builds_empty_slabs():
+    temp = PartialSymTensor(1, 4, 2, (0,))
+    assert temp.data.shape == (2, 0, 2)
+
+
 def test_partial_sym_tensor_rejects_tables_of_another_grid():
     # Tables of a 3-grid given to a tensor whose grid is 2.
     with pytest.raises(ShapeError, match=r"tables cover grid \(3, 3\), expected 2\^2"):
