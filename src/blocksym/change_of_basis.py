@@ -57,7 +57,16 @@ from .storage import (
 TempHook = Callable[[int, object], None]
 
 
-def _check_sttsm_args(a_dims: tuple[int, ...], x: np.ndarray) -> tuple[int, int, int]:
+def _check_sttsm_args(a_dims: tuple[int, ...], x) -> tuple[np.ndarray, int, int, int]:
+    """``x`` as a float64 matrix, and ``m``, ``n`` and ``p``; raises before
+    any work unless ``a_dims`` are ``m >= 2`` equal dims and ``x`` is a real
+    ``(p x n)`` matrix with ``p >= 1``."""
+    x = np.asarray(x)
+    # Converted, a complex x would lose its imaginary part and a string one
+    # fail inside NumPy.
+    if x.dtype.kind not in "biuf":
+        raise ParameterError(f"matrix of dtype {x.dtype} is not real")
+    x = x.astype(np.float64, copy=False)
     m = len(a_dims)
     if m < 2:
         raise ParameterError("change of basis is defined for order >= 2")
@@ -68,7 +77,7 @@ def _check_sttsm_args(a_dims: tuple[int, ...], x: np.ndarray) -> tuple[int, int,
         raise ShapeError(f"matrix shape {x.shape} does not contract dimension {n}")
     if x.shape[0] < 1:
         raise ShapeError(f"matrix shape {x.shape} has no rows")
-    return m, n, x.shape[0]
+    return x, m, n, x.shape[0]
 
 
 def _replicate(values: dict, p: int, m: int, counter: OpCounter | None) -> DenseTensor:
@@ -95,8 +104,7 @@ def sttsm_naive(
     assumed symmetric); ``full_nest=True`` computes every entry
     independently and assumes nothing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    m, n, p = _check_sttsm_args(a.dims, x)
+    x, m, n, p = _check_sttsm_args(a.dims, x)
 
     def entry(jt: tuple[int, ...]) -> float:
         weight = reduce(np.multiply.outer, [x[j] for j in jt])
@@ -127,8 +135,7 @@ def sttsm_scalar_temps(
     Counts equal the blocked sums at ``b_A = n, b_C = 1`` (:mod:`~blocksym.costs`)
     plus ``2 p^m`` memops for the replication.
     """
-    x = np.asarray(x, dtype=np.float64)
-    m, n, p = _check_sttsm_args(a.dims, x)
+    x, m, n, p = _check_sttsm_args(a.dims, x)
     values: dict[tuple[int, ...], float] = {}
 
     def descend(k: int, t_next: DenseTensor, j_hi: int, suffix: tuple[int, ...]) -> None:
@@ -156,12 +163,17 @@ def sttsm_dense_ttm(
     :func:`sttsm_bcss`'s levels follow (:func:`~blocksym.split.threads`);
     the result and the counts do not depend on the split, and
     ``counter.threads`` reports the largest count.
+
+    When ``p == n`` every product has the dims of ``a``, and product ``k``
+    is written (``out=``) into the array of product ``k - 2``, which
+    nothing reads any more, so a call allocates two arrays, not ``m``.
+    ``a`` is only read, and the result shares no memory with it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    m, _, _ = _check_sttsm_args(a.dims, x)
-    c = a
+    x, m, n, p = _check_sttsm_args(a.dims, x)
+    before, c = None, a
     for k in range(m):
-        c = mode_multiply(c, k, x, counter)
+        out = before.array if p == n and k >= 2 else None
+        before, c = c, mode_multiply(c, k, x, counter, out)
     return c
 
 
@@ -277,8 +289,7 @@ def sttsm_bcss(
     """
     if not isinstance(a, BcssTensor):
         raise ShapeError("sttsm_bcss needs blocked compact symmetric input")
-    x = np.asarray(x, dtype=np.float64)
-    m, n, p = _check_sttsm_args(a.dims, x)
+    x, m, n, p = _check_sttsm_args(a.dims, x)
     b_a = a.b
     pbar = block_grid(p, b_c)
     nbar = a.grid

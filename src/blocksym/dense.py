@@ -7,8 +7,9 @@ i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.
 * ``permute`` / ``ipermute`` -- materialized data rearrangement,
 * ``matmul_ref`` -- the single matrix-multiply seam,
 * ``mode_multiply`` -- the mode-k tensor-times-matrix product, one fused
-  kernel that walks cache-sized chunks: transpose a chunk in, one
-  ``matmul_ref`` GEMM, transpose the result out.
+  kernel that walks cache-sized chunks: copy a chunk into a buffer laid out
+  in the source's memory order, one ``matmul_ref`` GEMM, transpose the
+  result out.
 
 When a :class:`~blocksym.counters.OpCounter` is supplied, every element a
 permutation or a mode product moves in or out reports 2 memops and every
@@ -145,21 +146,30 @@ def mode_multiply(
     k: int,
     b: np.ndarray,
     counter: OpCounter | None = None,
+    out: np.ndarray | None = None,
 ) -> DenseTensor:
     """Contract matrix ``b`` (J x I_k) against mode ``k`` of ``t``.
 
     Result dims replace ``I_k`` by ``J``; element ``(.., j, ..)`` equals
-    ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``.
+    ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``.  The result is written into
+    ``out`` when one is given: an F-contiguous, writeable float64 array of
+    the result's dims that shares no memory with ``t``, or
+    :class:`ShapeError` is raised before any work.
 
     The input is viewed as F-ordered ``(lead, I_k, trail)`` and the output
     as ``(lead, J, trail)``, and a fixed grid of cache-sized chunks
     (:func:`_chunk_grid`) is walked over ``lead x trail``.  Each chunk is
-    transposed into a buffer that reads as the F-ordered ``(I_k x w)``
-    matrix (the front permute), multiplied as ``(w x I_k) @ (I_k x J)`` on
-    the transposed views, and the F-ordered ``(J x w)`` result is
-    transposed straight into the chunk's slice of the output (the inverse
-    permute).  Each element is moved once in and once out, 2 memops each,
-    and the GEMMs count ``2 * J * I_k`` flops per column, as a whole-tensor
+    copied into a buffer that holds its ``(w x I_k)`` GEMM operand, row
+    ``l + w_lead * t`` for lead index ``l`` and trail index ``t``.  The
+    buffer is laid out in the source's memory order: F-ordered (lead
+    fastest) when a chunk's lead width is at least ``I_k``, so the copy
+    reads and writes runs of ``w_lead`` contiguous elements, and
+    C-ordered (``I_k`` fastest) otherwise, as at mode 0.  One
+    ``(w x I_k) @ (I_k x J)`` GEMM gives the C-ordered ``(w x J)``
+    product, whose transpose, the F-ordered ``(J x w)`` matrix, is copied
+    straight into the chunk's slice of the output (the inverse permute).
+    Each element is moved once in and once out, 2 memops each, and the
+    GEMMs count ``2 * J * I_k`` flops per column, as a whole-tensor
     permute, GEMM and inverse permute would; the intermediates stay in
     cache.
 
@@ -169,33 +179,46 @@ def mode_multiply(
     the output, so the result and the counts do not depend on the split.
     """
     dims = t.dims
-    if not 0 <= k < len(dims):
-        raise ModeError(f"mode {k} out of range for order {len(dims)}")
+    if not isinstance(k, (int, np.integer)) or not 0 <= k < len(dims):
+        raise ModeError(f"mode {k!r} is not a mode of an order-{len(dims)} tensor")
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or b.shape[1] != dims[k]:
         raise ShapeError(
             f"matrix shape {b.shape} does not contract mode {k} of dims {dims}"
         )
     rows, n = b.shape
+    shape = dims[:k] + (rows,) + dims[k + 1 :]
+    if out is None:
+        out = np.empty(shape, dtype=np.float64, order="F")
+    else:
+        _check_out(out, shape, t.array)
     lead, trail = math.prod(dims[:k]), math.prod(dims[k + 1 :])
-    out = np.empty(dims[:k] + (rows,) + dims[k + 1 :], dtype=np.float64, order="F")
     src = t.array.reshape((lead, n, trail), order="F")
     dst = out.reshape((lead, rows, trail), order="F")
     b_t = b.T
     w_lead, w_trail, split = _chunk_grid(lead, n, trail, rows)
+    # Buffer axes, as moved from the source's (lead, n, trail): F-ordered,
+    # the first fastest, so the copy walks lead in runs of w_lead elements
+    # when they are at least n long, else n.
+    by_lead = w_lead >= n
+    axes = (0, 2, 1) if by_lead else (1, 0, 2)
 
     def product(take, count: OpCounter | None) -> None:
-        whole = np.empty((n, w_lead, w_trail), dtype=np.float64, order="F")
+        whole = np.empty(n * w_lead * w_trail, dtype=np.float64)
         for l0, t0 in take:
             part = src[l0 : l0 + w_lead, :, t0 : t0 + w_trail]
             wl, _, wt = part.shape
-            buf = whole
-            if (wl, wt) != (w_lead, w_trail):  # a last, narrower chunk
-                buf = whole.reshape(-1, order="F")[: n * wl * wt].reshape((n, wl, wt), order="F")
-            buf[...] = part.transpose(1, 0, 2)
+            moved = part.transpose(axes)
+            # A last, narrower chunk fills the front of the buffer.
+            buf = whole[: part.size].reshape(moved.shape, order="F")
+            buf[...] = moved
+            if by_lead:
+                a = buf.reshape((wl * wt, n), order="F")
+            else:
+                a = buf.reshape((n, wl * wt), order="F").T
             # Transposed back, the C-ordered (w x J) product is the
             # F-ordered (J x w) matrix, so the reshape below is a view.
-            c_t = matmul_ref(buf.reshape((n, wl * wt), order="F").T, b_t, count).T
+            c_t = matmul_ref(a, b_t, count).T
             dst[l0 : l0 + wl, :, t0 : t0 + wt] = c_t.reshape((rows, wl, wt), order="F").transpose(
                 1, 0, 2
             )
@@ -206,3 +229,14 @@ def mode_multiply(
     chunks = ((l0, t0) for t0 in range(0, trail, w_trail) for l0 in range(0, lead, w_lead))
     share(product, chunks, split, counter)
     return DenseTensor(out)
+
+
+def _check_out(out, shape: tuple[int, ...], src: np.ndarray) -> None:
+    """Raise :class:`ShapeError` unless :func:`mode_multiply` may write a
+    result of dims ``shape`` into ``out`` while it reads ``src``."""
+    if not isinstance(out, np.ndarray) or out.shape != shape:
+        raise ShapeError(f"out of dims {np.shape(out)} cannot hold a product of dims {shape}")
+    if out.dtype != np.float64 or not out.flags.f_contiguous or not out.flags.writeable:
+        raise ShapeError(f"out must be a writeable F-contiguous float64 array, got {out.dtype}")
+    if np.may_share_memory(out, src):
+        raise ShapeError("out shares memory with the tensor it is computed from")

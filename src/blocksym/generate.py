@@ -22,25 +22,34 @@ from .indexing import replicate_canonical, simplex_count, sort_within
 from .storage import BcssTensor
 
 
+def _integers(*values) -> bool:
+    """Whether every value is an integer (an ``int`` or ``np.integer``)."""
+    return all(isinstance(v, (int, np.integer)) for v in values)
+
+
 def _rng(seed: int) -> np.random.Generator:
     """The generator for ``seed``, which must be a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _integers(seed) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
 
 def random_symmetric(m: int, n: int, seed: int) -> DenseTensor:
     """Seeded exactly-symmetric order-m tensor with dims ``(n,) * m``."""
-    if m < 1 or n < 1:
-        raise ParameterError("random_symmetric requires m >= 1 and n >= 1")
+    if not _integers(m, n) or m < 1 or n < 1:
+        raise ParameterError(
+            f"random_symmetric requires integers m >= 1 and n >= 1, got {m!r}, {n!r}"
+        )
     draws = _rng(seed).uniform(-1.0, 1.0, size=simplex_count(n, m))
     return DenseTensor(replicate_canonical(draws, n, m))
 
 
 def random_matrix(p: int, n: int, seed: int) -> np.ndarray:
     """Seeded uniform(-1, 1) change-of-basis matrix of shape (p, n)."""
-    if p < 1 or n < 1:
-        raise ParameterError("random_matrix requires p >= 1 and n >= 1")
+    if not _integers(p, n) or p < 1 or n < 1:
+        raise ParameterError(
+            f"random_matrix requires integers p >= 1 and n >= 1, got {p!r}, {n!r}"
+        )
     return _rng(seed).uniform(-1.0, 1.0, size=(p, n))
 
 
@@ -57,8 +66,10 @@ def random_bcss(m: int, n: int, b: int, seed: int) -> BcssTensor:
     holds one uniform(-1, 1) value per distinct entry.  The same seed gives
     bit-identical blocks.
     """
-    if m < 2 or n < 1:
-        raise ParameterError("random_bcss requires m >= 2 and n >= 1")
+    if not _integers(m, n) or m < 2 or n < 1:
+        raise ParameterError(
+            f"random_bcss requires integers m >= 2 and n >= 1, got {m!r}, {n!r}"
+        )
     rng = _rng(seed)
     # Built first, so a grid too large for its tables fails before any draw.
     out = BcssTensor(m, n, b)

@@ -67,9 +67,14 @@ def block_grid(n: int, b: int) -> int:
     """Block-grid extent ``n // b`` of a mode of dimension ``n`` cut into
     blocks of dimension ``b``.
 
-    Raises :class:`BlockDivisibilityError` when ``b < 1`` or ``b`` does not
-    divide ``n``.
+    Raises :class:`ShapeError` unless ``n`` is an integer, and
+    :class:`BlockDivisibilityError` unless ``b`` is an integer of at least
+    1 that divides ``n``.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ShapeError(f"dimension must be an integer, got {n!r}")
+    if not isinstance(b, (int, np.integer)):
+        raise BlockDivisibilityError(f"block dimension must be an integer, got {b!r}")
     if b < 1:
         raise BlockDivisibilityError(f"block dimension must be at least 1, got {b}")
     if n % b != 0:

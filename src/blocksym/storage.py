@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,9 +195,11 @@ class PartialSymTensor:
         tail_dims: tuple[int, ...],
         tables: BlockTables | None = None,
     ):
-        if sym_modes < 1:
-            raise ShapeError("need at least one symmetric mode")
+        if not isinstance(sym_modes, (int, np.integer)) or sym_modes < 1:
+            raise ShapeError(f"need at least one symmetric mode, an integer, got {sym_modes!r}")
         self.tail_dims = tuple(tail_dims)
+        if not all(isinstance(d, (int, np.integer)) for d in self.tail_dims):
+            raise ShapeError(f"tail dims {self.tail_dims} must be integers")
         if min(self.tail_dims, default=0) < 0:
             raise ShapeError(f"tail dims {self.tail_dims} include a negative dimension")
         self.grid = block_grid(sym_dim, block_dim)
@@ -277,8 +280,8 @@ def compress(t: DenseTensor, block_dim: int, tol: float = 0.0) -> BcssTensor:
     symmetric within ``tol`` (relative, at least 0; NaN rules as in
     :func:`~blocksym.indexing.symmetry_violation`), or :class:`ShapeError` if its dims differ.
     """
-    if not tol >= 0:
-        raise ParameterError(f"tol must be at least 0, got {tol}")
+    if not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ParameterError(f"tol must be a real number of at least 0, got {tol!r}")
     m = t.order
     n = t.dims[0]
     block_grid(n, block_dim)  # before the scan of every entry
@@ -295,7 +298,10 @@ def compress(t: DenseTensor, block_dim: int, tol: float = 0.0) -> BcssTensor:
 
 def decompress(a: PartialSymTensor) -> DenseTensor:
     """Assemble the full dense tensor a blocked tensor represents, with one
-    transposed copy of a stored slab per block."""
+    transposed copy of a stored slab per block.  Anything but a
+    :class:`PartialSymTensor` raises :class:`ShapeError`."""
+    if not isinstance(a, PartialSymTensor):
+        raise ShapeError("decompress needs blocked input")
     out = np.empty(a.dims, dtype=np.float64, order="F")
     tail = tuple(slice(None) for _ in a.tail_dims)
     t = a.tables

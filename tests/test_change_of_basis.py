@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import sys
@@ -171,6 +172,43 @@ def test_dense_ttm_exact_counts_and_gemm_shapes(m, n, p):
         want = np.moveaxis(np.tensordot(x, want, axes=([1], [k])), 0, k)
     assert out.dims == (p,) * m and out.array.flags.f_contiguous
     assert np.max(np.abs(out.array - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m,n,p", [(4, 5, 3), (5, 4, 4), (4, 3, 6), (3, 40, 40)])
+def test_dense_ttm_equals_products_into_fresh_arrays(m, n, p):
+    # Bitwise and count for count, whether or not products reuse arrays;
+    # the operand is only read, and the result shares no memory with it.
+    a = random_symmetric(m, n, 19)
+    x = random_matrix(p, n, 20)
+    before = a.array.tobytes(order="F")
+    want, c_want = a, OpCounter()
+    for k in range(m):
+        want = dense_module.mode_multiply(want, k, x, c_want)
+    c = OpCounter()
+    got = sttsm_dense_ttm(a, x, c)
+    assert got.array.tobytes(order="F") == want.array.tobytes(order="F")
+    assert (c.flops, c.memops, c.threads) == (c_want.flops, c_want.memops, c_want.threads)
+    assert a.array.tobytes(order="F") == before
+    assert not np.shares_memory(got.array, a.array)
+
+
+@pytest.mark.parametrize("m,n,p", [(5, 4, 4), (4, 2, 2), (5, 4, 3), (5, 3, 4)])
+def test_dense_ttm_writes_product_k_into_product_k_minus_2_when_p_is_n(monkeypatch, m, n, p):
+    a = random_symmetric(m, n, 21)
+    products = []
+
+    def spy(*args, **kwargs):
+        out = dense_module.mode_multiply(*args, **kwargs)
+        products.append(out.array)
+        return out
+
+    monkeypatch.setattr(cb, "mode_multiply", spy)
+    sttsm_dense_ttm(a, random_matrix(p, n, 22))
+    assert len(products) == m
+    for k, j in itertools.combinations(range(m), 2):
+        shared = p == n and (j - k) % 2 == 0
+        assert np.shares_memory(products[k], products[j]) == shared, (k, j)
+    assert not any(np.shares_memory(c, a.array) for c in products)
 
 
 # ------------------------------------------------------------ blocked
@@ -597,6 +635,22 @@ def test_matrix_without_rows_rejected_at_entry(algo):
     # deep inside on parameters the caller never passed.
     with pytest.raises(ShapeError, match=r"matrix shape \(0, 4\) has no rows"):
         _ALGORITHMS[algo](random_symmetric(3, 4, 9), np.zeros((0, 4)))
+
+
+NOT_REAL = {
+    "complex": np.eye(4) * (1 + 1j),
+    "object": np.eye(4).astype(object),
+    "string": np.full((4, 4), "a"),
+}
+
+
+@pytest.mark.parametrize("x", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("algo", sorted(_ALGORITHMS))
+def test_matrix_that_is_not_real_rejected_at_entry(algo, x):
+    # A complex matrix used to lose its imaginary part under a
+    # ComplexWarning, and a string one to raise NumPy's bare ValueError.
+    with pytest.raises(ParameterError, match="is not real"):
+        _ALGORITHMS[algo](random_symmetric(3, 4, 9), x)
 
 
 def test_unequal_dims_rejected():

@@ -204,7 +204,9 @@ def test_mode_product_permutes_merge_to_batched_transpose(m):
     # Whatever m and k, a mode product's front permutation is the batched
     # transpose (lead, n, trail) -> (n, lead, trail) of the input, which the
     # GEMM reads as its (w x n) operand, and its inverse the reverse: with
-    # the identity matrix the output is the input, bitwise.
+    # the identity matrix the output is the input, bitwise.  The operand's
+    # values are compared, not its layout: it is F-ordered (lead fastest)
+    # where the chunk's lead width is at least n, else C-ordered.
     n = 3
     t = rand_tensor((n,) * m, m)
     for k in range(m):
@@ -372,11 +374,57 @@ def test_mode_multiply_oracle_sweep(dims):
 
 def test_mode_multiply_errors():
     t = rand_tensor((2, 3), 18)
-    for k in (2, -1):
+    # 1.0 and "0" used to raise a bare TypeError.
+    for k in (2, -1, 1.0, "0"):
         with pytest.raises(ModeError):
             mode_multiply(t, k, np.eye(2))
     with pytest.raises(ShapeError):
         mode_multiply(t, 0, np.zeros((2, 5)))
+
+
+def test_mode_multiply_writes_into_out():
+    t = rand_tensor((2, 3, 4), 20)
+    b = np.random.default_rng(21).standard_normal((5, 3))
+    c_want = OpCounter()
+    want = mode_multiply(t, 1, b, c_want)
+    out, c = np.full((2, 5, 4), np.nan, order="F"), OpCounter()
+    got = mode_multiply(t, 1, b, c, out=out)
+    assert np.shares_memory(got.array, out)
+    assert got.array.tobytes(order="F") == want.array.tobytes(order="F")
+    assert (c.flops, c.memops) == (c_want.flops, c_want.memops)
+
+
+def _readonly(shape):
+    arr = np.empty(shape, order="F")
+    arr.setflags(write=False)
+    return arr
+
+
+BAD_OUT = {
+    "dims": lambda: np.empty((2, 4, 4), order="F"),
+    "ndim": lambda: np.empty((2, 5), order="F"),
+    "C order": lambda: np.empty((2, 5, 4)),
+    "strided": lambda: np.empty((4, 5, 4), order="F")[::2],
+    "float32": lambda: np.empty((2, 5, 4), dtype=np.float32, order="F"),
+    "read-only": lambda: _readonly((2, 5, 4)),
+    "DenseTensor": lambda: DenseTensor(np.empty((2, 5, 4), order="F")),
+}
+
+
+@pytest.mark.parametrize("make", BAD_OUT.values(), ids=BAD_OUT.keys())
+def test_mode_multiply_rejects_an_out_it_cannot_write(make):
+    with pytest.raises(ShapeError, match="out"):
+        mode_multiply(rand_tensor((2, 3, 4), 22), 1, np.ones((5, 3)), out=make())
+
+
+@pytest.mark.parametrize("view", [lambda a: a, lambda a: a[:, :, :]])
+def test_mode_multiply_rejects_an_out_that_shares_memory_with_the_input(view):
+    # Chunks would overwrite input that later chunks still read.
+    t = rand_tensor((3, 3, 3), 23)
+    before = t.array.copy()
+    with pytest.raises(ShapeError, match="shares memory"):
+        mode_multiply(t, 1, np.ones((3, 3)), out=view(t.array))
+    assert t.array.tobytes() == before.tobytes()
 
 
 def test_mode_multiply_counts():

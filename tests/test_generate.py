@@ -136,6 +136,24 @@ def test_dense_generators_reject_a_dimension_below_one(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_symmetric(2.5, 3, 1), lambda: random_symmetric(2, 3.0, 1),
+     lambda: random_matrix(2.0, 3, 1), lambda: random_matrix(2, "3", 1),
+     lambda: random_bcss(3.0, 4, 2, 1), lambda: random_bcss(3, 4.0, 2, 1)],
+)
+def test_generators_reject_a_size_that_is_not_an_integer(make):
+    # These used to raise a bare TypeError from range() or NumPy.
+    with pytest.raises(ParameterError, match="requires integers"):
+        make()
+
+
+def test_generators_take_numpy_integer_sizes():
+    m, n = np.int64(2), np.int32(3)
+    assert random_symmetric(m, n, 1).array.tobytes() == random_symmetric(2, 3, 1).array.tobytes()
+    assert random_bcss(m, np.int64(4), np.int64(2), 1).data.shape == (2, 2, 3)
+
+
 def test_random_bcss_rejects_order_below_two():
     with pytest.raises(ParameterError):
         random_bcss(1, 4, 2, 1)

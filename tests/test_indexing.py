@@ -331,6 +331,12 @@ def test_block_grid_is_the_grid_extent():
     assert block_grid(12, 3) == 4
     assert block_grid(5, 5) == 1
     assert block_grid(7, 1) == 7
+    assert block_grid(np.int64(12), np.int64(3)) == 4
+
+
+def test_block_grid_rejects_a_dimension_that_is_not_an_integer():
+    with pytest.raises(ShapeError, match="dimension must be an integer"):
+        block_grid(4.0, 2)
 
 
 def _sym(m, n):
@@ -353,7 +359,8 @@ BLOCK_DIM_CALLS = {
 }
 
 
-@pytest.mark.parametrize("b", [0, -2, 3])
+# 2.0 used to raise a bare TypeError or AttributeError deep inside.
+@pytest.mark.parametrize("b", [0, -2, 3, 2.0])
 @pytest.mark.parametrize("call", BLOCK_DIM_CALLS.values(), ids=BLOCK_DIM_CALLS.keys())
 def test_bad_block_dim_raises_block_divisibility_error(call, b):
     with pytest.raises(BlockDivisibilityError) as exc:

@@ -78,9 +78,10 @@ def test_compress_rejects_asymmetry_and_names_pair():
     assert "between indices" in msg
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, "x", None])
 def test_compress_rejects_a_nan_or_negative_tol(tol):
-    # NaN used to accept any asymmetry, -1 to reject an exactly symmetric tensor.
+    # NaN used to accept any asymmetry, -1 to reject an exactly symmetric
+    # tensor, and "x" or None to raise a bare TypeError.
     with pytest.raises(ParameterError, match="tol"):
         compress(random_symmetric(2, 4, 5), 2, tol=tol)
 
@@ -105,6 +106,12 @@ def test_compress_decompress_bitwise(m, n, b):
     t = random_symmetric(m, n, m * 10 + n)
     packed = compress(t, b)
     assert np.array_equal(decompress(packed).array, t.array)
+
+
+def test_decompress_needs_blocked_input():
+    # A DenseTensor used to raise a bare AttributeError.
+    with pytest.raises(ShapeError, match="needs blocked input"):
+        decompress(random_symmetric(2, 4, 1))
 
 
 def test_single_block_round_trip():
@@ -415,6 +422,15 @@ def test_partial_sym_tensor_rejects_a_negative_tail_dim(tail):
     # Checked before any table is built or np.empty raises a bare ValueError.
     with pytest.raises(ShapeError, match=r"tail dims .* include a negative dimension"):
         PartialSymTensor(1, 4, 2, tail)
+
+
+@pytest.mark.parametrize(
+    "args", [(1, 4, 2, (2.0,)), (1, 4, 2, (3, "2")), (1.0, 4, 2, (3,)), (1, 4.0, 2, (3,))]
+)
+def test_partial_sym_tensor_rejects_a_size_that_is_not_an_integer(args):
+    # Each used to raise a bare TypeError from NumPy or range().
+    with pytest.raises(ShapeError, match="integer"):
+        PartialSymTensor(*args)
 
 
 def test_partial_sym_tensor_tail_dim_zero_builds_empty_slabs():
