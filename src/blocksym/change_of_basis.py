@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .counters import OpCounter
-from .dense import DenseTensor, matmul_ref, mode_multiply
+from .dense import DenseTensor, matmul_ref, mode_multiply, real_array
 from .errors import ParameterError, ShapeError
 from .indexing import block_grid, hypertriangle_iter, replicate_canonical
 from .split import share, threads, workers
@@ -61,12 +61,7 @@ def _check_sttsm_args(a_dims: tuple[int, ...], x) -> tuple[np.ndarray, int, int,
     """``x`` as a float64 matrix, and ``m``, ``n`` and ``p``; raises before
     any work unless ``a_dims`` are ``m >= 2`` equal dims and ``x`` is a real
     ``(p x n)`` matrix with ``p >= 1``."""
-    x = np.asarray(x)
-    # Converted, a complex x would lose its imaginary part and a string one
-    # fail inside NumPy.
-    if x.dtype.kind not in "biuf":
-        raise ParameterError(f"matrix of dtype {x.dtype} is not real")
-    x = x.astype(np.float64, copy=False)
+    x = real_array(x)
     m = len(a_dims)
     if m < 2:
         raise ParameterError("change of basis is defined for order >= 2")
@@ -177,75 +172,64 @@ def sttsm_dense_ttm(
     return c
 
 
-def _gather_plan(t_in: BlockTables, t_out: BlockTables, k: int, m: int):
-    """Slab and transpose of every summand of every block stored at level ``k``.
+def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c: int):
+    """Set up level ``k``, the contraction of mode ``k`` of ``T(k+1)``
+    (tables ``t_in``) into ``T(k)`` (tables ``t_out``): the threads its
+    produced blocks are shared among, and its product function.
 
-    Summand ``ib`` of the block at ``key`` of ``T(k)`` (tables ``t_out``)
-    is block ``key + (ib,)`` of ``T(k+1)`` (tables ``t_in``), so the
-    summands of a block are one row of ``t_in`` along its last mode.  Each
-    transpose is composed with the move of mode ``k`` to the end.
+    Summand ``ib`` of the block at ``key`` of ``T(k)`` is block ``key +
+    (ib,)`` of ``T(k+1)``, so the summands of a produced block are one row
+    of ``t_in`` along its last mode; each row's slabs and transpose ids are
+    gathered here once, and each transpose is composed with the move of
+    mode ``k`` to the end.  A produced block holds ``b_A^k b_C^(m-k)``
+    elements, and its summand slabs ``b_A^(k+1) b_C^(m-1-k)``, the size
+    :func:`~blocksym.split.threads` weighs.
+
+    ``product(src, dst, x_blk, counter, pool)`` contracts the packed blocks
+    ``src`` of one ``T(k+1)`` with the ``b_C``-row block ``x_blk`` of
+    ``x`` into the slabs ``dst``, one GEMM per produced block.  The
+    ``nbar`` summand slabs of a block are copied side by side into one
+    buffer, each with a single transpose (redirection fused with moving
+    mode ``k`` last), so the buffer reads as a ``(rest x n)`` matrix whose
+    columns run over the whole contracted mode.  One ``(b_C x n) @ (n x
+    rest)`` GEMM gives the block, transposed, as an F-ordered ``(rest x
+    b_C)`` matrix with its new mode last, and one copy writes it in
+    logical mode order into its slab of ``dst``.  On more than one thread
+    the blocks are shared among the caller and tasks on ``pool`` by
+    :func:`~blocksym.split.share`, each thread with its own buffer and
+    counter; every block writes only its own slab.
     """
     nbar = t_in.rank.shape[-1]
     rows = t_out.stored()
+    slabs = t_in.rank.reshape(-1, nbar)[rows]
+    ids = t_in.transpose.reshape(-1, nbar)[rows]
     back = (*range(k), *range(k + 1, m), k)
     axes = [tuple(t[f] for f in back) for t in t_in.transposes]
-    return t_in.rank.reshape(-1, nbar)[rows], t_in.transpose.reshape(-1, nbar)[rows], axes
-
-
-def _level_product(
-    src: np.ndarray,
-    plan,
-    out: np.ndarray,
-    k: int,
-    jb: int,
-    x: np.ndarray,
-    b_a: int,
-    b_c: int,
-    m: int,
-    counter: OpCounter | None,
-    pool,
-    threads: int,
-) -> None:
-    """One temporary level: contract mode ``k`` of ``T(k+1)`` (packed blocks
-    ``src``) with block row ``jb`` of ``x``, one GEMM per produced block.
-
-    For each produced block the ``nbar`` summand slabs named by the gather
-    ``plan`` are gathered side by side into one buffer, each with a single
-    transpose (redirection fused with moving mode ``k`` last), so the
-    buffer reads as a ``(rest x n)`` matrix whose columns run over the
-    whole contracted mode.  One ``(b_C x n) @ (n x rest)`` GEMM of block
-    row ``jb`` of ``x`` against it gives the block, transposed, as an
-    F-ordered ``(rest x b_C)`` matrix with its new mode last, and one copy
-    writes it in logical mode order into its slab of ``out``.
-
-    With ``threads > 1`` the produced blocks are shared among ``threads``
-    threads, the caller and tasks on ``pool``, by
-    :func:`~blocksym.split.share`, each thread with its own buffer and
-    counter.  Every block writes only its own slab of ``out``.
-    """
-    slabs, ids, axes = plan
-    nbar = slabs.shape[1]
     rest_dims = (b_a,) * k + (b_c,) * (m - 1 - k)
     rest = math.prod(rest_dims)
     to_logical = (*range(k), m - 1, *range(k, m - 1))
-    x_blk = x[jb * b_c : (jb + 1) * b_c, :]
+    split = threads(len(rows), b_a * rest)
 
-    def produce(take, count: OpCounter | None) -> None:
-        # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
-        # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
-        buf = np.empty(rest_dims + (b_a, nbar), dtype=np.float64, order="F")
-        buf_t = buf.reshape((rest, nbar * b_a), order="F").T
-        for r, (row_slabs, row_ids) in take:
-            for ib, (slab, t) in enumerate(zip(row_slabs, row_ids)):
-                buf[..., ib] = np.transpose(src[..., slab], axes[t])
-            if count is not None:
-                count.count_memops(2 * buf.size)
-            c_mat = matmul_ref(x_blk, buf_t, count).T
-            out[..., r] = np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical)
-            if count is not None:
-                count.count_memops(2 * c_mat.size)
+    # ``k``, bound as a parameter, names the level in this frame's locals.
+    def product(src, dst, x_blk, counter, pool, k=k) -> None:
+        def produce(take, count: OpCounter | None) -> None:
+            # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
+            # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
+            buf = np.empty(rest_dims + (b_a, nbar), dtype=np.float64, order="F")
+            buf_t = buf.reshape((rest, nbar * b_a), order="F").T
+            for r, (row_slabs, row_ids) in take:
+                for ib, (slab, t) in enumerate(zip(row_slabs, row_ids)):
+                    buf[..., ib] = np.transpose(src[..., slab], axes[t])
+                if count is not None:
+                    count.count_memops(2 * buf.size)
+                c_mat = matmul_ref(x_blk, buf_t, count).T
+                dst[..., r] = np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical)
+                if count is not None:
+                    count.count_memops(2 * c_mat.size)
 
-    share(produce, enumerate(zip(slabs.tolist(), ids.tolist())), threads, counter, pool)
+        share(produce, enumerate(zip(slabs.tolist(), ids.tolist())), split, counter, pool)
+
+    return split, product
 
 
 def sttsm_bcss(
@@ -264,21 +248,21 @@ def sttsm_bcss(
     block per canonical tuple.  Each temporary ``T(k)`` is symmetric in its
     leading ``k`` modes; ``reuse`` selects whether that is exploited
     (canonical blocks only, symmetric tables) or not (every block computed,
-    identity tables).  Each level's tables and gather plan are built once
-    per call and shared by all temporaries of that level.
+    identity tables).  Each level is set up once per call, its tables here
+    and the rest by :func:`_level` (gather rows, block shapes, thread count
+    and product function), and shared by all temporaries of that level.
 
     Every block of every temporary and of the output is one GEMM: its
     ``nbar`` summand blocks are gathered into a single operand and
-    multiplied by a ``b_C``-row block of ``x`` in one call (see
-    :func:`_level_product`).  Counted flops equal
-    :func:`~blocksym.costs.bcss_costs` and counted memops equal
+    multiplied by a ``b_C``-row block of ``x`` in one call.  Counted flops
+    equal :func:`~blocksym.costs.bcss_costs` and counted memops equal
     :func:`~blocksym.costs.bcss_impl_memops`.
 
     With BLAS set to one thread, a level whose summand slabs are large
     splits its produced blocks across the CPUs of the process's affinity
-    set: once per call, each level's thread count is
-    :func:`~blocksym.split.threads` of its gather plan's rows and their
-    slab size.  A call with a split level makes one pool
+    set: each level's setup takes its thread count,
+    :func:`~blocksym.split.threads` of its produced blocks and their
+    summand slab size.  A call with a split level makes one pool
     (:func:`~blocksym.split.workers`) for this call only; ``taskset -c 0``
     gives the serial path.  The result and the counts do not depend on the
     split, and ``counter.threads`` reports the largest level's count.
@@ -295,28 +279,25 @@ def sttsm_bcss(
     nbar = a.grid
     out = BcssTensor(m, p, b_c)
 
-    # Per level k: gather plan over T(k+1), T(k)'s tables, and the threads
-    # its produced blocks (the plan's rows, each from a summand slab of
-    # b_A^(k+1) b_C^(m-1-k) elements) are shared among.  T(0) is one
-    # output block.
+    # Per level k: T(k)'s tables, its threads and its product function.
+    # T(0) is one output block.
     levels = [None] * m
     t_in = a.tables
     for k in range(m - 1, -1, -1):
         t_out = symmetric_tables(nbar, k, m) if reuse and k else identity_tables(nbar, k, m)
-        plan = _gather_plan(t_in, t_out, k, m)
-        levels[k] = (plan, t_out, threads(len(plan[0]), b_a ** (k + 1) * b_c ** (m - 1 - k)))
+        levels[k] = (t_out, *_level(t_in, t_out, k, m, b_a, b_c))
         t_in = t_out
 
     def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
-        plan, tables, split = levels[k]
+        tables, _, product = levels[k]
         for jb in range(j_hi + 1):
+            x_blk = x[jb * b_c : (jb + 1) * b_c, :]
             if k == 0:
                 r = out.tables.rank[(jb,) + suffix]
-                dst = out.data[..., r : r + 1]
-                _level_product(src, plan, dst, 0, jb, x, b_a, b_c, m, counter, pool, split)
+                product(src, out.data[..., r : r + 1], x_blk, counter, pool)
                 continue
             temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), tables)
-            _level_product(src, plan, temp.data, k, jb, x, b_a, b_c, m, counter, pool, split)
+            product(src, temp.data, x_blk, counter, pool)
             if temp_hook is not None:
                 temp_hook(k, temp)
             descend(k - 1, temp.data, jb, (jb,) + suffix)
@@ -325,7 +306,7 @@ def sttsm_bcss(
 
     # One pool per call.  Its shutdown joins every task, also when one has
     # raised, so no worker writes a temporary after the call has ended.
-    with workers(max(split for _, _, split in levels)) as pool:
+    with workers(max(split for _, split, _ in levels)) as pool:
         descend(m - 1, a.data, pbar - 1, ())
     return out
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
+from .dense import is_integer
 from .errors import ParameterError
 from .indexing import block_grid, simplex_count
 
@@ -46,10 +47,11 @@ Number = Union[int, float, Fraction]
 
 
 def _check(m: int, *dims: int) -> None:
-    """The models cover order ``m >= 2`` and dimensions of at least 1."""
-    if m < 2 or min(dims) < 1:
+    """The models cover an integer order ``m >= 2`` and integer dimensions
+    of at least 1."""
+    if not all(map(is_integer, (m, *dims))) or m < 2 or min(dims) < 1:
         raise ParameterError(
-            f"cost model requires m >= 2 and dimensions >= 1, got m={m}, dims={dims}"
+            f"cost model requires integers m >= 2 and dimensions >= 1, got m={m!r}, dims={dims!r}"
         )
 
 
@@ -251,6 +253,7 @@ def crossover_table(m: int, n: int, p: int) -> list[tuple[int, int, int]]:
     permutation traffic grows sharply; the two columns expose the
     crossover.
     """
+    _check(m, n, p)
     if n != p:
         raise ParameterError("crossover_table assumes n = p")
     rows = []

@@ -4,6 +4,8 @@ A tensor is linearized in *dimensional order*: the generalization of
 column-major layout where mode 0 varies fastest.  Element ``(i_0, ..,
 i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.
 
+* ``is_integer`` / ``real_array`` -- the package's two argument rules: an
+  integer argument and a real operand,
 * ``permute`` / ``ipermute`` -- materialized data rearrangement,
 * ``matmul_ref`` -- the single matrix-multiply seam,
 * ``mode_multiply`` -- the mode-k tensor-times-matrix product, one fused
@@ -24,20 +26,36 @@ from typing import Callable
 import numpy as np
 
 from .counters import OpCounter
-from .errors import ModeError, ShapeError
+from .errors import ModeError, ParameterError, ShapeError
 from .split import share, threads
 
 # A multi-index is a plain tuple of non-negative ints, one per mode.
 MultiIndex = tuple[int, ...]
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is an integer: an ``int`` or ``np.integer``, but not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def real_array(a) -> np.ndarray:
+    """``a`` as a float64 array; raises :class:`ParameterError` unless its
+    values are real (bool, integer or float).  Converted, a complex array
+    would lose its imaginary part and a string one be parsed."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ParameterError(f"array of dtype {a.dtype} is not real")
+    return a.astype(np.float64, copy=False)
+
+
 class DenseTensor:
-    """Order-m array of doubles stored contiguously in dimensional order."""
+    """Order-m array of doubles stored contiguously in dimensional order;
+    :class:`ParameterError` unless the values are real (:func:`real_array`)."""
 
     __slots__ = ("array",)
 
     def __init__(self, array):
-        self.array = np.asfortranarray(array, dtype=np.float64)
+        self.array = np.asfortranarray(real_array(array))
 
     @property
     def order(self) -> int:
@@ -100,10 +118,11 @@ def set_matmul_backend(fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
 def matmul_ref(a: np.ndarray, b: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """c[i, j] = sum_k a[i, k] * b[k, j], behind a pluggable backend.
 
-    Counts ``2 * p * q * r`` flops for a (p x q) @ (q x r) product.
+    Counts ``2 * p * q * r`` flops for a (p x q) @ (q x r) product, and
+    raises :class:`ParameterError` for an operand that is not real.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = real_array(a)
+    b = real_array(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("matmul_ref operands must be matrices")
     if a.shape[1] != b.shape[0]:
@@ -151,7 +170,8 @@ def mode_multiply(
     """Contract matrix ``b`` (J x I_k) against mode ``k`` of ``t``.
 
     Result dims replace ``I_k`` by ``J``; element ``(.., j, ..)`` equals
-    ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``.  The result is written into
+    ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``; a ``b`` that is not real
+    raises :class:`ParameterError`.  The result is written into
     ``out`` when one is given: an F-contiguous, writeable float64 array of
     the result's dims that shares no memory with ``t``, or
     :class:`ShapeError` is raised before any work.
@@ -179,9 +199,9 @@ def mode_multiply(
     the output, so the result and the counts do not depend on the split.
     """
     dims = t.dims
-    if not isinstance(k, (int, np.integer)) or not 0 <= k < len(dims):
+    if not is_integer(k) or not 0 <= k < len(dims):
         raise ModeError(f"mode {k!r} is not a mode of an order-{len(dims)} tensor")
-    b = np.asarray(b, dtype=np.float64)
+    b = real_array(b)
     if b.ndim != 2 or b.shape[1] != dims[k]:
         raise ShapeError(
             f"matrix shape {b.shape} does not contract mode {k} of dims {dims}"

@@ -16,27 +16,22 @@ import itertools
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, is_integer
 from .errors import ParameterError
 from .indexing import replicate_canonical, simplex_count, sort_within
 from .storage import BcssTensor
 
 
-def _integers(*values) -> bool:
-    """Whether every value is an integer (an ``int`` or ``np.integer``)."""
-    return all(isinstance(v, (int, np.integer)) for v in values)
-
-
 def _rng(seed: int) -> np.random.Generator:
     """The generator for ``seed``, which must be a non-negative integer."""
-    if not _integers(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
 
 def random_symmetric(m: int, n: int, seed: int) -> DenseTensor:
     """Seeded exactly-symmetric order-m tensor with dims ``(n,) * m``."""
-    if not _integers(m, n) or m < 1 or n < 1:
+    if not (is_integer(m) and is_integer(n)) or m < 1 or n < 1:
         raise ParameterError(
             f"random_symmetric requires integers m >= 1 and n >= 1, got {m!r}, {n!r}"
         )
@@ -46,7 +41,7 @@ def random_symmetric(m: int, n: int, seed: int) -> DenseTensor:
 
 def random_matrix(p: int, n: int, seed: int) -> np.ndarray:
     """Seeded uniform(-1, 1) change-of-basis matrix of shape (p, n)."""
-    if not _integers(p, n) or p < 1 or n < 1:
+    if not (is_integer(p) and is_integer(n)) or p < 1 or n < 1:
         raise ParameterError(
             f"random_matrix requires integers p >= 1 and n >= 1, got {p!r}, {n!r}"
         )
@@ -66,7 +61,7 @@ def random_bcss(m: int, n: int, b: int, seed: int) -> BcssTensor:
     holds one uniform(-1, 1) value per distinct entry.  The same seed gives
     bit-identical blocks.
     """
-    if not _integers(m, n) or m < 2 or n < 1:
+    if not (is_integer(m) and is_integer(n)) or m < 2 or n < 1:
         raise ParameterError(
             f"random_bcss requires integers m >= 2 and n >= 1, got {m!r}, {n!r}"
         )

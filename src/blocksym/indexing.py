@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dense import DenseTensor, MultiIndex
+from .dense import DenseTensor, MultiIndex, is_integer
 from .errors import BlockDivisibilityError, ParameterError, ShapeError
 
 
@@ -51,15 +51,15 @@ def canonicalize(idx: Iterable[int]) -> tuple[MultiIndex, tuple[int, ...]]:
 
 def hypertriangle_iter(extent: int, m: int) -> Iterator[MultiIndex]:
     """Yield every nondecreasing m-tuple over ``0..extent-1`` in lex order."""
-    if extent < 1 or m < 1:
-        raise ParameterError("hypertriangle_iter requires extent >= 1 and m >= 1")
+    if not (is_integer(extent) and is_integer(m)) or extent < 1 or m < 1:
+        raise ParameterError("hypertriangle_iter requires integers extent >= 1 and m >= 1")
     return itertools.combinations_with_replacement(range(extent), m)
 
 
 def simplex_count(n: int, m: int) -> int:
     """Number of nondecreasing m-tuples over ``0..n-1``: C(n + m - 1, m)."""
-    if n < 1 or m < 1:
-        raise ParameterError("simplex_count requires n >= 1 and m >= 1")
+    if not (is_integer(n) and is_integer(m)) or n < 1 or m < 1:
+        raise ParameterError("simplex_count requires integers n >= 1 and m >= 1")
     return math.comb(n + m - 1, m)
 
 
@@ -71,9 +71,9 @@ def block_grid(n: int, b: int) -> int:
     :class:`BlockDivisibilityError` unless ``b`` is an integer of at least
     1 that divides ``n``.
     """
-    if not isinstance(n, (int, np.integer)):
+    if not is_integer(n):
         raise ShapeError(f"dimension must be an integer, got {n!r}")
-    if not isinstance(b, (int, np.integer)):
+    if not is_integer(b):
         raise BlockDivisibilityError(f"block dimension must be an integer, got {b!r}")
     if b < 1:
         raise BlockDivisibilityError(f"block dimension must be at least 1, got {b}")
@@ -136,12 +136,14 @@ def symmetry_violation(
     permutation).  Equal entries (NaN facing NaN included) match; any other
     pair the ratio leaves undefined, such as a NaN facing a number, is a full
     mismatch, ``inf``.  A perfectly symmetric tensor yields ``(0.0, .., ..)``.
+    A mode that is not an integer of ``0..m-1`` raises :class:`ShapeError`.
     """
-    modes = sorted(set(modes))
     m = t.order
+    modes = list(modes)
     for s in modes:
-        if not 0 <= s < m:
-            raise ShapeError(f"mode {s} out of range for order {m}")
+        if not is_integer(s) or not 0 <= s < m:
+            raise ShapeError(f"mode {s!r} out of range for order {m}")
+    modes = sorted(set(modes))
     dims = {t.dims[s] for s in modes}
     if len(dims) > 1:
         raise ShapeError(f"modes {modes} have unequal dimensions {sorted(dims)}")

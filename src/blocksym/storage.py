@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dense import DenseTensor, MultiIndex
+from .dense import DenseTensor, MultiIndex, is_integer
 from .errors import ParameterError, RangeError, ShapeError, SymmetryError
 from .indexing import (
     block_grid,
@@ -195,10 +195,10 @@ class PartialSymTensor:
         tail_dims: tuple[int, ...],
         tables: BlockTables | None = None,
     ):
-        if not isinstance(sym_modes, (int, np.integer)) or sym_modes < 1:
+        if not is_integer(sym_modes) or sym_modes < 1:
             raise ShapeError(f"need at least one symmetric mode, an integer, got {sym_modes!r}")
         self.tail_dims = tuple(tail_dims)
-        if not all(isinstance(d, (int, np.integer)) for d in self.tail_dims):
+        if not all(map(is_integer, self.tail_dims)):
             raise ShapeError(f"tail dims {self.tail_dims} must be integers")
         if min(self.tail_dims, default=0) < 0:
             raise ShapeError(f"tail dims {self.tail_dims} include a negative dimension")
@@ -241,10 +241,13 @@ class PartialSymTensor:
         """Logical block at ``sym_idx``: its stored slab transposed by the
         recorded permutation of the symmetric modes (tail modes pass
         through).  Stored indices return the slab itself, without a copy.
+        An index that is not ``s`` integers of ``0..grid-1`` raises
+        :class:`RangeError`.
         """
         idx = tuple(sym_idx)
         # Checked here: NumPy would wrap a negative index round to a real slab.
-        if len(idx) != self.sym_modes or not all(0 <= i < self.grid for i in idx):
+        inside = all(is_integer(i) and 0 <= i < self.grid for i in idx)
+        if len(idx) != self.sym_modes or not inside:
             raise RangeError(f"block index {sym_idx} outside grid {self.grid}^{self.sym_modes}")
         t = self.tables
         stored = self.data[..., t.rank[idx]]

@@ -24,6 +24,7 @@ from blocksym import (
     dense_costs,
     matmul_ref,
     max_relative_error,
+    mode_multiply,
     random_matrix,
     random_symmetric,
     set_matmul_backend,
@@ -410,7 +411,8 @@ def spy_share(monkeypatch, module, skip=False):
     used = []
 
     def spy(work, items, threads, counter, pool=None):
-        # The caller, _level_product or mode_multiply, names its level or mode k.
+        # The caller, a level's product (change_of_basis._level) or
+        # mode_multiply, names its level or mode k.
         used.append((sys._getframe(1).f_locals["k"], threads))
         if not skip:
             split.share(work, items, threads, counter, pool)
@@ -653,6 +655,27 @@ def test_matrix_that_is_not_real_rejected_at_entry(algo, x):
         _ALGORITHMS[algo](random_symmetric(3, 4, 9), x)
 
 
+# Each other public call that takes an array of values, given one that is
+# not real.
+_TAKE_VALUES = {
+    "DenseTensor": DenseTensor,
+    "compress": lambda x: compress(DenseTensor(x), 2),
+    "mode_multiply": lambda x: mode_multiply(random_symmetric(3, 4, 9), 0, x),
+    "matmul_ref(a)": lambda x: matmul_ref(x, np.eye(4)),
+    "matmul_ref(b)": lambda x: matmul_ref(np.eye(4), x),
+}
+
+
+@pytest.mark.parametrize("x", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("call", _TAKE_VALUES.values(), ids=_TAKE_VALUES.keys())
+def test_values_that_are_not_real_rejected(call, x):
+    # A complex array used to lose its imaginary part under a ComplexWarning,
+    # an object one to be converted, and a string one to be parsed or raise
+    # NumPy's bare ValueError.
+    with pytest.raises(ParameterError, match="is not real"):
+        call(x)
+
+
 def test_unequal_dims_rejected():
     a = DenseTensor(np.ones((4, 2)))
     for algo in (sttsm_naive, sttsm_scalar_temps, sttsm_dense_ttm):
@@ -694,7 +717,5 @@ def test_mode_product_preserves_leading_symmetry():
     for m, k in [(3, 1), (3, 2), (4, 2), (4, 3), (5, 3)]:
         a = random_symmetric(m, 4, m * 10 + k)
         x = random_matrix(3, 4, m * 11 + k)
-        from blocksym import mode_multiply
-
         out = mode_multiply(a, k, x)
         assert is_sym_in_modes(out, range(k), 1e-12), (m, k)

@@ -254,6 +254,9 @@ def test_approx_costs_fields_and_validation():
     assert est.dense_temps == 2 * 16**3
     with pytest.raises(ParameterError):
         approx_costs(3, 16, b=5)
+    # 2.5 used to raise a bare TypeError.
+    with pytest.raises(ParameterError, match="requires integers"):
+        approx_costs(2.5, 4)
 
 
 # ------------------------------------------------------------ savings table
@@ -299,6 +302,13 @@ def test_metadata_sweep_sqrt_block_closed_form():
     assert abs(total - approx) / approx < 0.1
 
 
+@pytest.mark.parametrize("m,n", [(3, 4.5), (2.0, 8), (3, True)])
+def test_metadata_sweep_rejects_a_size_that_is_not_an_integer(m, n):
+    # 4.5 used to raise a bare TypeError from range().
+    with pytest.raises(ParameterError, match="requires integers"):
+        metadata_sweep(m, n, 1)
+
+
 def test_metadata_sweep_interior_minimum_m5():
     rows, best = metadata_sweep(5, 64, 30)
     totals = {b: t for b, _, t in rows}
@@ -323,6 +333,9 @@ def test_meta_k_must_be_finite_and_at_least_zero(meta_k):
 def test_crossover_requires_square():
     with pytest.raises(ParameterError):
         crossover_table(3, 8, 4)
+    # 4.5 used to raise a bare TypeError.
+    with pytest.raises(ParameterError, match="requires integers"):
+        crossover_table(3, 4.5, 4.5)
 
 
 def test_crossover_flops_monotone_and_memops_blow_up():

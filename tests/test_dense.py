@@ -290,6 +290,25 @@ def test_matmul_shape_error_and_flop_count():
     assert c.flops == 2 * 3 * 4 * 2
 
 
+def test_real_values_still_convert_to_float64():
+    # Bools and integers convert as they did before the real-operand rule.
+    x = np.ones((2, 2))
+    assert dense.real_array(x) is x
+    assert dense.real_array([[True, 2]]).dtype == np.float64
+    assert DenseTensor(np.arange(4).reshape(2, 2)).array.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    got = matmul_ref(np.eye(2, dtype=int), np.ones((2, 1), dtype=bool))
+    assert got.dtype == np.float64 and got.tolist() == [[1.0], [1.0]]
+
+
+@pytest.mark.parametrize(
+    "v,want",
+    [(3, True), (np.int64(3), True), (np.uint8(0), True), (-1, True), (True, False),
+     (np.bool_(True), False), (3.0, False), (np.float64(3), False), ("3", False), (None, False)],
+)
+def test_is_integer_is_an_int_or_numpy_integer_but_not_a_bool(v, want):
+    assert dense.is_integer(v) is want
+
+
 def test_counter_rejects_negative_increments():
     c = OpCounter()
     # The package's own error, a ValueError.
@@ -374,8 +393,8 @@ def test_mode_multiply_oracle_sweep(dims):
 
 def test_mode_multiply_errors():
     t = rand_tensor((2, 3), 18)
-    # 1.0 and "0" used to raise a bare TypeError.
-    for k in (2, -1, 1.0, "0"):
+    # 1.0 and "0" used to raise a bare TypeError, and True was mode 1.
+    for k in (2, -1, 1.0, "0", True):
         with pytest.raises(ModeError):
             mode_multiply(t, k, np.eye(2))
     with pytest.raises(ShapeError):

@@ -140,10 +140,12 @@ def test_dense_generators_reject_a_dimension_below_one(make):
     "make",
     [lambda: random_symmetric(2.5, 3, 1), lambda: random_symmetric(2, 3.0, 1),
      lambda: random_matrix(2.0, 3, 1), lambda: random_matrix(2, "3", 1),
-     lambda: random_bcss(3.0, 4, 2, 1), lambda: random_bcss(3, 4.0, 2, 1)],
+     lambda: random_bcss(3.0, 4, 2, 1), lambda: random_bcss(3, 4.0, 2, 1),
+     lambda: random_matrix(True, 2, 0)],
 )
 def test_generators_reject_a_size_that_is_not_an_integer(make):
-    # These used to raise a bare TypeError from range() or NumPy.
+    # These used to raise a bare TypeError from range() or NumPy; a bool
+    # passed the integer check and failed inside NumPy.
     with pytest.raises(ParameterError, match="requires integers"):
         make()
 

@@ -126,6 +126,9 @@ def test_hypertriangle_lex_increasing_with_exact_count(extent, m):
 def test_hypertriangle_validates():
     with pytest.raises(ParameterError):
         list(hypertriangle_iter(0, 2))
+    # 2.5 used to raise a bare TypeError.
+    with pytest.raises(ParameterError, match="requires integers"):
+        hypertriangle_iter(2.5, 2)
 
 
 # ------------------------------------------------------------ simplex count
@@ -148,6 +151,9 @@ def test_simplex_count_validates():
         simplex_count(0, 3)
     with pytest.raises(ParameterError):
         simplex_count(3, 0)
+    # 2.5 used to raise a bare TypeError.
+    with pytest.raises(ParameterError, match="requires integers"):
+        simplex_count(2.5, 2)
 
 
 # ------------------------------------------------------------ symmetry test
@@ -193,10 +199,13 @@ def test_symmetry_check_shape_error():
         is_sym_in_modes(t, {0, 1}, 0.0)
 
 
-@pytest.mark.parametrize("modes", [{0, 2}, {-1, 0}])
+# [0.5, 1] and ["a"] used to raise a bare TypeError.
+@pytest.mark.parametrize("modes", [{0, 2}, {-1, 0}, [0.5, 1], ["a"], [True, 0]])
 def test_symmetry_violation_mode_out_of_range(modes):
     with pytest.raises(ShapeError, match="out of range for order 2"):
         symmetry_violation(DenseTensor(np.eye(3)), modes)
+    with pytest.raises(ShapeError, match="out of range for order 2"):
+        is_sym_in_modes(DenseTensor(np.eye(3)), modes)
 
 
 def _mismatch(x: float, y: float) -> float:

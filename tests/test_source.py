@@ -92,6 +92,55 @@ def test_split_policy_breaches_finds_pools_locks_and_constants():
     ]
 
 
+def argument_rule_spellings(source: str) -> list[str]:
+    """``isinstance`` tests against ``np.integer`` and reads of a
+    ``dtype.kind`` in ``source``: the integer and real-operand rules are
+    ``dense.is_integer`` and ``dense.real_array``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "kind":
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "dtype":
+                found.append(f"line {node.lineno}: dtype.kind")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(
+                isinstance(n, ast.Attribute) and n.attr == "integer"
+                for n in ast.walk(node.args[1])
+            )
+        ):
+            found.append(f"line {node.lineno}: isinstance integer")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "dense.py"], ids=lambda p: p.name
+)
+def test_argument_rules_stay_in_dense_module(path):
+    assert argument_rule_spellings(path.read_text()) == []
+
+
+def test_argument_rule_spellings_finds_integer_and_kind_tests():
+    source = (
+        "import numpy as np\n"
+        "ok = isinstance(v, (int, np.integer))\n"
+        "ok = isinstance(v, np.integer)\n"
+        "real = x.dtype.kind in 'biuf'\n"
+        "real = np.asarray(x).dtype.kind == 'f'\n"
+        "ok = isinstance(v, (int, float))\n"
+        "kind = spec.kind\n"
+        "dt = x.dtype\n"
+    )
+    assert argument_rule_spellings(source) == [
+        "line 2: isinstance integer",
+        "line 3: isinstance integer",
+        "line 4: dtype.kind",
+        "line 5: dtype.kind",
+    ]
+
+
 def private_imports(source: str) -> list[str]:
     """Underscore names that ``source`` imports from a package module."""
     found = []

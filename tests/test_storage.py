@@ -149,8 +149,9 @@ def test_block_at_m3_permuted_access():
 
 def test_block_at_out_of_grid():
     # Negative indices included: NumPy would wrap them round to a real slab.
+    # (0.0, 1) used to raise NumPy's bare IndexError.
     packed = compress(random_symmetric(2, 4, 9), 2)
-    for idx in [(0, 2), (-1, 0), (0, -1), (0,), (0, 0, 0)]:
+    for idx in [(0, 2), (-1, 0), (0, -1), (0,), (0, 0, 0), (0.0, 1), (True, 0)]:
         with pytest.raises(RangeError):
             packed.block_at(idx)
 
