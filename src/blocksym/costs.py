@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .dense import is_integer
+from .dense import is_integer, is_real
 from .errors import ParameterError
 from .indexing import block_grid, simplex_count
 
@@ -56,9 +56,10 @@ def _check(m: int, *dims: int) -> None:
 
 
 def _check_meta_k(meta_k: Number) -> None:
-    """A per-block meta cost is finite and at least 0 (a NaN is neither)."""
-    if not 0 <= meta_k < math.inf:
-        raise ParameterError(f"meta_k must be finite and at least 0, got {meta_k}")
+    """A per-block meta cost is a real number (:func:`~blocksym.dense.is_real`),
+    finite and at least 0 (a NaN is neither)."""
+    if not is_real(meta_k) or not 0 <= meta_k < math.inf:
+        raise ParameterError(f"meta_k must be finite and at least 0, got {meta_k!r}")
 
 
 def _payload(m: int, n: int, b: int) -> int:

@@ -4,8 +4,9 @@ A tensor is linearized in *dimensional order*: the generalization of
 column-major layout where mode 0 varies fastest.  Element ``(i_0, ..,
 i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.
 
-* ``is_integer`` / ``real_array`` -- the package's two argument rules: an
-  integer argument and a real operand,
+* ``is_integer`` / ``is_real`` / ``real_array`` -- the package's three
+  argument rules: an integer argument, a real scalar argument and a real
+  operand,
 * ``permute`` / ``ipermute`` -- materialized data rearrangement,
 * ``matmul_ref`` -- the single matrix-multiply seam,
 * ``mode_multiply`` -- the mode-k tensor-times-matrix product, one fused
@@ -21,6 +22,7 @@ matrix product 2 flops per multiply-add.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -36,6 +38,12 @@ MultiIndex = tuple[int, ...]
 def is_integer(v) -> bool:
     """Whether ``v`` is an integer: an ``int`` or ``np.integer``, but not a bool."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """Whether ``v`` is a real number: an ``int``, a ``float``, a ``Fraction``
+    or a NumPy integer or float, but not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def real_array(a) -> np.ndarray:

@@ -8,7 +8,10 @@ is the upper hypertriangle ``{i_0 <= i_1 <= .. <= i_{m-1}}``, of size
 :func:`block_grid` is the one check of a block dimension, and
 :func:`sort_within` the one network that copies a canonical value to the
 permutations of its index; dense generation, blocked generation and the
-oracles' replication all go through it.
+oracles' replication all go through it.  Its adjacent mode swaps run in
+insertion order, so the swap of a run's last two modes runs once, and each
+swap walks cache-sized slabs of the array, so that its copies, strided
+ones included, reuse what is in cache.
 """
 
 from __future__ import annotations
@@ -21,6 +24,12 @@ import numpy as np
 
 from .dense import DenseTensor, MultiIndex, is_integer
 from .errors import BlockDivisibilityError, ParameterError, ShapeError
+
+# Elements of one slab of a swap (1 MB of doubles, half a core's L2), so a
+# slab stays in cache over the swap's copies.  Set by the sweeps in
+# BENCH_replication.json: 2^16 to 2^18 form a plateau within the host's
+# noise, 2^19 and above are slower at (5, 32), and 2^17 is its middle.
+_SLAB = 1 << 17
 
 
 def canonicalize(idx: Iterable[int]) -> tuple[MultiIndex, tuple[int, ...]]:
@@ -86,21 +95,76 @@ def sort_within(arr: np.ndarray, start: int, g: int) -> None:
     """Copy, in place, each entry of ``arr`` from the entry whose
     coordinates in modes ``start .. start+g-1`` are sorted nondecreasing.
 
-    An odd-even transposition network of ``g`` rounds over adjacent mode
-    pairs ``(k, k+1)`` of the run copies every entry with ``i_k < i_{k+1}``
-    to its swap.  The network sorts every index, so each entry ends up
-    holding the value its sorted entry had.  Sorted entries are never
-    written, and values are only copied, never combined.  The run's modes
-    must have equal extents.
+    A swap ``(k, k+1)`` copies every entry with ``i_k > i_{k+1}`` from its
+    swap, which the step does not write, so it is safe in place.  After
+    swaps ``s_1, .., s_T`` an entry ``x`` holds the value first at
+    ``s_1(s_2(..s_T(x)))``: the swaps sort an index in the reverse of the
+    order they are applied.  They are applied in insertion order, for
+    ``i = 1 .. g-1`` swaps ``(i-1, i)`` down to ``(0, 1)`` of the run; the
+    reverse is the bubble network, which sorts every index (Knuth, TAOCP
+    Vol. 3, 5.3.4).  So each entry ends up holding the value its sorted
+    entry had, sorted entries are never written, and values are only
+    copied, never combined.  The run's last two modes swap once.
+
+    Each swap walks slabs of about ``_SLAB`` (``2^17``) elements cut from
+    the modes before ``k``, basic slices and so views of any strided
+    array, so that its ``n - 1`` copies reuse a slab while it is in cache.
+    An array of one slab is swapped whole.
+
+    Raises :class:`ShapeError` unless ``start`` and ``g`` are integers
+    (:func:`~blocksym.dense.is_integer`) with ``start >= 0``, ``g >= 1``
+    and ``start + g`` at most the order of ``arr``, and the run's modes
+    have equal extents.  ``g = 1`` copies nothing.
     """
-    n = arr.shape[start]
-    for r in range(g):
-        for k in range(start + r % 2, start + g - 1, 2):
-            lead = (slice(None),) * k
+    if not (is_integer(start) and is_integer(g)) or start < 0 or g < 1:
+        raise ShapeError(f"a run needs integers start >= 0 and g >= 1, got {start!r}, {g!r}")
+    if start + g > arr.ndim:
+        raise ShapeError(f"run of {g} modes from mode {start} is past order {arr.ndim}")
+    run = arr.shape[start : start + g]
+    n = run[0]
+    if run.count(n) < g:
+        raise ShapeError(f"modes {start}..{start + g - 1} have unequal extents {run}")
+    one_slab = arr.size <= _SLAB
+    for i in range(start, start + g - 1):
+        for k in range(i, start - 1, -1):
             # Entries with i_k > i_{k+1} are written from entries with
             # i_k < i_{k+1}, which this step does not write: safe in place.
-            for i in range(1, n):
-                arr[lead + (i, slice(0, i))] = arr[lead + (slice(0, i), i)]
+            if one_slab:
+                # Written out, not shared with the slab loop: a block of
+                # random_bcss makes a few copies, and a call per swap shows.
+                lead = (slice(None),) * k
+                for x in range(1, n):
+                    below = slice(x)
+                    arr[lead + (x, below)] = arr[lead + (below, x)]
+                continue
+            slabs, cut = _slabs(arr, k)
+            lead = (slice(None),) * (k - cut)
+            for slab in slabs:
+                for x in range(1, n):
+                    below = slice(x)
+                    slab[lead + (x, below)] = slab[lead + (below, x)]
+
+
+def _slabs(arr: np.ndarray, k: int) -> tuple[list[np.ndarray], int]:
+    """Views of ``arr`` that tile its modes before ``k`` in slabs of about
+    ``_SLAB`` elements, and the number ``cut`` of leading modes each view
+    drops, so that mode ``k`` is mode ``k - cut`` of every view."""
+    if k == 0:
+        return [arr], 0
+    # Modes cut+1 .. k-1 are taken whole and mode ``cut`` in ranges of
+    # ``step`` indices, under each index of the modes before ``cut``.
+    size = arr.size // math.prod(arr.shape[:k])
+    cut = k - 1
+    while cut > 0 and size * arr.shape[cut] <= _SLAB:
+        size *= arr.shape[cut]
+        cut -= 1
+    step = max(1, _SLAB // size)
+    slabs = [
+        arr[fixed + (slice(a, a + step),)]
+        for fixed in np.ndindex(arr.shape[:cut])
+        for a in range(0, arr.shape[cut], step)
+    ]
+    return slabs, cut
 
 
 def replicate_canonical(values: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -110,8 +174,17 @@ def replicate_canonical(values: np.ndarray, n: int, m: int) -> np.ndarray:
     The nondecreasing entries are filled once, then :func:`sort_within`
     over all ``m`` modes copies each to its permutations, so the result is
     exact.  The array is built in C order and returned transposed: a
-    symmetric array equals its transpose, which is F-contiguous.
+    symmetric array equals its transpose, which is F-contiguous.  Raises
+    :class:`ParameterError` unless ``n`` and ``m`` are integers of at
+    least 1 (:func:`simplex_count`), and :class:`ShapeError` unless
+    ``values`` holds one value per nondecreasing index, ``C(n + m - 1, m)``.
     """
+    count = simplex_count(n, m)
+    if np.shape(values) != (count,):
+        raise ShapeError(
+            f"values of shape {np.shape(values)} do not hold the {count} canonical "
+            f"values of order {m} and dimension {n}"
+        )
     ix = np.ogrid[(slice(0, n),) * m]
     canonical = np.ones((n,) * m, dtype=bool)
     for k in range(m - 1):

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dense import DenseTensor, MultiIndex, is_integer
+from .dense import DenseTensor, MultiIndex, is_integer, is_real
 from .errors import ParameterError, RangeError, ShapeError, SymmetryError
 from .indexing import (
     block_grid,
@@ -283,7 +282,7 @@ def compress(t: DenseTensor, block_dim: int, tol: float = 0.0) -> BcssTensor:
     symmetric within ``tol`` (relative, at least 0; NaN rules as in
     :func:`~blocksym.indexing.symmetry_violation`), or :class:`ShapeError` if its dims differ.
     """
-    if not isinstance(tol, numbers.Real) or not tol >= 0:
+    if not is_real(tol) or not tol >= 0:
         raise ParameterError(f"tol must be a real number of at least 0, got {tol!r}")
     m = t.order
     n = t.dims[0]

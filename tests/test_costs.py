@@ -317,7 +317,9 @@ def test_metadata_sweep_interior_minimum_m5():
     assert totals[1] > 64**5
 
 
-@pytest.mark.parametrize("meta_k", [-1, -0.5, math.nan, math.inf, Fraction(-1, 8)])
+@pytest.mark.parametrize(
+    "meta_k", [-1, -0.5, math.nan, math.inf, Fraction(-1, 8), True, "a", 1j, None]
+)
 def test_meta_k_must_be_finite_and_at_least_zero(meta_k):
     # The rule --meta-k follows: such a meta_k makes totals negative, NaN or
     # infinite, and the sweep's argmin meaningless.

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -307,6 +308,16 @@ def test_real_values_still_convert_to_float64():
 )
 def test_is_integer_is_an_int_or_numpy_integer_but_not_a_bool(v, want):
     assert dense.is_integer(v) is want
+
+
+@pytest.mark.parametrize(
+    "v,want",
+    [(3, True), (-0.5, True), (np.float32(2), True), (np.uint8(0), True),
+     (Fraction(1, 8), True), (np.nan, True), (True, False), (np.bool_(True), False),
+     (1j, False), ("3", False), (None, False), (np.ones(1), False)],
+)
+def test_is_real_is_a_real_number_but_not_a_bool(v, want):
+    assert dense.is_real(v) is want
 
 
 def test_counter_rejects_negative_increments():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -219,11 +220,28 @@ def test_random_symmetric_bitwise_equals_loop_reference(m, n, seed):
     assert got.tobytes(order="F") == ref.tobytes(order="F")
 
 
-@pytest.mark.parametrize("m,n", [(2, 5), (3, 8), (4, 6), (5, 8), (6, 4)])
+# (4, 24) and (5, 12) hold more entries than one slab of sort_within.
+@pytest.mark.parametrize("m,n", [(2, 5), (3, 8), (4, 6), (5, 8), (6, 4), (4, 24), (5, 12)])
 def test_random_symmetric_bitwise_equals_loop_reference_larger(m, n):
     got = random_symmetric(m, n, 99).array
     assert got.flags.f_contiguous
     assert got.tobytes(order="F") == loop_random_symmetric(m, n, 99).tobytes(order="F")
+
+
+@pytest.mark.parametrize(
+    "make,digest",
+    [
+        (lambda: random_symmetric(4, 48, 1).array, "ade12aab75a1e398"),
+        (lambda: random_symmetric(5, 12, 3).array, "2d11840adfa86cf8"),
+        (lambda: random_bcss(5, 32, 8, 1).data, "375ed0df68293dee"),
+    ],
+    ids=["random_symmetric(4,48,1)", "random_symmetric(5,12,3)", "random_bcss(5,32,8,1)"],
+)
+def test_generators_keep_their_bytes(make, digest):
+    # A seed's output is part of the contract: a faster generator must
+    # give the same bytes, here pinned as sha256 prefixes of F-order bytes.
+    data = make().tobytes(order="F")
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("m,n,p", [(2, 3, 4), (3, 4, 3), (4, 3, 2)])

@@ -333,6 +333,71 @@ def test_sort_within_copies_each_entry_from_its_run_sorted_entry():
         assert arr[idx] == orig[src], idx
 
 
+def test_sort_within_on_a_strided_view_matches_a_contiguous_copy():
+    # 384,000 entries, more than one slab: the swap of modes (1, 2) cuts
+    # mode 0 into slabs, that of (2, 3) cuts mode 1 under each index of
+    # mode 0, with a shorter last slab.  The view is neither C- nor
+    # F-contiguous, and the entries the view skips stay as they were.
+    rng = np.random.default_rng(31)
+    base = rng.standard_normal((3, 4, 40, 40, 40))
+    orig = base.copy()
+    view = base.transpose(1, 2, 3, 4, 0)[::2]
+    assert view.shape == (2, 40, 40, 40, 3)
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    copy = np.ascontiguousarray(view)
+    ref = copy.copy()
+    sort_within(view, 1, 3)
+    sort_within(copy, 1, 3)
+    assert np.array_equal(view, copy)
+    coords = np.indices(ref.shape)
+    coords[1:4] = np.sort(coords[1:4], axis=0)
+    assert np.array_equal(copy, ref[tuple(coords)])
+    assert np.array_equal(base[:, 1::2], orig[:, 1::2])
+
+
+@pytest.mark.parametrize(
+    "shape,start,g",
+    [
+        ((2, 3), 0, 2),  # unequal extents
+        ((3, 3, 4), 1, 2),
+        ((3, 3), -1, 2),
+        ((3, 3), -1, 1),
+        ((3, 3), 1, 2),  # past the last mode
+        ((3, 3), 2, 1),
+        ((3, 3), 0, 0),
+        ((3, 3), 0.0, 2),
+        ((3, 3), 0, 2.0),
+        ((3, 3), True, 1),
+        ((3, 3), 0, "2"),
+    ],
+)
+def test_sort_within_rejects_what_is_not_a_run_of_equal_modes(shape, start, g):
+    arr = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+    with pytest.raises(ShapeError):
+        sort_within(arr, start, g)
+    assert np.array_equal(arr, np.arange(arr.size).reshape(shape))
+
+
+def test_sort_within_of_one_mode_copies_nothing():
+    arr = np.arange(12.0).reshape(3, 4)
+    for start in (0, 1, np.int64(1)):
+        sort_within(arr, start, 1)
+    assert np.array_equal(arr, np.arange(12.0).reshape(3, 4))
+
+
+def test_replicate_canonical_rejects_the_wrong_number_of_values():
+    # C(3, 2) = 3 values for order 2 and dimension 2.
+    for values in (np.arange(4.0), np.arange(2.0), np.arange(3.0).reshape(3, 1), 1.0):
+        with pytest.raises(ShapeError, match="3 canonical values"):
+            replicate_canonical(values, 2, 2)
+
+
+@pytest.mark.parametrize("n,m", [(2, 0), (0, 2), (2, -1), (2, 1.0), (2.0, 2), (2, True)])
+def test_replicate_canonical_rejects_a_bad_order_or_dimension(n, m):
+    with pytest.raises(ParameterError, match="n >= 1 and m >= 1"):
+        replicate_canonical(np.ones(1), n, m)
+
+
 # ------------------------------------------------------------ block_grid
 
 

@@ -93,26 +93,30 @@ def test_split_policy_breaches_finds_pools_locks_and_constants():
 
 
 def argument_rule_spellings(source: str) -> list[str]:
-    """``isinstance`` tests against ``np.integer`` and reads of a
-    ``dtype.kind`` in ``source``: the integer and real-operand rules are
-    ``dense.is_integer`` and ``dense.real_array``."""
+    """``isinstance`` tests against ``np.integer`` or ``numbers.Real`` and
+    reads of a ``dtype.kind`` in ``source``: the integer, real-scalar and
+    real-operand rules are ``dense.is_integer``, ``dense.is_real`` and
+    ``dense.real_array``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr == "kind":
             if isinstance(node.value, ast.Attribute) and node.value.attr == "dtype":
-                found.append(f"line {node.lineno}: dtype.kind")
+                found.append((node.lineno, "dtype.kind"))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "isinstance"
             and len(node.args) == 2
-            and any(
-                isinstance(n, ast.Attribute) and n.attr == "integer"
-                for n in ast.walk(node.args[1])
-            )
         ):
-            found.append(f"line {node.lineno}: isinstance integer")
-    return found
+            names = {
+                n.attr if isinstance(n, ast.Attribute) else n.id
+                for n in ast.walk(node.args[1])
+                if isinstance(n, (ast.Attribute, ast.Name))
+            }
+            found += [
+                (node.lineno, f"isinstance {name}") for name in ("Real", "integer") if name in names
+            ]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
 @pytest.mark.parametrize(
@@ -132,12 +136,18 @@ def test_argument_rule_spellings_finds_integer_and_kind_tests():
         "ok = isinstance(v, (int, float))\n"
         "kind = spec.kind\n"
         "dt = x.dtype\n"
+        "ok = isinstance(tol, numbers.Real)\n"
+        "ok = isinstance(tol, (Real, np.integer))\n"
+        "ok = isinstance(tol, numbers.Number)\n"
     )
     assert argument_rule_spellings(source) == [
         "line 2: isinstance integer",
         "line 3: isinstance integer",
         "line 4: dtype.kind",
         "line 5: dtype.kind",
+        "line 9: isinstance Real",
+        "line 10: isinstance Real",
+        "line 10: isinstance integer",
     ]
 
 

@@ -78,7 +78,7 @@ def test_compress_rejects_asymmetry_and_names_pair():
     assert "between indices" in msg
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0, "x", None])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, "x", None, True, 1j])
 def test_compress_rejects_a_nan_or_negative_tol(tol):
     # NaN used to accept any asymmetry, -1 to reject an exactly symmetric
     # tensor, and "x" or None to raise a bare TypeError.
