@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .counters import OpCounter
-from .dense import DenseTensor, matmul_ref, mode_multiply, real_array
+from .dense import DenseTensor, dense_operand, matmul_ref, mode_multiply, real_array
 from .errors import ParameterError, ShapeError
 from .indexing import block_grid, hypertriangle_iter, replicate_canonical
 from .split import share, threads, workers
@@ -99,7 +99,7 @@ def sttsm_naive(
     assumed symmetric); ``full_nest=True`` computes every entry
     independently and assumes nothing.
     """
-    x, m, n, p = _check_sttsm_args(a.dims, x)
+    x, m, n, p = _check_sttsm_args(dense_operand(a, "sttsm_naive").dims, x)
 
     def entry(jt: tuple[int, ...]) -> float:
         weight = reduce(np.multiply.outer, [x[j] for j in jt])
@@ -130,7 +130,7 @@ def sttsm_scalar_temps(
     Counts equal the blocked sums at ``b_A = n, b_C = 1`` (:mod:`~blocksym.costs`)
     plus ``2 p^m`` memops for the replication.
     """
-    x, m, n, p = _check_sttsm_args(a.dims, x)
+    x, m, n, p = _check_sttsm_args(dense_operand(a, "sttsm_scalar_temps").dims, x)
     values: dict[tuple[int, ...], float] = {}
 
     def descend(k: int, t_next: DenseTensor, j_hi: int, suffix: tuple[int, ...]) -> None:
@@ -159,16 +159,16 @@ def sttsm_dense_ttm(
     the result and the counts do not depend on the split, and
     ``counter.threads`` reports the largest count.
 
-    When ``p == n`` every product has the dims of ``a``, and product ``k``
-    is written (``out=``) into the array of product ``k - 2``, which
-    nothing reads any more, so a call allocates two arrays, not ``m``.
-    ``a`` is only read, and the result shares no memory with it.
+    When ``p == n`` every product has the dims of ``a``: product 0 is
+    written into one new array, and products ``1..m-1`` into that array in
+    place (``out=`` the input's own array), so a call allocates one array,
+    not ``m``.  ``a`` is only read, and the result shares no memory with
+    it.
     """
-    x, m, n, p = _check_sttsm_args(a.dims, x)
-    before, c = None, a
+    x, m, n, p = _check_sttsm_args(dense_operand(a, "sttsm_dense_ttm").dims, x)
+    c = a
     for k in range(m):
-        out = before.array if p == n and k >= 2 else None
-        before, c = c, mode_multiply(c, k, x, counter, out)
+        c = mode_multiply(c, k, x, counter, c.array if p == n and k else None)
     return c
 
 
@@ -312,7 +312,11 @@ def sttsm_bcss(
 
 
 def max_relative_error(result: DenseTensor, reference: DenseTensor) -> float:
-    """max |result - reference| normalized by the reference magnitude."""
+    """max |result - reference| normalized by the reference magnitude;
+    :class:`ShapeError` unless both are :class:`~blocksym.dense.DenseTensor`
+    of the same dims."""
+    dense_operand(result, "max_relative_error")
+    dense_operand(reference, "max_relative_error")
     if result.dims != reference.dims:
         raise ShapeError(f"dims differ: {result.dims} vs {reference.dims}")
     scale = float(np.max(np.abs(reference.array)))

@@ -4,15 +4,15 @@ A tensor is linearized in *dimensional order*: the generalization of
 column-major layout where mode 0 varies fastest.  Element ``(i_0, ..,
 i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.
 
-* ``is_integer`` / ``is_real`` / ``real_array`` -- the package's three
-  argument rules: an integer argument, a real scalar argument and a real
-  operand,
+* ``is_integer`` / ``is_real`` / ``real_array`` / ``dense_operand`` --
+  the package's four argument rules: an integer argument, a real scalar
+  argument, a real operand and a dense tensor operand,
 * ``permute`` / ``ipermute`` -- materialized data rearrangement,
 * ``matmul_ref`` -- the single matrix-multiply seam,
 * ``mode_multiply`` -- the mode-k tensor-times-matrix product, one fused
   kernel that walks cache-sized chunks: copy a chunk into a buffer laid out
-  in the source's memory order, one ``matmul_ref`` GEMM, transpose the
-  result out.
+  in the source's memory order, one ``matmul_ref`` GEMM, copy the result
+  out; it may write its result over its own input.
 
 When a :class:`~blocksym.counters.OpCounter` is supplied, every element a
 permutation or a mode product moves in or out reports 2 memops and every
@@ -58,12 +58,16 @@ def real_array(a) -> np.ndarray:
 
 class DenseTensor:
     """Order-m array of doubles stored contiguously in dimensional order;
-    :class:`ParameterError` unless the values are real (:func:`real_array`)."""
+    :class:`ParameterError` unless the values are real (:func:`real_array`),
+    and :class:`ShapeError` for a 0-d value, which has no mode."""
 
     __slots__ = ("array",)
 
     def __init__(self, array):
-        self.array = np.asfortranarray(real_array(array))
+        array = real_array(array)
+        if array.ndim == 0:
+            raise ShapeError("a dense tensor needs at least one mode, got a scalar")
+        self.array = np.asfortranarray(array)
 
     @property
     def order(self) -> int:
@@ -82,9 +86,18 @@ class DenseTensor:
         return f"DenseTensor(dims={self.dims})"
 
 
+def dense_operand(t, name: str) -> DenseTensor:
+    """``t``, or :class:`ShapeError` naming the call ``name`` unless it is
+    a :class:`DenseTensor`: the package's one dense-operand rule."""
+    if not isinstance(t, DenseTensor):
+        raise ShapeError(f"{name} needs a dense tensor, got {type(t).__name__}")
+    return t
+
+
 def _check_axes(axes: tuple[int, ...], order: int) -> None:
-    """Raise :class:`ShapeError` unless ``axes`` holds each of ``0..order-1`` once."""
-    if sorted(axes) != list(range(order)):
+    """Raise :class:`ShapeError` unless ``axes`` holds each of ``0..order-1``
+    once, as integers (:func:`is_integer`)."""
+    if not all(map(is_integer, axes)) or sorted(axes) != list(range(order)):
         raise ShapeError(f"axes {tuple(axes)} do not order the {order} modes 0..{order - 1}")
 
 
@@ -97,7 +110,7 @@ def permute(t: DenseTensor, axes: tuple[int, ...], counter: OpCounter | None = N
     per element), even for the identity, so that instrumented counts reflect
     the explicit data movement this layout strategy pays for.
     """
-    _check_axes(axes, t.order)
+    _check_axes(axes, dense_operand(t, "permute").order)
     out = np.array(np.transpose(t.array, axes), order="F", copy=True)
     if counter is not None:
         counter.count_memops(2 * out.size)
@@ -106,7 +119,7 @@ def permute(t: DenseTensor, axes: tuple[int, ...], counter: OpCounter | None = N
 
 def ipermute(t: DenseTensor, axes: tuple[int, ...], counter: OpCounter | None = None) -> DenseTensor:
     """Invert :func:`permute`: ``ipermute(permute(t, axes), axes)`` is ``t`` bitwise."""
-    _check_axes(axes, t.order)
+    _check_axes(axes, dense_operand(t, "ipermute").order)
     return permute(t, tuple(sorted(range(t.order), key=axes.__getitem__)), counter)
 
 
@@ -179,10 +192,13 @@ def mode_multiply(
 
     Result dims replace ``I_k`` by ``J``; element ``(.., j, ..)`` equals
     ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``; a ``b`` that is not real
-    raises :class:`ParameterError`.  The result is written into
+    raises :class:`ParameterError`, and a ``t`` that is not a
+    :class:`DenseTensor` :class:`ShapeError`.  The result is written into
     ``out`` when one is given: an F-contiguous, writeable float64 array of
-    the result's dims that shares no memory with ``t``, or
-    :class:`ShapeError` is raised before any work.
+    the result's dims that is either ``t``'s own array (``out is
+    t.array``, so ``J == I_k``: the product is computed in place) or
+    shares no memory with it, or :class:`ShapeError` is raised before any
+    work.
 
     The input is viewed as F-ordered ``(lead, I_k, trail)`` and the output
     as ``(lead, J, trail)``, and a fixed grid of cache-sized chunks
@@ -192,21 +208,25 @@ def mode_multiply(
     buffer is laid out in the source's memory order: F-ordered (lead
     fastest) when a chunk's lead width is at least ``I_k``, so the copy
     reads and writes runs of ``w_lead`` contiguous elements, and
-    C-ordered (``I_k`` fastest) otherwise, as at mode 0.  One
-    ``(w x I_k) @ (I_k x J)`` GEMM gives the C-ordered ``(w x J)``
-    product, whose transpose, the F-ordered ``(J x w)`` matrix, is copied
-    straight into the chunk's slice of the output (the inverse permute).
-    Each element is moved once in and once out, 2 memops each, and the
-    GEMMs count ``2 * J * I_k`` flops per column, as a whole-tensor
-    permute, GEMM and inverse permute would; the intermediates stay in
-    cache.
+    C-ordered (``I_k`` fastest) otherwise, as at mode 0.  A lead-wide
+    chunk takes the ``(J x I_k) @ (I_k x w)`` GEMM, whose C-ordered
+    ``(J x w)`` result holds runs of ``w_lead`` contiguous elements, as
+    the output does, so the copy out moves those runs; any other chunk
+    takes ``(w x I_k) @ (I_k x J)``, whose C-ordered ``(w x J)`` result,
+    transposed, is copied into the output.  Each element is moved once
+    in and once out, 2 memops each, and the GEMMs count ``2 * J * I_k``
+    flops per column, as a whole-tensor permute, GEMM and inverse permute
+    would; the intermediates stay in cache.  A chunk's whole region of
+    the input is in its buffer before its result is written back over
+    the same region of an in-place output, and no other chunk touches
+    that region, so computing in place changes no value.
 
     Large tensors share their chunks across the threads
     :func:`_chunk_grid` gives (:func:`~blocksym.split.share`, which records
     the count in ``counter.threads``); every chunk writes its own slice of
     the output, so the result and the counts do not depend on the split.
     """
-    dims = t.dims
+    dims = dense_operand(t, "mode_multiply").dims
     if not is_integer(k) or not 0 <= k < len(dims):
         raise ModeError(f"mode {k!r} is not a mode of an order-{len(dims)} tensor")
     b = real_array(b)
@@ -241,17 +261,20 @@ def mode_multiply(
             buf = whole[: part.size].reshape(moved.shape, order="F")
             buf[...] = moved
             if by_lead:
+                # The C-ordered (J x w) result, column l + wl * t, read as
+                # (J, wt, wl): lead fastest, as in the output.
                 a = buf.reshape((wl * wt, n), order="F")
+                c = matmul_ref(b, a.T, count)
+                result = c.reshape((rows, wt, wl)).transpose(2, 0, 1)
             else:
+                # The C-ordered (w x J) result, transposed, is the
+                # F-ordered (J x w) matrix, read as (J, wl, wt).
                 a = buf.reshape((n, wl * wt), order="F").T
-            # Transposed back, the C-ordered (w x J) product is the
-            # F-ordered (J x w) matrix, so the reshape below is a view.
-            c_t = matmul_ref(a, b_t, count).T
-            dst[l0 : l0 + wl, :, t0 : t0 + wt] = c_t.reshape((rows, wl, wt), order="F").transpose(
-                1, 0, 2
-            )
+                c = matmul_ref(a, b_t, count)
+                result = c.T.reshape((rows, wl, wt), order="F").transpose(1, 0, 2)
+            dst[l0 : l0 + wl, :, t0 : t0 + wt] = result
             if count is not None:
-                count.count_memops(2 * (buf.size + c_t.size))
+                count.count_memops(2 * (buf.size + c.size))
 
     # Chunks run along lead first, so consecutive chunks are neighbours in memory.
     chunks = ((l0, t0) for t0 in range(0, trail, w_trail) for l0 in range(0, lead, w_lead))
@@ -261,10 +284,11 @@ def mode_multiply(
 
 def _check_out(out, shape: tuple[int, ...], src: np.ndarray) -> None:
     """Raise :class:`ShapeError` unless :func:`mode_multiply` may write a
-    result of dims ``shape`` into ``out`` while it reads ``src``."""
+    result of dims ``shape`` into ``out`` while it reads ``src``: ``src``
+    itself, or an array sharing no memory with it."""
     if not isinstance(out, np.ndarray) or out.shape != shape:
         raise ShapeError(f"out of dims {np.shape(out)} cannot hold a product of dims {shape}")
     if out.dtype != np.float64 or not out.flags.f_contiguous or not out.flags.writeable:
         raise ShapeError(f"out must be a writeable F-contiguous float64 array, got {out.dtype}")
-    if np.may_share_memory(out, src):
+    if out is not src and np.may_share_memory(out, src):
         raise ShapeError("out shares memory with the tensor it is computed from")

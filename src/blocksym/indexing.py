@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dense import DenseTensor, MultiIndex, is_integer
+from .dense import DenseTensor, MultiIndex, dense_operand, is_integer, is_real
 from .errors import BlockDivisibilityError, ParameterError, ShapeError
 
 # Elements of one slab of a swap (1 MB of doubles, half a core's L2), so a
@@ -209,9 +209,10 @@ def symmetry_violation(
     permutation).  Equal entries (NaN facing NaN included) match; any other
     pair the ratio leaves undefined, such as a NaN facing a number, is a full
     mismatch, ``inf``.  A perfectly symmetric tensor yields ``(0.0, .., ..)``.
-    A mode that is not an integer of ``0..m-1`` raises :class:`ShapeError`.
+    A mode that is not an integer of ``0..m-1``, or a ``t`` that is not a
+    :class:`~blocksym.dense.DenseTensor`, raises :class:`ShapeError`.
     """
-    m = t.order
+    m = dense_operand(t, "symmetry_violation").order
     modes = list(modes)
     for s in modes:
         if not is_integer(s) or not 0 <= s < m:
@@ -241,7 +242,17 @@ def symmetry_violation(
     return worst
 
 
+def check_tol(tol) -> None:
+    """Raise :class:`ParameterError` unless ``tol`` is a relative
+    symmetry tolerance: a real number (:func:`~blocksym.dense.is_real`) of
+    at least 0, so not NaN."""
+    if not is_real(tol) or not tol >= 0:
+        raise ParameterError(f"tol must be a real number of at least 0, got {tol!r}")
+
+
 def is_sym_in_modes(t: DenseTensor, modes: Iterable[int], tol: float = 0.0) -> bool:
-    """True iff ``t`` is invariant (within ``tol``, relative) under every
-    permutation of the modes in ``modes``."""
-    return symmetry_violation(t, modes)[0] <= tol
+    """True iff ``t`` is invariant (within ``tol``, relative, as
+    :func:`check_tol` rules) under every permutation of the modes in
+    ``modes``."""
+    check_tol(tol)
+    return symmetry_violation(dense_operand(t, "is_sym_in_modes"), modes)[0] <= tol

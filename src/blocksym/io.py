@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, dense_operand
 from .errors import FormatError, ShapeError
 from .indexing import simplex_count
 from .storage import BcssTensor, table_excess
@@ -86,8 +86,7 @@ def _write_payload(fh, array: np.ndarray) -> None:
 def save_tensor(t: DenseTensor, path) -> None:
     """Write ``t``; anything but a :class:`~blocksym.dense.DenseTensor`
     raises :class:`ShapeError` before the file is opened."""
-    if not isinstance(t, DenseTensor):
-        raise ShapeError("save_tensor needs a dense tensor")
+    dense_operand(t, "save_tensor")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sHH", _STNS_MAGIC, _VERSION, t.order))
         fh.write(struct.pack(f"<{t.order}Q", *t.dims))

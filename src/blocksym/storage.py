@@ -35,11 +35,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .dense import DenseTensor, MultiIndex, is_integer, is_real
+from .dense import DenseTensor, MultiIndex, dense_operand, is_integer
 from .errors import ParameterError, RangeError, ShapeError, SymmetryError
 from .indexing import (
     block_grid,
     canonicalize,
+    check_tol,
     hypertriangle_iter,
     symmetry_violation,
 )
@@ -243,10 +244,10 @@ class PartialSymTensor:
         An index that is not ``s`` integers of ``0..grid-1`` raises
         :class:`RangeError`.
         """
-        idx = tuple(sym_idx)
+        idx = tuple(sym_idx) if np.iterable(sym_idx) else None
         # Checked here: NumPy would wrap a negative index round to a real slab.
-        inside = all(is_integer(i) and 0 <= i < self.grid for i in idx)
-        if len(idx) != self.sym_modes or not inside:
+        inside = idx is not None and all(is_integer(i) and 0 <= i < self.grid for i in idx)
+        if not inside or len(idx) != self.sym_modes:
             raise RangeError(f"block index {sym_idx} outside grid {self.grid}^{self.sym_modes}")
         t = self.tables
         stored = self.data[..., t.rank[idx]]
@@ -279,12 +280,12 @@ def compress(t: DenseTensor, block_dim: int, tol: float = 0.0) -> BcssTensor:
     hypertriangle order, so the round trip through :func:`decompress` is
     bitwise exact whenever ``t`` is exactly symmetric.  Raises
     :class:`SymmetryError` (reporting the worst index pair) if ``t`` is not
-    symmetric within ``tol`` (relative, at least 0; NaN rules as in
-    :func:`~blocksym.indexing.symmetry_violation`), or :class:`ShapeError` if its dims differ.
+    symmetric within ``tol`` (relative, :func:`~blocksym.indexing.check_tol`;
+    NaN rules as in :func:`~blocksym.indexing.symmetry_violation`), or
+    :class:`ShapeError` if it is not a dense tensor or its dims differ.
     """
-    if not is_real(tol) or not tol >= 0:
-        raise ParameterError(f"tol must be a real number of at least 0, got {tol!r}")
-    m = t.order
+    check_tol(tol)
+    m = dense_operand(t, "compress").order
     n = t.dims[0]
     block_grid(n, block_dim)  # before the scan of every entry
     rel, idx, jdx = symmetry_violation(t, range(m))

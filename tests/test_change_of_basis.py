@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_naive_full_nest_agrees_with_replication():
 
 def test_naive_shape_error():
     a = random_symmetric(2, 4, 6)
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError, match="does not contract"):
         sttsm_naive(a, np.zeros((3, 5)))
 
 
@@ -136,7 +137,8 @@ def test_dense_ttm_flop_counter_anchor():
 def test_dense_ttm_exact_counts_and_gemm_shapes(m, n, p):
     # Mode d reads p^d n^(m-d) elements through the front permute and writes
     # p^(d+1) n^(m-1-d) through the inverse one, 2 memops each, between
-    # them (w x n) @ (n x p) GEMMs, one per chunk, whose w sum to
+    # them one GEMM per chunk, (w x n) @ (n x p) or, for a chunk as wide
+    # as n along the modes before d, (p x n) @ (n x w), whose w sum to
     # N' = p^d n^(m-1-d).  The last two cases span more than one chunk.
     a = random_symmetric(m, n, 17)
     x = random_matrix(p, n, 18)
@@ -158,8 +160,10 @@ def test_dense_ttm_exact_counts_and_gemm_shapes(m, n, p):
     # The chain is the blocked algorithm at one block per mode.
     assert c.memops == bcss_impl_memops(m, n, p, n, p)
     assert c.flops == dense_costs(m, n, p).flops
-    assert all(lhs[1] == n and rhs == (n, p) for lhs, rhs in calls)
-    widths = iter(lhs[0] for lhs, _ in calls)
+    assert all(
+        lhs[1] == n and rhs == (n, p) or lhs == (p, n) and rhs[0] == n for lhs, rhs in calls
+    )
+    widths = iter(lhs[0] if rhs == (n, p) else rhs[1] for lhs, rhs in calls)
     for d in range(m):
         left = p**d * n ** (m - 1 - d)
         while left > 0:
@@ -206,10 +210,43 @@ def test_dense_ttm_writes_product_k_into_product_k_minus_2_when_p_is_n(monkeypat
     monkeypatch.setattr(cb, "mode_multiply", spy)
     sttsm_dense_ttm(a, random_matrix(p, n, 22))
     assert len(products) == m
+    # When p == n, products 1..m-1 are written in place into product 0's array.
     for k, j in itertools.combinations(range(m), 2):
-        shared = p == n and (j - k) % 2 == 0
-        assert np.shares_memory(products[k], products[j]) == shared, (k, j)
+        assert (products[k] is products[j]) == (p == n), (k, j)
+        assert np.shares_memory(products[k], products[j]) == (p == n), (k, j)
     assert not any(np.shares_memory(c, a.array) for c in products)
+
+
+@pytest.mark.parametrize("m,n,p", [(4, 6, 6), (3, 40, 40), (4, 5, 3)])
+def test_dense_ttm_leaves_its_operand_unchanged(cpus, monkeypatch, m, n, p):
+    # Product 0 is written into a new array, so the in-place products
+    # after it never reach the operand, on one thread or three.
+    monkeypatch.setattr(dense_module, "_CHUNK", 50)
+    a = random_symmetric(m, n, 23)
+    before = a.array.tobytes(order="F")
+    for count in (1, 3):
+        cpus(count)
+        out = sttsm_dense_ttm(a, random_matrix(p, n, 24))
+        assert a.array.tobytes(order="F") == before
+        assert not np.shares_memory(out.array, a.array)
+
+
+@pytest.mark.parametrize("m,n,chunk", [(4, 12, 1 << 10), (4, 24, None)])
+def test_dense_ttm_peak_stays_below_two_products(monkeypatch, m, n, chunk):
+    # Products 1..m-1 overwrite product 0's array, so besides chunk
+    # buffers a call holds one product, where a chain writing each product
+    # into a second array held two.
+    if chunk is not None:
+        monkeypatch.setattr(dense_module, "_CHUNK", chunk)
+    a = random_symmetric(m, n, 25)
+    x = random_matrix(n, n, 26)
+    tracemalloc.start()
+    try:
+        sttsm_dense_ttm(a, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * a.array.nbytes
 
 
 # ------------------------------------------------------------ blocked
@@ -683,6 +720,16 @@ def test_unequal_dims_rejected():
             algo(a, np.eye(4))
 
 
+@pytest.mark.parametrize(
+    "a", [BcssTensor(3, 4, 2), np.ones((4, 4, 4))], ids=["BcssTensor", "ndarray"]
+)
+@pytest.mark.parametrize("algo", [sttsm_naive, sttsm_scalar_temps, sttsm_dense_ttm])
+def test_dense_algorithms_need_dense_input(algo, a):
+    # Each used to raise a bare AttributeError.
+    with pytest.raises(ShapeError, match=f"{algo.__name__} needs a dense tensor"):
+        algo(a, np.eye(4))
+
+
 def test_bcss_needs_blocked_symmetric_input():
     with pytest.raises(ShapeError, match="blocked compact symmetric"):
         sttsm_bcss(random_symmetric(2, 4, 3), np.eye(4), 2)
@@ -691,6 +738,12 @@ def test_bcss_needs_blocked_symmetric_input():
 def test_max_relative_error_dims_and_zero_reference():
     with pytest.raises(ShapeError, match="dims differ"):
         max_relative_error(DenseTensor(np.ones((2, 2))), DenseTensor(np.ones((2, 3))))
+    # Another kind of operand, either side, used to raise a bare AttributeError.
+    ones = DenseTensor(np.ones((2, 2)))
+    for wrong in (BcssTensor(2, 2, 1), np.ones((2, 2))):
+        for pair in ((wrong, ones), (ones, wrong)):
+            with pytest.raises(ShapeError, match="needs a dense tensor"):
+                max_relative_error(*pair)
     # Against an all-zero reference the error is absolute.
     got = max_relative_error(DenseTensor(np.array([0.5, -2.0])), DenseTensor(np.zeros(2)))
     assert got == 2.0

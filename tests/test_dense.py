@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksym import (
+    BcssTensor,
     DenseTensor,
     ModeError,
     ParameterError,
@@ -98,12 +99,41 @@ def test_permute_length_mismatch():
 
 
 @pytest.mark.parametrize("fn", [permute, ipermute])
-@pytest.mark.parametrize("axes", [(0, 0), (0, 2), (-1, 0), (1,), (0, 1, 2), ()])
+@pytest.mark.parametrize(
+    "axes", [(0, 0), (0, 2), (-1, 0), (1,), (0, 1, 2), (), (1.0, 0), (True, 0)]
+)
 def test_permute_and_ipermute_reject_bad_axes(fn, axes):
     # ShapeError, never NumPy's ValueError or AxisError.  ipermute checks
     # its own argument: an invalid order can invert to a valid one.
+    # (1.0, 0) and (True, 0) used to raise a bare TypeError from permute
+    # and be taken by ipermute.
     with pytest.raises(ShapeError, match="do not order"):
         fn(rand_tensor((2, 3), 4), axes)
+
+
+# Each call that takes a dense tensor, given another kind of operand.
+_TAKE_DENSE = {
+    "permute": lambda t: permute(t, (1, 0)),
+    "ipermute": lambda t: ipermute(t, (1, 0)),
+    "mode_multiply": lambda t: mode_multiply(t, 0, np.eye(4)),
+}
+
+
+@pytest.mark.parametrize("t", [BcssTensor(2, 4, 2), np.eye(4)], ids=["BcssTensor", "ndarray"])
+@pytest.mark.parametrize("call", _TAKE_DENSE.values(), ids=_TAKE_DENSE.keys())
+def test_calls_on_dense_tensors_reject_another_kind(call, t):
+    # Each used to raise a bare AttributeError.
+    with pytest.raises(ShapeError, match="needs a dense tensor"):
+        call(t)
+
+
+@pytest.mark.parametrize(
+    "value", [3.0, np.float64(3.0), np.array(3.0), 7], ids=["float", "float64", "0-d", "int"]
+)
+def test_dense_tensor_of_a_scalar_is_rejected(value):
+    # A 0-d value used to become an order-1 tensor of dims (1,).
+    with pytest.raises(ShapeError, match="at least one mode"):
+        DenseTensor(value)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
@@ -207,20 +237,23 @@ def test_mode_product_permutes_merge_to_batched_transpose(m):
     # GEMM reads as its (w x n) operand, and its inverse the reverse: with
     # the identity matrix the output is the input, bitwise.  The operand's
     # values are compared, not its layout: it is F-ordered (lead fastest)
-    # where the chunk's lead width is at least n, else C-ordered.
+    # where the chunk's lead width is at least n, else C-ordered.  A
+    # lead-wide chunk's GEMM takes it transposed, as its (n x w) right
+    # operand, after the matrix.
     n = 3
+    eye = np.eye(n)
     t = rand_tensor((n,) * m, m)
     for k in range(m):
         lead, trail = n**k, n ** (m - 1 - k)
         seen = []
 
         def capture(a, b):
-            seen.append(a.copy())
+            seen.append(b.T.copy() if np.array_equal(a, eye) else a.copy())
             return a @ b
 
         set_matmul_backend(capture)
         try:
-            out = mode_multiply(t, k, np.eye(n))
+            out = mode_multiply(t, k, eye)
         finally:
             set_matmul_backend(None)
         moved = np.transpose(t.array.reshape((lead, n, trail), order="F"), (1, 0, 2))
@@ -410,6 +443,10 @@ def test_mode_multiply_errors():
             mode_multiply(t, k, np.eye(2))
     with pytest.raises(ShapeError):
         mode_multiply(t, 0, np.zeros((2, 5)))
+    # Other kinds of operand used to raise a bare AttributeError.
+    for wrong in (BcssTensor(2, 2, 1), t.array):
+        with pytest.raises(ShapeError, match="needs a dense tensor"):
+            mode_multiply(wrong, 0, np.eye(2))
 
 
 def test_mode_multiply_writes_into_out():
@@ -447,14 +484,65 @@ def test_mode_multiply_rejects_an_out_it_cannot_write(make):
         mode_multiply(rand_tensor((2, 3, 4), 22), 1, np.ones((5, 3)), out=make())
 
 
-@pytest.mark.parametrize("view", [lambda a: a, lambda a: a[:, :, :]])
+@pytest.mark.parametrize(
+    "view",
+    [lambda a: a, lambda a: a[:, :, :], lambda a: a.base[9:].reshape(a.shape, order="F")],
+)
 def test_mode_multiply_rejects_an_out_that_shares_memory_with_the_input(view):
-    # Chunks would overwrite input that later chunks still read.
-    t = rand_tensor((3, 3, 3), 23)
-    before = t.array.copy()
+    # The input's own array is computed in place: each chunk has its whole
+    # region in its buffer before it writes the product back there.  Any
+    # other overlap (the same memory seen again, or shifted by 9 elements)
+    # would overwrite input that later chunks still read.
+    rng = np.random.default_rng(23)
+    base = rng.standard_normal(36)
+    t = DenseTensor(base[:27].reshape((3, 3, 3), order="F"))
+    b = rng.standard_normal((3, 3))
+    before = t.array.copy(order="F")
+    out = view(t.array)
+    if out is t.array:
+        want = mode_multiply(DenseTensor(before), 1, b)
+        assert mode_multiply(t, 1, b, out=out).array is t.array
+        assert t.array.tobytes(order="F") == want.array.tobytes(order="F")
+        return
     with pytest.raises(ShapeError, match="shares memory"):
-        mode_multiply(t, 1, np.ones((3, 3)), out=view(t.array))
-    assert t.array.tobytes() == before.tobytes()
+        mode_multiply(t, 1, b, out=out)
+    assert t.array.tobytes(order="F") == before.tobytes(order="F")
+
+
+@st.composite
+def _in_place_case(draw):
+    """Dims of order 1..5, each 1..7, a mode of them and a seed."""
+    dims = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=5)))
+    return dims, draw(st.integers(0, len(dims) - 1)), draw(st.integers(0, 2**16))
+
+
+@pytest.mark.parametrize("chunk,threads", [(1 << 16, 1), (50, 1), (50, 3)])
+def test_mode_multiply_in_place_is_bitwise_out_of_place_property(cpus, monkeypatch, chunk, threads):
+    # J == I_k: written over its own input, a product, its counts and its
+    # threads equal those of the product into a new array, whether chunks
+    # are one or many, taken by one thread or three.
+    monkeypatch.setattr(dense, "_CHUNK", chunk)
+    cpus(threads)
+    used = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_in_place_case())
+    @example(((7, 6, 5, 4), 1, 0))
+    def check(case):
+        dims, k, seed = case
+        rng = np.random.default_rng(seed)
+        t = DenseTensor(rng.standard_normal(dims))
+        b = rng.standard_normal((dims[k], dims[k]))
+        c_want = OpCounter()
+        want = mode_multiply(t, k, b, c_want)
+        c = OpCounter()
+        assert mode_multiply(t, k, b, c, out=t.array).array is t.array
+        assert t.array.tobytes(order="F") == want.array.tobytes(order="F")
+        assert (c.flops, c.memops, c.threads) == (c_want.flops, c_want.memops, c_want.threads)
+        used.add(c.threads)
+
+    check()
+    assert max(used) == threads
 
 
 def test_mode_multiply_counts():

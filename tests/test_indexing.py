@@ -197,6 +197,20 @@ def test_symmetry_check_shape_error():
     t = DenseTensor(rng.standard_normal((3, 5)))
     with pytest.raises(ShapeError):
         is_sym_in_modes(t, {0, 1}, 0.0)
+    # Another kind of tensor used to raise a bare AttributeError.
+    for wrong in (BcssTensor(2, 4, 2), np.eye(4)):
+        with pytest.raises(ShapeError, match="needs a dense tensor"):
+            symmetry_violation(wrong, {0, 1})
+        with pytest.raises(ShapeError, match="needs a dense tensor"):
+            is_sym_in_modes(wrong, {0, 1})
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, "a", None, True, 1j])
+def test_is_sym_in_modes_rejects_a_nan_or_negative_tol(tol):
+    # As compress rules: NaN and -1 used to return False, True was taken
+    # as 1, and "a" raised a bare TypeError.
+    with pytest.raises(ParameterError, match="tol"):
+        is_sym_in_modes(DenseTensor(np.eye(3)), {0, 1}, tol)
 
 
 # [0.5, 1] and ["a"] used to raise a bare TypeError.

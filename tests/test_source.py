@@ -92,6 +92,23 @@ def test_split_policy_breaches_finds_pools_locks_and_constants():
     ]
 
 
+def isinstance_names(node: ast.AST) -> set[str]:
+    """The names (last attribute of a dotted one) that ``node`` tests
+    against if it is an ``isinstance`` call, else none."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return set()
+    return {
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(node.args[1])
+        if isinstance(n, (ast.Attribute, ast.Name))
+    }
+
+
 def argument_rule_spellings(source: str) -> list[str]:
     """``isinstance`` tests against ``np.integer`` or ``numbers.Real`` and
     reads of a ``dtype.kind`` in ``source``: the integer, real-scalar and
@@ -102,20 +119,10 @@ def argument_rule_spellings(source: str) -> list[str]:
         if isinstance(node, ast.Attribute) and node.attr == "kind":
             if isinstance(node.value, ast.Attribute) and node.value.attr == "dtype":
                 found.append((node.lineno, "dtype.kind"))
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-        ):
-            names = {
-                n.attr if isinstance(n, ast.Attribute) else n.id
-                for n in ast.walk(node.args[1])
-                if isinstance(n, (ast.Attribute, ast.Name))
-            }
-            found += [
-                (node.lineno, f"isinstance {name}") for name in ("Real", "integer") if name in names
-            ]
+        names = isinstance_names(node)
+        found += [
+            (node.lineno, f"isinstance {name}") for name in ("Real", "integer") if name in names
+        ]
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
@@ -148,6 +155,41 @@ def test_argument_rule_spellings_finds_integer_and_kind_tests():
         "line 9: isinstance Real",
         "line 10: isinstance Real",
         "line 10: isinstance integer",
+    ]
+
+
+def dense_kind_tests(source: str) -> list[str]:
+    """``isinstance`` tests against ``DenseTensor`` in ``source``: the
+    dense-operand rule is ``dense.dense_operand``."""
+    return [
+        f"line {node.lineno}: isinstance DenseTensor"
+        for node in ast.walk(ast.parse(source))
+        if "DenseTensor" in isinstance_names(node)
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "dense.py"], ids=lambda p: p.name
+)
+def test_dense_operand_rule_stays_in_dense_module(path):
+    assert dense_kind_tests(path.read_text()) == []
+
+
+def test_dense_kind_tests_finds_isinstance_against_dense_tensor():
+    source = (
+        "from blocksym import dense\n"
+        "ok = isinstance(t, DenseTensor)\n"
+        "ok = isinstance(t, dense.DenseTensor)\n"
+        "ok = isinstance(t, (BcssTensor, DenseTensor))\n"
+        "ok = isinstance(t, BcssTensor)\n"
+        "ok = type(t) is DenseTensor\n"
+        "t = DenseTensor(x)\n"
+        "ok = isinstance(DenseTensor, type)\n"
+    )
+    assert dense_kind_tests(source) == [
+        "line 2: isinstance DenseTensor",
+        "line 3: isinstance DenseTensor",
+        "line 4: isinstance DenseTensor",
     ]
 
 

@@ -91,6 +91,13 @@ def test_compress_rejects_unequal_dims():
         compress(DenseTensor(np.zeros((4, 2), order="F")), 2)
 
 
+@pytest.mark.parametrize("t", [BcssTensor(2, 4, 2), np.eye(4)], ids=["BcssTensor", "ndarray"])
+def test_compress_rejects_another_kind_of_tensor(t):
+    # Both used to raise a bare AttributeError.
+    with pytest.raises(ShapeError, match="compress needs a dense tensor"):
+        compress(t, 2)
+
+
 def test_compress_tolerance_admits_small_asymmetry():
     t = random_symmetric(2, 4, 5)
     arr = t.array.copy()
@@ -149,9 +156,10 @@ def test_block_at_m3_permuted_access():
 
 def test_block_at_out_of_grid():
     # Negative indices included: NumPy would wrap them round to a real slab.
-    # (0.0, 1) used to raise NumPy's bare IndexError.
+    # (0.0, 1) used to raise NumPy's bare IndexError, and 1 and None a
+    # bare TypeError.
     packed = compress(random_symmetric(2, 4, 9), 2)
-    for idx in [(0, 2), (-1, 0), (0, -1), (0,), (0, 0, 0), (0.0, 1), (True, 0)]:
+    for idx in [(0, 2), (-1, 0), (0, -1), (0,), (0, 0, 0), (0.0, 1), (True, 0), 1, None]:
         with pytest.raises(RangeError):
             packed.block_at(idx)
 
