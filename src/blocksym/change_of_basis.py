@@ -45,7 +45,7 @@ from .counters import OpCounter
 from .dense import DenseTensor, dense_operand, matmul_ref, mode_multiply, real_array
 from .errors import ParameterError, ShapeError
 from .indexing import block_grid, hypertriangle_iter, replicate_canonical
-from .split import share, threads, workers
+from .split import cpus, share, threads, workers
 from .storage import (
     BcssTensor,
     BlockTables,
@@ -172,10 +172,10 @@ def sttsm_dense_ttm(
     return c
 
 
-def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c: int):
+def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c: int, pool):
     """Set up level ``k``, the contraction of mode ``k`` of ``T(k+1)``
-    (tables ``t_in``) into ``T(k)`` (tables ``t_out``): the threads its
-    produced blocks are shared among, and its product function.
+    (tables ``t_in``) into ``T(k)`` (tables ``t_out``): its product
+    function, which shares the blocks it produces on the call's ``pool``.
 
     Summand ``ib`` of the block at ``key`` of ``T(k)`` is block ``key +
     (ib,)`` of ``T(k+1)``, so the summands of a produced block are one row
@@ -185,7 +185,7 @@ def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c:
     elements, and its summand slabs ``b_A^(k+1) b_C^(m-1-k)``, the size
     :func:`~blocksym.split.threads` weighs.
 
-    ``product(src, dst, x_blk, counter, pool)`` contracts the packed blocks
+    ``product(src, dst, x_blk, counter)`` contracts the packed blocks
     ``src`` of one ``T(k+1)`` with the ``b_C``-row block ``x_blk`` of
     ``x`` into the slabs ``dst``, one GEMM per produced block.  The
     ``nbar`` summand slabs of a block are copied side by side into one
@@ -210,8 +210,7 @@ def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c:
     to_logical = (*range(k), m - 1, *range(k, m - 1))
     split = threads(len(rows), b_a * rest)
 
-    # ``k``, bound as a parameter, names the level in this frame's locals.
-    def product(src, dst, x_blk, counter, pool, k=k) -> None:
+    def product(src, dst, x_blk, counter) -> None:
         def produce(take, count: OpCounter | None) -> None:
             # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
             # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
@@ -220,16 +219,14 @@ def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c:
             for r, (row_slabs, row_ids) in take:
                 for ib, (slab, t) in enumerate(zip(row_slabs, row_ids)):
                     buf[..., ib] = np.transpose(src[..., slab], axes[t])
-                if count is not None:
-                    count.count_memops(2 * buf.size)
                 c_mat = matmul_ref(x_blk, buf_t, count).T
                 dst[..., r] = np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical)
                 if count is not None:
-                    count.count_memops(2 * c_mat.size)
+                    count.count_memops(2 * (buf.size + c_mat.size))
 
         share(produce, enumerate(zip(slabs.tolist(), ids.tolist())), split, counter, pool)
 
-    return split, product
+    return product
 
 
 def sttsm_bcss(
@@ -262,10 +259,11 @@ def sttsm_bcss(
     splits its produced blocks across the CPUs of the process's affinity
     set: each level's setup takes its thread count,
     :func:`~blocksym.split.threads` of its produced blocks and their
-    summand slab size.  A call with a split level makes one pool
-    (:func:`~blocksym.split.workers`) for this call only; ``taskset -c 0``
-    gives the serial path.  The result and the counts do not depend on the
-    split, and ``counter.threads`` reports the largest level's count.
+    summand slab size.  A call that may split holds one pool
+    (:func:`~blocksym.split.workers`), which starts no thread until a level
+    shares; ``taskset -c 0`` gives the serial path, with no pool.  The
+    result and the counts do not depend on the split, and
+    ``counter.threads`` reports the largest level's count.
 
     ``temp_hook(k, temp)`` is called with each finished temporary, a
     :class:`~blocksym.storage.PartialSymTensor`, mainly so tests can audit
@@ -279,25 +277,16 @@ def sttsm_bcss(
     nbar = a.grid
     out = BcssTensor(m, p, b_c)
 
-    # Per level k: T(k)'s tables, its threads and its product function.
-    # T(0) is one output block.
-    levels = [None] * m
-    t_in = a.tables
-    for k in range(m - 1, -1, -1):
-        t_out = symmetric_tables(nbar, k, m) if reuse and k else identity_tables(nbar, k, m)
-        levels[k] = (t_out, *_level(t_in, t_out, k, m, b_a, b_c))
-        t_in = t_out
-
     def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
-        tables, _, product = levels[k]
+        tables, product = levels[k]
         for jb in range(j_hi + 1):
             x_blk = x[jb * b_c : (jb + 1) * b_c, :]
             if k == 0:
                 r = out.tables.rank[(jb,) + suffix]
-                product(src, out.data[..., r : r + 1], x_blk, counter, pool)
+                product(src, out.data[..., r : r + 1], x_blk, counter)
                 continue
             temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), tables)
-            product(src, temp.data, x_blk, counter, pool)
+            product(src, temp.data, x_blk, counter)
             if temp_hook is not None:
                 temp_hook(k, temp)
             descend(k - 1, temp.data, jb, (jb,) + suffix)
@@ -306,7 +295,14 @@ def sttsm_bcss(
 
     # One pool per call.  Its shutdown joins every task, also when one has
     # raised, so no worker writes a temporary after the call has ended.
-    with workers(max(split for _, split, _ in levels)) as pool:
+    with workers(cpus()) as pool:
+        # Per level k: T(k)'s tables and product.  T(0) is one output block.
+        levels = [None] * m
+        t_in = a.tables
+        for k in range(m - 1, -1, -1):
+            t_out = symmetric_tables(nbar, k, m) if reuse and k else identity_tables(nbar, k, m)
+            levels[k] = (t_out, _level(t_in, t_out, k, m, b_a, b_c, pool))
+            t_in = t_out
         descend(m - 1, a.data, pbar - 1, ())
     return out
 

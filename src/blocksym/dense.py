@@ -47,10 +47,14 @@ def is_real(v) -> bool:
 
 
 def real_array(a) -> np.ndarray:
-    """``a`` as a float64 array; raises :class:`ParameterError` unless its
-    values are real (bool, integer or float).  Converted, a complex array
-    would lose its imaginary part and a string one be parsed."""
-    a = np.asarray(a)
+    """``a`` as a float64 array; raises :class:`ShapeError` for ragged
+    values, such as ``[[1, 2], [3]]``, and :class:`ParameterError` unless
+    its values are real (bool, integer or float).  Converted, a complex
+    array would lose its imaginary part and a string one be parsed."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise ShapeError("ragged values do not form an array") from None
     if a.dtype.kind not in "biuf":
         raise ParameterError(f"array of dtype {a.dtype} is not real")
     return a.astype(np.float64, copy=False)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dense import DenseTensor, MultiIndex, dense_operand, is_integer, is_real
+from .dense import DenseTensor, MultiIndex, dense_operand, is_integer, is_real, real_array
 from .errors import BlockDivisibilityError, ParameterError, ShapeError
 
 # Elements of one slab of a swap (1 MB of doubles, half a core's L2), so a
@@ -76,12 +76,12 @@ def block_grid(n: int, b: int) -> int:
     """Block-grid extent ``n // b`` of a mode of dimension ``n`` cut into
     blocks of dimension ``b``.
 
-    Raises :class:`ShapeError` unless ``n`` is an integer, and
-    :class:`BlockDivisibilityError` unless ``b`` is an integer of at least
-    1 that divides ``n``.
+    Raises :class:`ShapeError` unless ``n`` is an integer of at least 1,
+    and :class:`BlockDivisibilityError` unless ``b`` is an integer of at
+    least 1 that divides ``n``.
     """
-    if not is_integer(n):
-        raise ShapeError(f"dimension must be an integer, got {n!r}")
+    if not is_integer(n) or n < 1:
+        raise ShapeError(f"dimension must be an integer of at least 1, got {n!r}")
     if not is_integer(b):
         raise BlockDivisibilityError(f"block dimension must be an integer, got {b!r}")
     if b < 1:
@@ -129,15 +129,8 @@ def sort_within(arr: np.ndarray, start: int, g: int) -> None:
         for k in range(i, start - 1, -1):
             # Entries with i_k > i_{k+1} are written from entries with
             # i_k < i_{k+1}, which this step does not write: safe in place.
-            if one_slab:
-                # Written out, not shared with the slab loop: a block of
-                # random_bcss makes a few copies, and a call per swap shows.
-                lead = (slice(None),) * k
-                for x in range(1, n):
-                    below = slice(x)
-                    arr[lead + (x, below)] = arr[lead + (below, x)]
-                continue
-            slabs, cut = _slabs(arr, k)
+            # One slab, such as a block of random_bcss, makes no call per swap.
+            slabs, cut = ((arr,), 0) if one_slab else _slabs(arr, k)
             lead = (slice(None),) * (k - cut)
             for slab in slabs:
                 for x in range(1, n):
@@ -176,13 +169,15 @@ def replicate_canonical(values: np.ndarray, n: int, m: int) -> np.ndarray:
     exact.  The array is built in C order and returned transposed: a
     symmetric array equals its transpose, which is F-contiguous.  Raises
     :class:`ParameterError` unless ``n`` and ``m`` are integers of at
-    least 1 (:func:`simplex_count`), and :class:`ShapeError` unless
-    ``values`` holds one value per nondecreasing index, ``C(n + m - 1, m)``.
+    least 1 (:func:`simplex_count`) and ``values`` are real
+    (:func:`~blocksym.dense.real_array`), and :class:`ShapeError` unless
+    they are one value per nondecreasing index, ``C(n + m - 1, m)``.
     """
     count = simplex_count(n, m)
-    if np.shape(values) != (count,):
+    values = real_array(values)
+    if values.shape != (count,):
         raise ShapeError(
-            f"values of shape {np.shape(values)} do not hold the {count} canonical "
+            f"values of shape {values.shape} do not hold the {count} canonical "
             f"values of order {m} and dimension {n}"
         )
     ix = np.ogrid[(slice(0, n),) * m]

@@ -448,9 +448,13 @@ def spy_share(monkeypatch, module, skip=False):
     used = []
 
     def spy(work, items, threads, counter, pool=None):
-        # The caller, a level's product (change_of_basis._level) or
-        # mode_multiply, names its level or mode k.
-        used.append((sys._getframe(1).f_locals["k"], threads))
+        # The nearest caller frame that binds k names the level or mode:
+        # sttsm_bcss's descend, which calls a level's product
+        # (change_of_basis._level), or mode_multiply.
+        frame = sys._getframe(1)
+        while "k" not in frame.f_locals:
+            frame = frame.f_back
+        used.append((frame.f_locals["k"], threads))
         if not skip:
             split.share(work, items, threads, counter, pool)
 
@@ -585,6 +589,29 @@ def test_bcss_one_cpu_makes_no_executor(cpus, monkeypatch):
     assert _bcss_run(packed, x, 2, True) == shared
 
 
+def test_bcss_two_cpus_start_no_thread_where_no_level_shares(cpus):
+    # One block per level (b_A = n) gives no level two items to share, so
+    # the call's pool is made but no worker thread starts.
+    packed = compress(random_symmetric(3, 4, 68), 4)
+    x = random_matrix(6, 4, 69)
+    cpus(2)
+    before = threading.active_count()
+    seen = []
+
+    def gemm(a, b):
+        seen.append(threading.active_count())
+        return a @ b
+
+    set_matmul_backend(gemm)
+    try:
+        counter = OpCounter()
+        sttsm_bcss(packed, x, 2, counter)
+    finally:
+        set_matmul_backend(None)
+    assert seen and set(seen) == {before}
+    assert counter.threads == 1
+
+
 def _dense_run(a, x):
     counter = OpCounter()
     out = sttsm_dense_ttm(a, x, counter)
@@ -692,6 +719,16 @@ def test_matrix_that_is_not_real_rejected_at_entry(algo, x):
         _ALGORITHMS[algo](random_symmetric(3, 4, 9), x)
 
 
+RAGGED = [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("algo", sorted(_ALGORITHMS))
+def test_ragged_matrix_rejected_at_entry(algo):
+    # Used to raise NumPy's bare ValueError ("inhomogeneous shape").
+    with pytest.raises(ShapeError, match="ragged"):
+        _ALGORITHMS[algo](random_symmetric(3, 4, 9), RAGGED)
+
+
 # Each other public call that takes an array of values, given one that is
 # not real.
 _TAKE_VALUES = {
@@ -711,6 +748,13 @@ def test_values_that_are_not_real_rejected(call, x):
     # NumPy's bare ValueError.
     with pytest.raises(ParameterError, match="is not real"):
         call(x)
+
+
+@pytest.mark.parametrize("call", _TAKE_VALUES.values(), ids=_TAKE_VALUES.keys())
+def test_ragged_values_rejected(call):
+    # Used to raise NumPy's bare ValueError ("inhomogeneous shape").
+    with pytest.raises(ShapeError, match="ragged"):
+        call(RAGGED)
 
 
 def test_unequal_dims_rejected():

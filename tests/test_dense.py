@@ -67,6 +67,10 @@ def test_dense_tensor_flat_layout_round_trip():
     assert np.array_equal(again.array, t.array)
 
 
+def test_dense_tensor_repr_names_its_dims():
+    assert repr(DenseTensor(np.zeros((2, 3, 4)))) == "DenseTensor(dims=(2, 3, 4))"
+
+
 # ---------------------------------------------------------------- permute
 
 

@@ -404,6 +404,9 @@ def test_replicate_canonical_rejects_the_wrong_number_of_values():
     for values in (np.arange(4.0), np.arange(2.0), np.arange(3.0).reshape(3, 1), 1.0):
         with pytest.raises(ShapeError, match="3 canonical values"):
             replicate_canonical(values, 2, 2)
+    # Ragged values used to raise NumPy's bare ValueError.
+    with pytest.raises(ShapeError, match="ragged"):
+        replicate_canonical([1.0, [2.0, 3.0], 4.0], 2, 2)
 
 
 @pytest.mark.parametrize("n,m", [(2, 0), (0, 2), (2, -1), (2, 1.0), (2.0, 2), (2, True)])
@@ -425,6 +428,24 @@ def test_block_grid_is_the_grid_extent():
 def test_block_grid_rejects_a_dimension_that_is_not_an_integer():
     with pytest.raises(ShapeError, match="dimension must be an integer"):
         block_grid(4.0, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: block_grid(0, 1),
+        lambda: block_grid(-4, 2),
+        lambda: BcssTensor(3, 0, 1),
+        lambda: PartialSymTensor(2, 0, 1, ()),
+        lambda: compress(DenseTensor(np.empty((0, 0, 0))), 1),
+    ],
+    ids=["block_grid(0)", "block_grid(-4)", "BcssTensor", "PartialSymTensor", "compress"],
+)
+def test_block_grid_rejects_a_dimension_below_1(call):
+    # Each used to raise a ParameterError naming hypertriangle_iter, which
+    # the caller never called.
+    with pytest.raises(ShapeError, match="dimension must be an integer of at least 1"):
+        call()
 
 
 def _sym(m, n):

@@ -45,6 +45,61 @@ def test_unused_imports_finds_what_no_expression_reads():
     assert unused_imports(source) == ["line 2: os", "line 4: c"]
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a function or lambda in ``source`` that its body never
+    reads.  A default value is read by the enclosing function, and the
+    receivers ``self`` and ``cls`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "lambda")
+        found += [
+            (node.lineno, f"{name}({a.arg})")
+            for a in params
+            if a is not None and a.arg not in read and a.arg not in ("self", "cls")
+        ]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_has_no_unused_parameter(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_unused_parameters_finds_what_no_body_reads():
+    source = (
+        "class T:\n"
+        "    def __init__(self, n):\n"
+        "        super().__init__()\n"
+        "    @classmethod\n"
+        "    def make(cls, n, *rest, **options):\n"
+        "        return n, options\n"
+        "def outer(k, unused, /, *, flag=False):\n"
+        "    def inner(x, k=k):\n"
+        "        return x\n"
+        "    return inner\n"
+        "key = lambda pid, _: pid\n"
+    )
+    assert unused_parameters(source) == [
+        "line 2: __init__(n)",
+        "line 5: make(rest)",
+        "line 7: outer(flag)",
+        "line 7: outer(unused)",
+        "line 8: inner(k)",
+        "line 11: lambda(_)",
+    ]
+
+
 def split_policy_breaches(source: str) -> list[str]:
     """Imports of ``concurrent.futures`` or ``threading``, and ``_SPLIT*``
     names assigned, in ``source``: the split policy belongs to ``split.py``."""

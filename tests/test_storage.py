@@ -181,6 +181,15 @@ def test_meta_grid_is_dense_over_block_grid():
         assert tuple(canonical[a] for a in axes) == idx
 
 
+def test_blocked_tensor_repr_names_dims_block_and_stored_blocks():
+    # C(3 + 2 - 1, 2) = 6 canonical blocks of a (6, 6) grid of b = 2; a
+    # tail mode of one block keeps the symmetric grid's 3 blocks.
+    assert repr(BcssTensor(2, 6, 2)) == "BcssTensor(dims=(6, 6), b=2, blocks=6)"
+    assert repr(PartialSymTensor(1, 6, 2, (5,))) == (
+        "PartialSymTensor(dims=(6, 5), b=2, blocks=3)"
+    )
+
+
 def test_stored_element_count_formula():
     # payload = b^m * C(nbar + m - 1, m); meta adds k per grid cell.
     dense = random_symmetric(2, 16, 11)
