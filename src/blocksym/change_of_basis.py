@@ -44,7 +44,7 @@ import numpy as np
 from .counters import OpCounter
 from .dense import DenseTensor, dense_operand, matmul_ref, mode_multiply, real_array
 from .errors import ParameterError, ShapeError
-from .indexing import block_grid, hypertriangle_iter, replicate_canonical
+from .indexing import block_grid, hypertriangle_iter, sort_within
 from .split import cpus, share, threads, workers
 from .storage import (
     BcssTensor,
@@ -75,13 +75,15 @@ def _check_sttsm_args(a_dims: tuple[int, ...], x) -> tuple[np.ndarray, int, int,
     return x, m, n, x.shape[0]
 
 
-def _replicate(values: dict, p: int, m: int, counter: OpCounter | None) -> DenseTensor:
-    """Dense ``(p,) * m`` tensor from its values at nondecreasing indices."""
-    ordered = np.array([values[jt] for jt in hypertriangle_iter(p, m)], dtype=np.float64)
+def _replicate(out: np.ndarray, counter: OpCounter | None) -> DenseTensor:
+    """Symmetric tensor from the C-ordered ``(p,) * m`` array ``out`` whose
+    nondecreasing entries are written: :func:`~blocksym.indexing.sort_within`
+    copies each to its permutations in place, and ``out.T`` is F-contiguous."""
     if counter is not None:
         # One read of the unique value plus one write per placed element.
-        counter.count_memops(2 * p**m)
-    return DenseTensor(replicate_canonical(ordered, p, m))
+        counter.count_memops(2 * out.size)
+    sort_within(out, 0, out.ndim)
+    return DenseTensor(out.T)
 
 
 def sttsm_naive(
@@ -94,28 +96,22 @@ def sttsm_naive(
 
     Entry ``(j_0..j_{m-1})`` is ``sum over all i of a[i] * prod_d
     x[j_d, i_d]``, evaluated with an explicit product-weight tensor rather
-    than any mode-product machinery.  By default only nondecreasing output
-    indices are computed and then replicated (valid because ``a`` is
-    assumed symmetric); ``full_nest=True`` computes every entry
-    independently and assumes nothing.
+    than any mode-product machinery, and written straight into the output
+    array.  By default only nondecreasing output indices are computed and
+    then replicated (:func:`_replicate`; valid because ``a`` is assumed
+    symmetric); ``full_nest=True`` computes every entry independently and
+    assumes nothing, and its array is returned as written.
     """
     x, m, n, p = _check_sttsm_args(dense_operand(a, "sttsm_naive").dims, x)
-
-    def entry(jt: tuple[int, ...]) -> float:
+    out = np.empty((p,) * m, dtype=np.float64, order="F" if full_nest else "C")
+    nest = itertools.product(range(p), repeat=m) if full_nest else hypertriangle_iter(p, m)
+    for jt in nest:
         weight = reduce(np.multiply.outer, [x[j] for j in jt])
         if counter is not None:
             # m multiplies and one accumulate per inner-nest term.
             counter.count_flops((m + 1) * n**m)
-        return float(np.sum(a.array * weight))
-
-    if full_nest:
-        out = np.empty((p,) * m, dtype=np.float64, order="F")
-        for jt in itertools.product(range(p), repeat=m):
-            out[jt] = entry(jt)
-        return DenseTensor(out)
-
-    values = {jt: entry(jt) for jt in hypertriangle_iter(p, m)}
-    return _replicate(values, p, m, counter)
+        out[jt] = np.sum(a.array * weight)
+    return DenseTensor(out) if full_nest else _replicate(out, counter)
 
 
 def sttsm_scalar_temps(
@@ -126,23 +122,24 @@ def sttsm_scalar_temps(
     Walks the triangular output loop nest ``j_{m-1} >= .. >= j_1 >= j_0``;
     at depth ``k`` the running temporary is contracted with row ``j_k`` of
     ``x`` (kept as a 1 x n matrix so every contraction is a mode product).
-    Only unique entries are computed, then replicated.
+    Only unique entries are computed, each written straight into a
+    C-ordered output array, then replicated (:func:`_replicate`).
     Counts equal the blocked sums at ``b_A = n, b_C = 1`` (:mod:`~blocksym.costs`)
     plus ``2 p^m`` memops for the replication.
     """
     x, m, n, p = _check_sttsm_args(dense_operand(a, "sttsm_scalar_temps").dims, x)
-    values: dict[tuple[int, ...], float] = {}
+    out = np.empty((p,) * m, dtype=np.float64)
 
     def descend(k: int, t_next: DenseTensor, j_hi: int, suffix: tuple[int, ...]) -> None:
         for j in range(j_hi + 1):
             t_k = mode_multiply(t_next, k, x[j : j + 1, :], counter)
             if k == 0:
-                values[(j,) + suffix] = float(t_k.data[0])
+                out[(j,) + suffix] = t_k.data[0]
             else:
                 descend(k - 1, t_k, j, (j,) + suffix)
 
     descend(m - 1, a, p - 1, ())
-    return _replicate(values, p, m, counter)
+    return _replicate(out, counter)
 
 
 def sttsm_dense_ttm(
@@ -160,15 +157,14 @@ def sttsm_dense_ttm(
     ``counter.threads`` reports the largest count.
 
     When ``p == n`` every product has the dims of ``a``: product 0 is
-    written into one new array, and products ``1..m-1`` into that array in
-    place (``out=`` the input's own array), so a call allocates one array,
-    not ``m``.  ``a`` is only read, and the result shares no memory with
-    it.
+    written into one new array, and products ``1..m-1`` over that array
+    (``in_place``), so a call allocates one array, not ``m``.  ``a`` is
+    only read, and the result shares no memory with it.
     """
     x, m, n, p = _check_sttsm_args(dense_operand(a, "sttsm_dense_ttm").dims, x)
     c = a
     for k in range(m):
-        c = mode_multiply(c, k, x, counter, c.array if p == n and k else None)
+        c = mode_multiply(c, k, x, counter, in_place=p == n and k > 0)
     return c
 
 

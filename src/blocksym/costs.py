@@ -226,6 +226,9 @@ def savings_table(m: int, n: int, b: int) -> tuple[float, float]:
 
 
 def divisors(n: int) -> list[int]:
+    """Divisors of ``n``, ascending; :class:`ParameterError` unless ``n`` is an integer >= 1."""
+    if not is_integer(n) or n < 1:
+        raise ParameterError(f"divisors needs an integer n >= 1, got {n!r}")
     return [b for b in range(1, n + 1) if n % b == 0]
 
 

@@ -12,7 +12,8 @@ i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.
 * ``mode_multiply`` -- the mode-k tensor-times-matrix product, one fused
   kernel that walks cache-sized chunks: copy a chunk into a buffer laid out
   in the source's memory order, one ``matmul_ref`` GEMM, copy the result
-  out; it may write its result over its own input.
+  out; with ``in_place`` it writes its result over its own input, else
+  into a new array.
 
 When a :class:`~blocksym.counters.OpCounter` is supplied, every element a
 permutation or a mode product moves in or out reports 2 memops and every
@@ -190,19 +191,18 @@ def mode_multiply(
     k: int,
     b: np.ndarray,
     counter: OpCounter | None = None,
-    out: np.ndarray | None = None,
+    in_place: bool = False,
 ) -> DenseTensor:
     """Contract matrix ``b`` (J x I_k) against mode ``k`` of ``t``.
 
     Result dims replace ``I_k`` by ``J``; element ``(.., j, ..)`` equals
     ``sum_{i_k} t[.., i_k, ..] * b[j, i_k]``; a ``b`` that is not real
     raises :class:`ParameterError`, and a ``t`` that is not a
-    :class:`DenseTensor` :class:`ShapeError`.  The result is written into
-    ``out`` when one is given: an F-contiguous, writeable float64 array of
-    the result's dims that is either ``t``'s own array (``out is
-    t.array``, so ``J == I_k``: the product is computed in place) or
-    shares no memory with it, or :class:`ShapeError` is raised before any
-    work.
+    :class:`DenseTensor` :class:`ShapeError`.  With ``in_place`` the
+    result is written over ``t.array`` and returned in it, or
+    :class:`ShapeError` is raised before any work unless ``J == I_k`` and
+    that array is writeable and F-contiguous (as built, but the slot can
+    be reassigned); without it, the result is a new array.
 
     The input is viewed as F-ordered ``(lead, I_k, trail)`` and the output
     as ``(lead, J, trail)``, and a fixed grid of cache-sized chunks
@@ -222,8 +222,8 @@ def mode_multiply(
     flops per column, as a whole-tensor permute, GEMM and inverse permute
     would; the intermediates stay in cache.  A chunk's whole region of
     the input is in its buffer before its result is written back over
-    the same region of an in-place output, and no other chunk touches
-    that region, so computing in place changes no value.
+    the same region in place, and no other chunk touches that region, so
+    computing in place changes no value.
 
     Large tensors share their chunks across the threads
     :func:`_chunk_grid` gives (:func:`~blocksym.split.share`, which records
@@ -240,10 +240,11 @@ def mode_multiply(
         )
     rows, n = b.shape
     shape = dims[:k] + (rows,) + dims[k + 1 :]
-    if out is None:
-        out = np.empty(shape, dtype=np.float64, order="F")
-    else:
-        _check_out(out, shape, t.array)
+    if in_place and not (rows == n and t.array.flags.writeable and t.array.flags.f_contiguous):
+        raise ShapeError(
+            f"in place needs a writeable F-ordered array and J == I_k, got J={rows}, I_k={n}"
+        )
+    out = t.array if in_place else np.empty(shape, dtype=np.float64, order="F")
     lead, trail = math.prod(dims[:k]), math.prod(dims[k + 1 :])
     src = t.array.reshape((lead, n, trail), order="F")
     dst = out.reshape((lead, rows, trail), order="F")
@@ -285,14 +286,3 @@ def mode_multiply(
     share(product, chunks, split, counter)
     return DenseTensor(out)
 
-
-def _check_out(out, shape: tuple[int, ...], src: np.ndarray) -> None:
-    """Raise :class:`ShapeError` unless :func:`mode_multiply` may write a
-    result of dims ``shape`` into ``out`` while it reads ``src``: ``src``
-    itself, or an array sharing no memory with it."""
-    if not isinstance(out, np.ndarray) or out.shape != shape:
-        raise ShapeError(f"out of dims {np.shape(out)} cannot hold a product of dims {shape}")
-    if out.dtype != np.float64 or not out.flags.f_contiguous or not out.flags.writeable:
-        raise ShapeError(f"out must be a writeable F-contiguous float64 array, got {out.dtype}")
-    if out is not src and np.may_share_memory(out, src):
-        raise ShapeError("out shares memory with the tensor it is computed from")

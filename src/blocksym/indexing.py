@@ -204,10 +204,13 @@ def symmetry_violation(
     permutation).  Equal entries (NaN facing NaN included) match; any other
     pair the ratio leaves undefined, such as a NaN facing a number, is a full
     mismatch, ``inf``.  A perfectly symmetric tensor yields ``(0.0, .., ..)``.
-    A mode that is not an integer of ``0..m-1``, or a ``t`` that is not a
-    :class:`~blocksym.dense.DenseTensor`, raises :class:`ShapeError`.
+    ``modes`` that are not a collection, a mode that is not an integer of
+    ``0..m-1``, or a ``t`` that is not a
+    :class:`~blocksym.dense.DenseTensor` raises :class:`ShapeError`.
     """
     m = dense_operand(t, "symmetry_violation").order
+    if not np.iterable(modes):
+        raise ShapeError(f"modes {modes!r} are not a collection of modes")
     modes = list(modes)
     for s in modes:
         if not is_integer(s) or not 0 <= s < m:

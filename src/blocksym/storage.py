@@ -181,7 +181,8 @@ class PartialSymTensor:
         Dimensions of the trailing non-symmetric modes, one block each.
     tables:
         Redirection tables over the block grid; by default those of the
-        symmetric group (:func:`symmetric_tables`).
+        symmetric group (:func:`symmetric_tables`); :class:`BlockTables`
+        over the grid whose transpose 0 orders the modes, else :class:`ShapeError`.
 
     ``data`` is allocated here, uninitialized, with shape ``(b,)*s +
     tail_dims + (slabs,)``; slab ``r`` holds block ``tables.stored_keys()[r]``.
@@ -208,6 +209,10 @@ class PartialSymTensor:
         self.block_dim = block_dim
         if tables is None:
             tables = symmetric_tables(self.grid, sym_modes, self.order)
+        # Only id 0 is checked, so a temporary costs no scan of its tables.
+        identity = (tuple(range(self.order)),)
+        if not isinstance(tables, BlockTables) or tables.transposes[:1] != identity:
+            raise ShapeError(f"tables are not BlockTables with the identity on {self.order} modes")
         if tables.rank.shape != (self.grid,) * sym_modes:
             raise ShapeError(
                 f"tables cover grid {tables.rank.shape}, expected {self.grid}^{sym_modes}"
@@ -299,12 +304,18 @@ def compress(t: DenseTensor, block_dim: int, tol: float = 0.0) -> BcssTensor:
     return out
 
 
+def _blocked(a, name: str) -> PartialSymTensor:
+    """``a``, or :class:`ShapeError` naming the call ``name`` unless it is blocked."""
+    if not isinstance(a, PartialSymTensor):
+        raise ShapeError(f"{name} needs blocked input, got {type(a).__name__}")
+    return a
+
+
 def decompress(a: PartialSymTensor) -> DenseTensor:
     """Assemble the full dense tensor a blocked tensor represents, with one
     transposed copy of a stored slab per block.  Anything but a
     :class:`PartialSymTensor` raises :class:`ShapeError`."""
-    if not isinstance(a, PartialSymTensor):
-        raise ShapeError("decompress needs blocked input")
+    _blocked(a, "decompress")
     out = np.empty(a.dims, dtype=np.float64, order="F")
     tail = tuple(slice(None) for _ in a.tail_dims)
     t = a.tables
@@ -320,11 +331,13 @@ def meta_bytes(a: PartialSymTensor) -> int:
 
     The transpose table the ids point into holds at most ``s!`` axis
     tuples shared by all records; it does not grow with the grid and is
-    not counted.
+    not counted.  Anything but a :class:`PartialSymTensor` raises
+    :class:`ShapeError`.
     """
-    return a.tables.rank.nbytes + a.tables.transpose.nbytes
+    return _blocked(a, "meta_bytes").tables.rank.nbytes + a.tables.transpose.nbytes
 
 
 def measured_meta_k(a: PartialSymTensor) -> float:
-    """Per-block meta cost of this implementation, in float equivalents."""
-    return meta_bytes(a) / 8.0 / a.tables.rank.size
+    """Per-block meta cost of this implementation, in float equivalents;
+    :class:`ShapeError` unless ``a`` is a :class:`PartialSymTensor`."""
+    return meta_bytes(_blocked(a, "measured_meta_k")) / 8.0 / a.tables.rank.size

@@ -15,6 +15,7 @@ from blocksym import (
     savings_table,
     simplex_count,
 )
+from blocksym.costs import divisors
 
 
 # ------------------------------------------------------------ blocked costs
@@ -307,6 +308,18 @@ def test_metadata_sweep_rejects_a_size_that_is_not_an_integer(m, n):
     # 4.5 used to raise a bare TypeError from range().
     with pytest.raises(ParameterError, match="requires integers"):
         metadata_sweep(m, n, 1)
+
+
+def test_divisors_of_12():
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(1) == [1]
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -3, True, "4"])
+def test_divisors_rejects_a_size_below_1_or_not_an_integer(n):
+    # 2.5 used to raise a bare TypeError, and 0 and -3 returned [].
+    with pytest.raises(ParameterError, match="integer n >= 1"):
+        divisors(n)
 
 
 def test_metadata_sweep_interior_minimum_m5():

@@ -453,64 +453,34 @@ def test_mode_multiply_errors():
             mode_multiply(wrong, 0, np.eye(2))
 
 
-def test_mode_multiply_writes_into_out():
-    t = rand_tensor((2, 3, 4), 20)
-    b = np.random.default_rng(21).standard_normal((5, 3))
-    c_want = OpCounter()
-    want = mode_multiply(t, 1, b, c_want)
-    out, c = np.full((2, 5, 4), np.nan, order="F"), OpCounter()
-    got = mode_multiply(t, 1, b, c, out=out)
-    assert np.shares_memory(got.array, out)
-    assert got.array.tobytes(order="F") == want.array.tobytes(order="F")
-    assert (c.flops, c.memops) == (c_want.flops, c_want.memops)
+def test_mode_multiply_in_place_rejects_a_product_of_other_dims():
+    # J != I_k: the product does not fit over its input.
+    t = rand_tensor((2, 3, 4), 22)
+    before = t.array.tobytes(order="F")
+    with pytest.raises(ShapeError, match="in place"):
+        mode_multiply(t, 1, np.ones((5, 3)), in_place=True)
+    assert t.array.tobytes(order="F") == before
 
 
-def _readonly(shape):
-    arr = np.empty(shape, order="F")
-    arr.setflags(write=False)
-    return arr
-
-
-BAD_OUT = {
-    "dims": lambda: np.empty((2, 4, 4), order="F"),
-    "ndim": lambda: np.empty((2, 5), order="F"),
-    "C order": lambda: np.empty((2, 5, 4)),
-    "strided": lambda: np.empty((4, 5, 4), order="F")[::2],
-    "float32": lambda: np.empty((2, 5, 4), dtype=np.float32, order="F"),
-    "read-only": lambda: _readonly((2, 5, 4)),
-    "DenseTensor": lambda: DenseTensor(np.empty((2, 5, 4), order="F")),
-}
-
-
-@pytest.mark.parametrize("make", BAD_OUT.values(), ids=BAD_OUT.keys())
-def test_mode_multiply_rejects_an_out_it_cannot_write(make):
-    with pytest.raises(ShapeError, match="out"):
-        mode_multiply(rand_tensor((2, 3, 4), 22), 1, np.ones((5, 3)), out=make())
-
-
-@pytest.mark.parametrize(
-    "view",
-    [lambda a: a, lambda a: a[:, :, :], lambda a: a.base[9:].reshape(a.shape, order="F")],
-)
-def test_mode_multiply_rejects_an_out_that_shares_memory_with_the_input(view):
-    # The input's own array is computed in place: each chunk has its whole
-    # region in its buffer before it writes the product back there.  Any
-    # other overlap (the same memory seen again, or shifted by 9 elements)
-    # would overwrite input that later chunks still read.
+@pytest.mark.parametrize("kind", ["read-only", "C order"])
+def test_mode_multiply_in_place_rejects_an_array_it_cannot_write(kind):
+    # A read-only array cannot take the product, nor can a C-ordered one put
+    # in the array slot: the kernel's F-ordered view of it would be a copy,
+    # so the product would be lost and the input returned unchanged.
     rng = np.random.default_rng(23)
-    base = rng.standard_normal(36)
-    t = DenseTensor(base[:27].reshape((3, 3, 3), order="F"))
-    b = rng.standard_normal((3, 3))
-    before = t.array.copy(order="F")
-    out = view(t.array)
-    if out is t.array:
-        want = mode_multiply(DenseTensor(before), 1, b)
-        assert mode_multiply(t, 1, b, out=out).array is t.array
-        assert t.array.tobytes(order="F") == want.array.tobytes(order="F")
-        return
-    with pytest.raises(ShapeError, match="shares memory"):
-        mode_multiply(t, 1, b, out=out)
-    assert t.array.tobytes(order="F") == before.tobytes(order="F")
+    arr, b = rng.standard_normal((2, 3, 3, 2)).copy(order="F"), rng.standard_normal((3, 3))
+    want = mode_multiply(DenseTensor(arr.copy(order="F")), 1, b).array.tobytes(order="F")
+    t = DenseTensor(arr)
+    if kind == "read-only":
+        arr.setflags(write=False)
+    else:
+        t.array = np.ascontiguousarray(arr)
+    before = t.array.tobytes(order="A")
+    with pytest.raises(ShapeError, match="in place"):
+        mode_multiply(t, 1, b, in_place=True)
+    assert t.array.tobytes(order="A") == before
+    # Into a new array, either input gives the product.
+    assert mode_multiply(t, 1, b).array.tobytes(order="F") == want
 
 
 @st.composite
@@ -540,7 +510,7 @@ def test_mode_multiply_in_place_is_bitwise_out_of_place_property(cpus, monkeypat
         c_want = OpCounter()
         want = mode_multiply(t, k, b, c_want)
         c = OpCounter()
-        assert mode_multiply(t, k, b, c, out=t.array).array is t.array
+        assert mode_multiply(t, k, b, c, in_place=True).array is t.array
         assert t.array.tobytes(order="F") == want.array.tobytes(order="F")
         assert (c.flops, c.memops, c.threads) == (c_want.flops, c_want.memops, c_want.threads)
         used.add(c.threads)

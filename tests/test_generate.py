@@ -17,7 +17,9 @@ from blocksym import (
     random_symmetric,
     simplex_count,
     sttsm_bcss,
+    sttsm_dense_ttm,
     sttsm_naive,
+    sttsm_scalar_temps,
 )
 from blocksym.cli import compare_bcss_dense
 from blocksym.counters import OpCounter
@@ -242,6 +244,30 @@ def test_generators_keep_their_bytes(make, digest):
     # give the same bytes, here pinned as sha256 prefixes of F-order bytes.
     data = make().tobytes(order="F")
     assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+ORACLES = {
+    "naive": sttsm_naive,
+    "full_nest": lambda a, x: sttsm_naive(a, x, full_nest=True),
+    "sttsm_scalar_temps": sttsm_scalar_temps,
+    "sttsm_dense_ttm": sttsm_dense_ttm,
+}
+
+
+@pytest.mark.parametrize(
+    "m,n,p,digests",
+    [
+        (3, 5, 7, ["e3f187bde9bed0eb", "ca85bf4e105e7677", "2525a2c567791a59", "ccbf5613e41d6829"]),
+        (4, 6, 6, ["10b2f38373b4e95f", "4f77580c7a5e9bff", "204ce6521bfa4d28", "0c8d566b55c2ddd6"]),
+    ],
+)
+def test_oracles_keep_their_bytes(m, n, p, digests):
+    # The oracles and the dense chain give the same bytes however they
+    # assemble their result, pinned as sha256 prefixes of F-order bytes.
+    a, x = random_symmetric(m, n, 7), random_matrix(p, n, 8)
+    for (name, call), digest in zip(ORACLES.items(), digests):
+        data = call(a, x).array.tobytes(order="F")
+        assert hashlib.sha256(data).hexdigest()[:16] == digest, name
 
 
 @pytest.mark.parametrize("m,n,p", [(2, 3, 4), (3, 4, 3), (4, 3, 2)])

@@ -222,6 +222,15 @@ def test_symmetry_violation_mode_out_of_range(modes):
         is_sym_in_modes(DenseTensor(np.eye(3)), modes)
 
 
+@pytest.mark.parametrize("modes", [0, 1.5, None])
+def test_symmetry_violation_modes_not_a_collection(modes):
+    # 0 used to raise a bare TypeError ("'int' object is not iterable").
+    with pytest.raises(ShapeError, match="not a collection of modes"):
+        symmetry_violation(DenseTensor(np.eye(3)), modes)
+    with pytest.raises(ShapeError, match="not a collection of modes"):
+        is_sym_in_modes(DenseTensor(np.eye(3)), modes)
+
+
 def _mismatch(x: float, y: float) -> float:
     """Relative mismatch of two entries: equal ones (zeros of either sign,
     equal infinities, NaN facing NaN) match, and a NaN facing a number or an

@@ -100,6 +100,63 @@ def test_unused_parameters_finds_what_no_body_reads():
     ]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level private names in ``source`` (a function, class or
+    assignment whose name starts with one underscore) that nothing in the
+    module reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        bound[n.id] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"line {line}: {name}"
+        for name, line in bound.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_has_no_unused_private_name(path):
+    # No other module may import a private name, so one its module never
+    # reads is dead code.
+    assert unused_private_names(path.read_text()) == []
+
+
+def test_unused_private_names_finds_what_no_module_code_reads():
+    source = (
+        "__all__ = ['public']\n"
+        "_LIMIT = 4\n"
+        "_a, (_b, c) = 1, (2, 3)\n"
+        "_scale: float = 2.0\n"
+        "def _helper(x):\n"
+        "    _local = x\n"
+        "    return _local * _scale\n"
+        "class _Dead:\n"
+        "    _attr = 1\n"
+        "def _check_out():\n"
+        "    pass\n"
+        "def public(y=_LIMIT):\n"
+        "    return _helper(y) + _a\n"
+    )
+    assert unused_private_names(source) == [
+        "line 3: _b",
+        "line 8: _Dead",
+        "line 10: _check_out",
+    ]
+
+
 def split_policy_breaches(source: str) -> list[str]:
     """Imports of ``concurrent.futures`` or ``threading``, and ``_SPLIT*``
     names assigned, in ``source``: the split policy belongs to ``split.py``."""

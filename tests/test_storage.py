@@ -121,6 +121,13 @@ def test_decompress_needs_blocked_input():
         decompress(random_symmetric(2, 4, 1))
 
 
+@pytest.mark.parametrize("call", [meta_bytes, measured_meta_k], ids=lambda f: f.__name__)
+def test_meta_measures_need_blocked_input(call):
+    # A DenseTensor used to raise a bare AttributeError ("no attribute 'tables'").
+    with pytest.raises(ShapeError, match=f"{call.__name__} needs blocked input"):
+        call(random_symmetric(3, 4, 1))
+
+
 def test_single_block_round_trip():
     t = random_symmetric(2, 3, 6)
     packed = compress(t, 3)
@@ -460,3 +467,17 @@ def test_partial_sym_tensor_rejects_tables_of_another_grid():
     # Tables of a 3-grid given to a tensor whose grid is 2.
     with pytest.raises(ShapeError, match=r"tables cover grid \(3, 3\), expected 2\^2"):
         PartialSymTensor(2, 4, 2, (), symmetric_tables(3, 2, 2))
+
+
+def test_partial_sym_tensor_rejects_tables_that_are_not_block_tables():
+    # 3 used to raise a bare AttributeError.
+    with pytest.raises(ShapeError, match="not BlockTables"):
+        PartialSymTensor(2, 4, 2, (3,), 3)
+
+
+def test_partial_sym_tensor_rejects_tables_of_another_order():
+    # Tables of an order-2 tensor given to one of order 3: the tensor used
+    # to build, and block_at and decompress then raised NumPy's bare
+    # ValueError ("axes don't match array").
+    with pytest.raises(ShapeError, match="identity on 3 modes"):
+        PartialSymTensor(2, 4, 2, (3,), symmetric_tables(2, 2, 2))
