@@ -483,6 +483,25 @@ def test_mode_multiply_in_place_rejects_an_array_it_cannot_write(kind):
     assert mode_multiply(t, 1, b).array.tobytes(order="F") == want
 
 
+@pytest.mark.parametrize("view", [pytest.param(lambda a: a, id="<lambda>0")])
+def test_mode_multiply_rejects_an_out_that_shares_memory_with_the_input(view):
+    # The name and id are those of the test from when mode_multiply took an
+    # out array; of its cases only the input's own array is left, which
+    # in_place now names.  That array is a view into a larger buffer: each
+    # chunk has its whole region in its buffer before it writes the product
+    # back there, and the buffer past the view is left as it was.
+    rng = np.random.default_rng(23)
+    base = rng.standard_normal(36)
+    t = DenseTensor(base[:27].reshape((3, 3, 3), order="F"))
+    b = rng.standard_normal((3, 3))
+    tail = base[27:].copy()
+    want = mode_multiply(DenseTensor(t.array.copy(order="F")), 1, b)
+    out = view(t.array)
+    assert mode_multiply(t, 1, b, in_place=True).array is out
+    assert out.tobytes(order="F") == want.array.tobytes(order="F")
+    assert base[27:].tobytes() == tail.tobytes()
+
+
 @st.composite
 def _in_place_case(draw):
     """Dims of order 1..5, each 1..7, a mode of them and a seed."""
