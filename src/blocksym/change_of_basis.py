@@ -261,9 +261,10 @@ def sttsm_bcss(
     result and the counts do not depend on the split, and
     ``counter.threads`` reports the largest level's count.
 
-    ``temp_hook(k, temp)`` is called with each finished temporary, a
-    :class:`~blocksym.storage.PartialSymTensor`, mainly so tests can audit
-    the partial symmetry through :func:`~blocksym.storage.decompress`.
+    Each level holds one temporary per parent ``T(k+1)``, a
+    :class:`~blocksym.storage.PartialSymTensor` that each sibling's product
+    refills.  ``temp_hook(k, temp)`` is called with each finished one, so a
+    hook that keeps a temporary past its call must copy it.
     """
     if not isinstance(a, BcssTensor):
         raise ShapeError("sttsm_bcss needs blocked compact symmetric input")
@@ -275,19 +276,17 @@ def sttsm_bcss(
 
     def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
         tables, product = levels[k]
+        temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), tables) if k else None
         for jb in range(j_hi + 1):
             x_blk = x[jb * b_c : (jb + 1) * b_c, :]
             if k == 0:
                 r = out.tables.rank[(jb,) + suffix]
                 product(src, out.data[..., r : r + 1], x_blk, counter)
                 continue
-            temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), tables)
             product(src, temp.data, x_blk, counter)
             if temp_hook is not None:
                 temp_hook(k, temp)
             descend(k - 1, temp.data, jb, (jb,) + suffix)
-            # Freed before the next sibling is allocated, to bound peak memory.
-            del temp
 
     # One pool per call.  Its shutdown joins every task, also when one has
     # raised, so no worker writes a temporary after the call has ended.

@@ -64,15 +64,21 @@ def real_array(a) -> np.ndarray:
 class DenseTensor:
     """Order-m array of doubles stored contiguously in dimensional order;
     :class:`ParameterError` unless the values are real (:func:`real_array`),
-    and :class:`ShapeError` for a 0-d value, which has no mode."""
+    and :class:`ShapeError` for a 0-d value, which has no mode.  The
+    ``array`` property has no setter: it stays the F-contiguous array built
+    here."""
 
-    __slots__ = ("array",)
+    __slots__ = ("_array",)
 
     def __init__(self, array):
         array = real_array(array)
         if array.ndim == 0:
             raise ShapeError("a dense tensor needs at least one mode, got a scalar")
-        self.array = np.asfortranarray(array)
+        self._array = np.asfortranarray(array)
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._array
 
     @property
     def order(self) -> int:
@@ -201,8 +207,7 @@ def mode_multiply(
     :class:`DenseTensor` :class:`ShapeError`.  With ``in_place`` the
     result is written over ``t.array`` and returned in it, or
     :class:`ShapeError` is raised before any work unless ``J == I_k`` and
-    that array is writeable and F-contiguous (as built, but the slot can
-    be reassigned); without it, the result is a new array.
+    that array is writeable; without it, the result is a new array.
 
     The input is viewed as F-ordered ``(lead, I_k, trail)`` and the output
     as ``(lead, J, trail)``, and a fixed grid of cache-sized chunks
@@ -240,10 +245,8 @@ def mode_multiply(
         )
     rows, n = b.shape
     shape = dims[:k] + (rows,) + dims[k + 1 :]
-    if in_place and not (rows == n and t.array.flags.writeable and t.array.flags.f_contiguous):
-        raise ShapeError(
-            f"in place needs a writeable F-ordered array and J == I_k, got J={rows}, I_k={n}"
-        )
+    if in_place and not (rows == n and t.array.flags.writeable):
+        raise ShapeError(f"in place needs a writeable array and J == I_k, got J={rows}, I_k={n}")
     out = t.array if in_place else np.empty(shape, dtype=np.float64, order="F")
     lead, trail = math.prod(dims[:k]), math.prod(dims[k + 1 :])
     src = t.array.reshape((lead, n, trail), order="F")

@@ -12,14 +12,14 @@ and a load one read straight into the array the tensor allocates.  The
 redirection tables are not serialized; they are rebuilt on load.
 
 Both loaders check the header length, the order (1 to 64 for ``.stns``,
-2 to 64 for ``.bcss``), that the block dimension is at least 1 and
+2 to 63 for ``.bcss``), that the block dimension is at least 1 and
 divides the tensor dimension, that the redirection tables rebuilt on
 load would hold at most ``2**25`` entries (``(n/b)**order``, the whole
 m=5, n=32 grid at unit blocks) and keep at most ``2**25`` axes of distinct
 transposes (``min(order!, (n/b)**order) * order``), and that the payload
 is exactly as long as the header says; a file that fails any check raises
 :class:`FormatError`.  ``save_bcss`` raises it too for an order outside
-2 to 64, and each saver :class:`ShapeError` for a tensor of the other
+2 to 63, and each saver :class:`ShapeError` for a tensor of the other
 kind (or an ``sttsm_bcss`` temporary), before it opens the file.
 """
 
@@ -35,7 +35,7 @@ import numpy as np
 from .dense import DenseTensor, dense_operand
 from .errors import FormatError, ShapeError
 from .indexing import simplex_count
-from .storage import BcssTensor, table_excess
+from .storage import MAX_BLOCKED_ORDER, BcssTensor, table_excess
 
 _STNS_MAGIC = b"STNS"
 _BCSS_MAGIC = b"BCSS"
@@ -111,8 +111,10 @@ def load_tensor(path) -> DenseTensor:
 
 
 def _check_bcss_order(order: int) -> None:
-    if not 2 <= order <= _MAX_ORDER:
-        raise FormatError(f"blocked tensor order must be in 2..{_MAX_ORDER}, got {order}")
+    if not 2 <= order <= MAX_BLOCKED_ORDER:
+        raise FormatError(
+            f"blocked tensor order must be in 2..{MAX_BLOCKED_ORDER}, got {order}"
+        )
 
 
 def save_bcss(a: BcssTensor, path) -> None:

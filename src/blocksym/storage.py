@@ -53,8 +53,8 @@ class BlockTables:
     ``rank[idx]`` is the slab that holds the stored block for ``idx``, and
     ``transposes[transpose[idx]]`` the transpose axes, over all modes with
     the tail modes fixed, that turn that slab into the block at ``idx``.
-    Id 0 is the identity.  The indices that hold it are the stored ones,
-    and in C order they own slabs 0, 1, 2, ...
+    Id 0 is the identity.  It marks the stored indices, which own slabs
+    0, 1, 2, ... in C order, through the last grid index ``(grid-1,) * s``.
     """
 
     rank: np.ndarray
@@ -69,6 +69,10 @@ class BlockTables:
         """Stored block indices, in slab order."""
         return [tuple(idx) for idx in np.argwhere(self.transpose == 0).tolist()]
 
+
+# Largest order of a blocked tensor: its packed array has one axis more,
+# and NumPy 2 holds at most 64 axes.
+MAX_BLOCKED_ORDER = 63
 
 # Table entries, one ``canonicalize`` each: the whole m=5, n=32 grid at unit
 # blocks.  Without a bound, a small order and dimension could ask for billions.
@@ -203,6 +207,8 @@ class PartialSymTensor:
             raise ShapeError(f"tail dims {self.tail_dims} must be integers")
         if min(self.tail_dims, default=0) < 0:
             raise ShapeError(f"tail dims {self.tail_dims} include a negative dimension")
+        if sym_modes + len(self.tail_dims) > MAX_BLOCKED_ORDER:
+            raise ShapeError(f"a blocked tensor has order at most {MAX_BLOCKED_ORDER}")
         self.grid = block_grid(sym_dim, block_dim)
         self.sym_modes = sym_modes
         self.sym_dim = sym_dim
@@ -217,7 +223,7 @@ class PartialSymTensor:
             raise ShapeError(
                 f"tables cover grid {tables.rank.shape}, expected {self.grid}^{sym_modes}"
             )
-        shape = (block_dim,) * sym_modes + self.tail_dims + (int(tables.rank.max()) + 1,)
+        shape = (block_dim,) * sym_modes + self.tail_dims + (tables.rank.item(-1) + 1,)
         self.data = np.empty(shape, dtype=np.float64, order="F")
         self.tables = tables
 

@@ -198,7 +198,7 @@ def test_dense_ttm_equals_products_into_fresh_arrays(m, n, p):
 
 
 @pytest.mark.parametrize("m,n,p", [(5, 4, 4), (4, 2, 2), (5, 4, 3), (5, 3, 4)])
-def test_dense_ttm_writes_product_k_into_product_k_minus_2_when_p_is_n(monkeypatch, m, n, p):
+def test_dense_ttm_writes_every_product_into_product_0_when_p_is_n(monkeypatch, m, n, p):
     a = random_symmetric(m, n, 21)
     products = []
 
@@ -412,6 +412,51 @@ def test_bcss_builds_level_tables_once_per_call(monkeypatch, reuse):
         calls.clear()
         sttsm_bcss(packed, x, b, reuse=reuse)
         assert len(calls) == temps + pbar**m
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("m,n,p,b_a,b_c", [(4, 6, 6, 3, 2), (5, 8, 8, 2, 2), (3, 8, 6, 2, 3)])
+def test_bcss_builds_one_temporary_per_parent(monkeypatch, reuse, m, n, p, b_a, b_c):
+    # Level k's siblings, the temporaries computed under one T(k+1), refill
+    # one PartialSymTensor: a level builds one per nondecreasing block tuple
+    # (jb_{k+1}, .., jb_{m-1}), and the output is built once.
+    from blocksym import storage
+
+    packed = compress(random_symmetric(m, n, 42), b_a)
+    x = random_matrix(p, n, 43)
+    built = Counter()
+    real = storage.PartialSymTensor.__init__
+
+    def counted(self, sym_modes, *args, **kwargs):
+        built[sym_modes] += 1
+        real(self, sym_modes, *args, **kwargs)
+
+    monkeypatch.setattr(storage.PartialSymTensor, "__init__", counted)
+    sttsm_bcss(packed, x, b_c, reuse=reuse)
+    pbar = p // b_c
+    want = {k: math.comb(pbar + m - 2 - k, m - 1 - k) for k in range(1, m)}
+    assert built == {**want, m: 1}
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("m,n,b", [(4, 12, 3), (5, 8, 2), (4, 16, 4)])
+def test_bcss_peak_is_the_deepest_path_of_temporaries(cpus, reuse, m, n, b):
+    # Beyond its output, a serial call holds at most one temporary per level
+    # (the model's storage_temps), one level's gather buffer and GEMM
+    # result, and a fixed allowance for tables and bookkeeping.
+    cpus(1)
+    packed = compress(random_symmetric(m, n, 44), b)
+    x = random_matrix(n, n, 45)
+    tracemalloc.start()
+    try:
+        out = sttsm_bcss(packed, x, b, reuse=reuse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = out.data.nbytes + out.tables.rank.nbytes + out.tables.transpose.nbytes
+    temps = bcss_costs(m, n, n, b, b, meta_k=0, reuse=reuse).storage_temps
+    level = b ** (m - 1) * n + b**m  # any level's gather buffer and GEMM result
+    assert peak - held <= 8 * (temps + level) + 128 * 1024
 
 
 def test_bcss_temp_hook_no_reuse_flavor():

@@ -462,25 +462,30 @@ def test_mode_multiply_in_place_rejects_a_product_of_other_dims():
     assert t.array.tobytes(order="F") == before
 
 
-@pytest.mark.parametrize("kind", ["read-only", "C order"])
+@pytest.mark.parametrize("kind", ["read-only"])
 def test_mode_multiply_in_place_rejects_an_array_it_cannot_write(kind):
-    # A read-only array cannot take the product, nor can a C-ordered one put
-    # in the array slot: the kernel's F-ordered view of it would be a copy,
-    # so the product would be lost and the input returned unchanged.
+    # A read-only array cannot take the product; ``kind`` keeps the case's id.
     rng = np.random.default_rng(23)
     arr, b = rng.standard_normal((2, 3, 3, 2)).copy(order="F"), rng.standard_normal((3, 3))
     want = mode_multiply(DenseTensor(arr.copy(order="F")), 1, b).array.tobytes(order="F")
     t = DenseTensor(arr)
-    if kind == "read-only":
-        arr.setflags(write=False)
-    else:
-        t.array = np.ascontiguousarray(arr)
+    arr.setflags(write=False)
     before = t.array.tobytes(order="A")
     with pytest.raises(ShapeError, match="in place"):
         mode_multiply(t, 1, b, in_place=True)
     assert t.array.tobytes(order="A") == before
     # Into a new array, either input gives the product.
     assert mode_multiply(t, 1, b).array.tobytes(order="F") == want
+
+
+def test_dense_tensor_array_cannot_be_reassigned():
+    # The slot keeps the F-contiguous array the constructor built, which
+    # is the layout every kernel views, in place or not.
+    t = DenseTensor(np.arange(6.0).reshape(2, 3))
+    built = t.array
+    with pytest.raises(AttributeError):
+        t.array = np.ascontiguousarray(built)
+    assert t.array is built and built.flags.f_contiguous
 
 
 @pytest.mark.parametrize("view", [pytest.param(lambda a: a, id="<lambda>0")])

@@ -172,7 +172,7 @@ def test_bcss_bad_block_dim_rejected(tmp_path, n, b):
         load_bcss(path)
 
 
-@pytest.mark.parametrize("order", [0, 1, 65, 65535])
+@pytest.mark.parametrize("order", [0, 1, 64, 65, 65535])
 def test_bcss_order_out_of_range_rejected(tmp_path, order):
     path = tmp_path / "bad.bcss"
     path.write_bytes(_bcss_header(order, 4, 2) + bytes(16))
@@ -180,11 +180,27 @@ def test_bcss_order_out_of_range_rejected(tmp_path, order):
         load_bcss(path)
 
 
+def test_bcss_of_order_64_is_a_format_error_and_63_loads(tmp_path):
+    # n = b = 1 and one double: a valid header whose packed array would
+    # need 65 axes, one past NumPy's limit, and the largest order that fits.
+    path = tmp_path / "t.bcss"
+    path.write_bytes(_bcss_header(64, 1, 1) + struct.pack("<d", 0.5))
+    with pytest.raises(FormatError, match=r"order must be in 2\.\.63, got 64"):
+        load_bcss(path)
+    path.write_bytes(_bcss_header(63, 1, 1) + struct.pack("<d", 0.5))
+    back = load_bcss(path)
+    assert back.order == 63 and back.data.shape == (1,) * 64
+    assert back.block_at((0,) * 63).array.item() == 0.5
+    again = tmp_path / "again.bcss"
+    save_bcss(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_save_bcss_refuses_an_order_the_loader_rejects(tmp_path):
     # An order-1 tensor used to be written, and then failed to load.
     packed = compress(DenseTensor(np.arange(4.0)), 2)
     path = tmp_path / "t.bcss"
-    with pytest.raises(FormatError, match=r"order must be in 2\.\.64, got 1"):
+    with pytest.raises(FormatError, match=r"order must be in 2\.\.63, got 1"):
         save_bcss(packed, path)
     assert not path.exists()
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import operator
@@ -29,6 +30,7 @@ from blocksym import (
 )
 from blocksym.io import load_bcss, save_bcss
 from blocksym.dense import DenseTensor
+from blocksym.generate import random_bcss
 from blocksym.storage import MAX_TABLE_ENTRIES, identity_tables, symmetric_tables, table_excess
 
 
@@ -251,7 +253,12 @@ def test_temporary_block_at_matches_mode_product_chain(reuse, m, n, p, b_a, b_c)
     a = random_symmetric(m, n, 27)
     x = random_matrix(p, n, 28)
     temps = []
-    sttsm_bcss(compress(a, b_a), x, b_c, reuse=reuse, temp_hook=lambda k, t: temps.append((k, t)))
+
+    def snapshot(k, t):
+        # Siblings refill one temporary, so each is copied inside the hook.
+        temps.append((k, copy.deepcopy(t)))
+
+    sttsm_bcss(compress(a, b_a), x, b_c, reuse=reuse, temp_hook=snapshot)
     visits = _temp_visits(m, p // b_c)
     assert [k for k, _ in temps] == [k for k, _ in visits]
     for (k, temp), (_, rows) in zip(temps, visits):
@@ -338,6 +345,20 @@ def test_identity_tables_store_every_block_untransposed():
     assert tables.rank.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
     assert tables.transposes == ((0, 1, 2, 3),)
     assert tables.stored_keys() == list(itertools.product(range(3), repeat=2))
+
+
+@pytest.mark.parametrize("tail", [(), (2,)])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", [1, 2, 3, 4, 5])
+def test_partial_sym_tensor_has_one_slab_per_stored_block(grid, s, tail):
+    # The slab count is read from the last grid index's rank, not a scan.
+    order = s + len(tail)
+    for tables, slabs in [
+        (symmetric_tables(grid, s, order), simplex_count(grid, s)),
+        (identity_tables(grid, s, order), grid**s),
+    ]:
+        temp = PartialSymTensor(s, 2 * grid, 2, tail, tables)
+        assert temp.data.shape == (2,) * s + tail + (slabs,)
 
 
 def test_packed_blocks_are_views_of_their_slabs():
@@ -456,6 +477,28 @@ def test_partial_sym_tensor_rejects_a_size_that_is_not_an_integer(args):
     # Each used to raise a bare TypeError from NumPy or range().
     with pytest.raises(ShapeError, match="integer"):
         PartialSymTensor(*args)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BcssTensor(64, 1, 1),
+        lambda: random_bcss(64, 1, 1, 0),
+        lambda: compress(DenseTensor(np.ones((1,) * 64)), 1),
+        lambda: PartialSymTensor(1, 1, 1, (1,) * 63),
+    ],
+    ids=["BcssTensor", "random_bcss", "compress", "PartialSymTensor"],
+)
+def test_blocked_tensor_past_order_63_is_a_shape_error(build):
+    # Its packed array would have 65 axes, one past NumPy's limit, which
+    # used to raise NumPy's bare ValueError.
+    with pytest.raises(ShapeError, match="order at most 63"):
+        build()
+
+
+def test_blocked_tensor_of_order_63_builds():
+    assert BcssTensor(63, 1, 1).data.shape == (1,) * 64
+    assert PartialSymTensor(1, 1, 1, (1,) * 62).data.shape == (1,) * 64
 
 
 def test_partial_sym_tensor_tail_dim_zero_builds_empty_slabs():
