@@ -177,8 +177,9 @@ def _given(value: int | None, default: int) -> int:
 def _check_options(args) -> None:
     """The order is at least two; dimensions, block dimensions and grid
     extents are at least one; the seed is not negative; the meta cost is
-    finite and not negative; and timings take three or more repetitions.
-    Every command checks every option, used or not."""
+    finite and not negative; timings take three or more repetitions; and
+    ``--out`` names a writeable file in an existing directory, checked
+    before any work.  Every command checks every option, used or not."""
     if args.m is not None and args.m < 2:
         raise ParameterError(f"--m must be at least 2, got {args.m}")
     if args.seed < 0:
@@ -191,6 +192,11 @@ def _check_options(args) -> None:
         raise ParameterError(f"--meta-k must be finite and at least 0, got {args.meta_k}")
     if args.reps < 3:
         raise ParameterError(f"--reps must be at least 3, got {args.reps}")
+    if args.out:
+        folder = os.path.dirname(args.out) or "."
+        target = args.out if os.path.exists(args.out) else folder
+        if os.path.isdir(args.out) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+            raise ParameterError(f"--out {args.out!r} is not a file that can be written")
 
 
 def _median_seconds(fn, reps: int) -> float:

@@ -175,6 +175,12 @@ def dense_costs(m: int, n: int, p: int) -> CostReport:
 class ApproxCosts:
     """Large-n closed forms under ``n = p`` and equal block dimensions.
 
+    ``bcss_storage`` is ``n^m/m!``, and ``bcss_temps``, the temporaries'
+    payload with reuse, ``b n^(m-1)/(m-1)!``: at a fixed block dimension
+    ``b`` the exact model's ``storage_A`` and ``storage_temps`` approach
+    them as ``n`` grows.  ``bcss_temps`` and ``bcss_memops`` need ``b``,
+    and are ``None`` without it.
+
     ``speedup_limit`` is the commonly quoted flop-ratio constant
     ``(m+1)!/2^m``; ``speedup_limit_exact`` keeps the ``m * m!`` numerator
     unapproximated.  Both are large-n simplifications of the exact formula
@@ -184,7 +190,7 @@ class ApproxCosts:
     m: int
     n: int
     bcss_storage: Fraction
-    bcss_temps: Fraction
+    bcss_temps: Fraction | None
     bcss_flops: Fraction
     bcss_memops: Fraction | None
     dense_storage: int
@@ -199,14 +205,15 @@ def approx_costs(m: int, n: int, b: int | None = None) -> ApproxCosts:
     """Limit-regime cost estimates (tensor dims equal, block dims equal)."""
     _check(m, n)
     fact = math.factorial(m)
-    memops = None
+    temps = memops = None
     if b is not None:
         memops = Fraction((block_grid(n, b) + 2) * (2 * n) ** m, fact)
+        temps = Fraction(b * n ** (m - 1), math.factorial(m - 1))
     return ApproxCosts(
         m=m,
         n=n,
         bcss_storage=Fraction(n**m, fact),
-        bcss_temps=Fraction(n**m, fact),
+        bcss_temps=temps,
         bcss_flops=Fraction((2 * n) ** (m + 1), fact),
         bcss_memops=memops,
         dense_storage=n**m,

@@ -61,32 +61,35 @@ def real_array(a) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
-class DenseTensor:
+class Fixed:
+    """Set-once fields, the package's one rule for tensor state: setting a
+    field again, or deleting one, raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is set once")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
+
+
+class DenseTensor(Fixed):
     """Order-m array of doubles stored contiguously in dimensional order;
     :class:`ParameterError` unless the values are real (:func:`real_array`),
-    and :class:`ShapeError` for a 0-d value, which has no mode.  The
-    ``array`` property has no setter: it stays the F-contiguous array built
-    here."""
+    and :class:`ShapeError` for a 0-d value, which has no mode.  Its fields
+    are set once (:class:`Fixed`), and ``data`` is a view of ``array``."""
 
-    __slots__ = ("_array",)
+    __slots__ = ("array", "order", "dims")
 
     def __init__(self, array):
         array = real_array(array)
         if array.ndim == 0:
             raise ShapeError("a dense tensor needs at least one mode, got a scalar")
-        self._array = np.asfortranarray(array)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._array
-
-    @property
-    def order(self) -> int:
-        return self.array.ndim
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.array.shape
+        self.array = np.asfortranarray(array)
+        self.order, self.dims = array.ndim, array.shape
 
     @property
     def data(self) -> np.ndarray:

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dense import DenseTensor, MultiIndex, dense_operand, is_integer
+from .dense import DenseTensor, Fixed, MultiIndex, dense_operand, is_integer
 from .errors import ParameterError, RangeError, ShapeError, SymmetryError
 from .indexing import (
     block_grid,
@@ -55,11 +55,18 @@ class BlockTables:
     the tail modes fixed, that turn that slab into the block at ``idx``.
     Id 0 is the identity.  It marks the stored indices, which own slabs
     0, 1, 2, ... in C order, through the last grid index ``(grid-1,) * s``.
+    Both arrays are read-only, in copies too: a level's temporaries share them.
     """
 
     rank: np.ndarray
     transpose: np.ndarray
     transposes: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        self.rank.flags.writeable = self.transpose.flags.writeable = False
+
+    def __reduce__(self):
+        return BlockTables, (self.rank, self.transpose, self.transposes)
 
     def stored(self) -> np.ndarray:
         """C-order grid positions of the stored indices, in slab order."""
@@ -169,7 +176,7 @@ class _SlabViews(Mapping):
         view[...] = value
 
 
-class PartialSymTensor:
+class PartialSymTensor(Fixed):
     """Blocked store for a tensor symmetric in its leading mode group.
 
     Parameters
@@ -190,6 +197,8 @@ class PartialSymTensor:
 
     ``data`` is allocated here, uninitialized, with shape ``(b,)*s +
     tail_dims + (slabs,)``; slab ``r`` holds block ``tables.stored_keys()[r]``.
+    Fields are set once (:class:`~blocksym.dense.Fixed`); ``blocks`` is not
+    state, so a copy or a pickle builds its own views of its own ``data``.
     """
 
     def __init__(
@@ -207,12 +216,12 @@ class PartialSymTensor:
             raise ShapeError(f"tail dims {self.tail_dims} must be integers")
         if min(self.tail_dims, default=0) < 0:
             raise ShapeError(f"tail dims {self.tail_dims} include a negative dimension")
-        if sym_modes + len(self.tail_dims) > MAX_BLOCKED_ORDER:
+        self.order = sym_modes + len(self.tail_dims)
+        if self.order > MAX_BLOCKED_ORDER:
             raise ShapeError(f"a blocked tensor has order at most {MAX_BLOCKED_ORDER}")
         self.grid = block_grid(sym_dim, block_dim)
-        self.sym_modes = sym_modes
-        self.sym_dim = sym_dim
-        self.block_dim = block_dim
+        self.sym_modes, self.sym_dim, self.block_dim = sym_modes, sym_dim, block_dim
+        self.dims = (sym_dim,) * sym_modes + self.tail_dims
         if tables is None:
             tables = symmetric_tables(self.grid, sym_modes, self.order)
         # Only id 0 is checked, so a temporary costs no scan of its tables.
@@ -227,13 +236,8 @@ class PartialSymTensor:
         self.data = np.empty(shape, dtype=np.float64, order="F")
         self.tables = tables
 
-    @property
-    def order(self) -> int:
-        return self.sym_modes + len(self.tail_dims)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.sym_dim,) * self.sym_modes + self.tail_dims
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "blocks"}
 
     @cached_property
     def blocks(self) -> Mapping[MultiIndex, np.ndarray]:
@@ -270,14 +274,7 @@ class BcssTensor(PartialSymTensor):
 
     def __init__(self, order: int, dim: int, block_dim: int):
         super().__init__(order, dim, block_dim, ())
-
-    @property
-    def n(self) -> int:
-        return self.sym_dim
-
-    @property
-    def b(self) -> int:
-        return self.block_dim
+        self.n, self.b = dim, block_dim
 
 
 def _block_slices(key: MultiIndex, b: int) -> tuple[slice, ...]:

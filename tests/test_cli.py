@@ -397,6 +397,26 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert path.read_text().startswith("variant,")
 
 
+@pytest.mark.parametrize("cmd", ["model", "bench", "storage", "verify"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_that_cannot_be_written_is_parameter_error(monkeypatch, tmp_path, capsys, cmd, where):
+    # Used to end in a traceback and exit 1, the code of a failed check,
+    # and for bench only after every algorithm had run.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("random_symmetric", "random_bcss", "sttsm_bcss"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.cost_model, "bcss_costs", no_work)
+    out = str(tmp_path / "no" / "such.csv") if where == "missing directory" else str(tmp_path)
+    status, stdout, err = run_main(
+        ["--cmd", cmd, "--m", "3", "--n", "16", "--ba", "8", "--out", out], capsys
+    )
+    assert status == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"parameter error: --out {out!r} is not a file that can be written"]
+
+
 @pytest.mark.parametrize("cap", [None, "10"])
 @pytest.mark.parametrize("blocks", [["--ba", "3"], ["--ba", "2", "--bc", "3"]])
 def test_bench_nondividing_block_is_parameter_error(monkeypatch, capsys, cap, blocks):

@@ -260,6 +260,28 @@ def test_approx_costs_fields_and_validation():
         approx_costs(2.5, 4)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_approx_storage_and_temps_converge_to_the_exact_model(m):
+    # At a fixed block dimension the exact payloads over their closed forms
+    # tend to 1 as n grows.  bcss_temps used to be n^m/m!, the operand's
+    # form, which over-states the temporaries' payload by about n/(b m).
+    b = 8
+    gaps = []
+    for n in (256, 1024, 4096):
+        est = approx_costs(m, n, b)
+        exact = bcss_costs(m, n, n, b, b, meta_k=0)
+        gaps.append((abs(exact.storage_A / est.bcss_storage - 1),
+                     abs(exact.storage_temps / est.bcss_temps - 1)))
+    assert gaps[1][0] < gaps[0][0] / 3 and gaps[2][0] < gaps[1][0] / 3
+    assert gaps[1][1] < gaps[0][1] / 3 and gaps[2][1] < gaps[1][1] / 3
+    assert max(gaps[2]) < Fraction(1, 40)
+
+
+def test_approx_temps_need_a_block_dimension():
+    assert approx_costs(4, 64).bcss_temps is None
+    assert approx_costs(4, 64, 8).bcss_temps == Fraction(8 * 64**3, 6)
+
+
 # ------------------------------------------------------------ savings table
 
 

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import os
+import pickle
 import sys
 import threading
 import time
@@ -367,6 +369,37 @@ def test_counter_rejects_negative_increments():
     assert (c.flops, c.memops) == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "n", [2.5, np.float64(1), Fraction(1), "a", None, True],
+    ids=["2.5", "float64", "Fraction", "str", "None", "True"],
+)
+def test_counter_rejects_increments_that_are_not_integers(n):
+    # 2.5 and np.float64(1) used to turn the tally into a float, which
+    # still compares equal to an integral model, and "a" raised a bare
+    # TypeError.
+    c = OpCounter()
+    with pytest.raises(ParameterError, match="flop increment must be a non-negative integer"):
+        c.count_flops(n)
+    with pytest.raises(ParameterError, match="memop increment must be a non-negative integer"):
+        c.count_memops(n)
+    assert (c.flops, c.memops) == (0, 0)
+    assert type(c.flops) is int and type(c.memops) is int
+
+
+@pytest.mark.parametrize("field", ["flops", "memops", "threads"])
+@pytest.mark.parametrize("value", [2.5, -1, True, "0"], ids=["2.5", "-1", "True", "str"])
+def test_counter_rejects_fields_that_are_not_non_negative_integers(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be a non-negative integer"):
+        OpCounter(**{field: value})
+
+
+def test_counter_takes_integer_fields_and_increments():
+    c = OpCounter(flops=3, memops=np.int64(4), threads=1)
+    c.count_flops(np.int32(2))
+    c.count_memops(0)
+    assert (c.flops, c.memops, c.threads) == (5, 4, 1)
+
+
 def test_matmul_backend_is_pluggable():
     calls = []
 
@@ -486,6 +519,32 @@ def test_dense_tensor_array_cannot_be_reassigned():
     with pytest.raises(AttributeError):
         t.array = np.ascontiguousarray(built)
     assert t.array is built and built.flags.f_contiguous
+
+
+@pytest.mark.parametrize("field", ["array", "order", "dims", "data"])
+def test_dense_tensor_fields_are_set_once(field):
+    t = DenseTensor(np.arange(6.0).reshape(2, 3))
+    kept = getattr(t, field)
+    with pytest.raises(AttributeError):
+        setattr(t, field, kept)
+    with pytest.raises(AttributeError, match=f"{field} cannot be deleted"):
+        delattr(t, field)
+    assert np.array_equal(getattr(t, field), kept)
+
+
+@pytest.mark.parametrize(
+    "how",
+    [copy.deepcopy, copy.copy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["deepcopy", "copy", "pickle"],
+)
+def test_dense_tensor_copy_views_its_own_array(how):
+    # data is derived, not state: a copy's data views the copy's array.
+    t = DenseTensor(np.arange(24.0).reshape(2, 3, 4))
+    clone = how(t)
+    assert np.shares_memory(clone.data, clone.array)
+    assert clone.array.flags.f_contiguous
+    assert (clone.order, clone.dims) == (3, (2, 3, 4))
+    assert np.array_equal(clone.data, t.data)
 
 
 @pytest.mark.parametrize("view", [pytest.param(lambda a: a, id="<lambda>0")])

@@ -305,6 +305,46 @@ def test_dense_kind_tests_finds_isinstance_against_dense_tensor():
     ]
 
 
+def set_once_breaches(source: str) -> list[str]:
+    """Definitions of ``__setattr__`` or ``__delattr__`` in ``source``: the
+    set-once rule for tensor state is ``dense.Fixed``."""
+    found = [
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("__setattr__", "__delattr__")
+    ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "dense.py"], ids=lambda p: p.name
+)
+def test_set_once_rule_stays_in_dense_module(path):
+    assert set_once_breaches(path.read_text()) == []
+
+
+def test_set_once_breaches_finds_attribute_hooks():
+    source = (
+        "class T:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        object.__setattr__(self, name, value)\n"
+        "    def __delattr__(self, name):\n"
+        "        pass\n"
+        "    def __getattr__(self, name):\n"
+        "        return 0\n"
+        "def __setattr__(obj, name, value):\n"
+        "    setattr(obj, name, value)\n"
+        "class U(Fixed):\n"
+        "    __slots__ = ('a',)\n"
+    )
+    assert set_once_breaches(source) == [
+        "line 2: __setattr__",
+        "line 4: __delattr__",
+        "line 8: __setattr__",
+    ]
+
+
 def private_imports(source: str) -> list[str]:
     """Underscore names that ``source`` imports from a package module."""
     found = []

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import operator
+import pickle
 from collections.abc import Mapping
 
 import numpy as np
@@ -524,3 +525,116 @@ def test_partial_sym_tensor_rejects_tables_of_another_order():
     # ValueError ("axes don't match array").
     with pytest.raises(ShapeError, match="identity on 3 modes"):
         PartialSymTensor(2, 4, 2, (3,), symmetric_tables(2, 2, 2))
+
+
+# ------------------------------------------------------------ set-once fields and copies
+
+
+def _temporary(tmp_path):
+    temps = []
+    hook = lambda k, t: temps.append(t)  # noqa: E731
+    sttsm_bcss(random_bcss(3, 4, 2, 0), random_matrix(4, 4, 1), 2, temp_hook=hook)
+    return temps[0]
+
+
+def _loaded(tmp_path):
+    save_bcss(random_bcss(3, 4, 2, 0), tmp_path / "a.bcss")
+    return load_bcss(tmp_path / "a.bcss")
+
+
+BLOCKED_SOURCES = {
+    "random_bcss": lambda tmp_path: random_bcss(3, 4, 2, 0),
+    "compress": lambda tmp_path: compress(random_symmetric(3, 4, 0), 2),
+    "load_bcss": _loaded,
+    "temporary": _temporary,
+}
+BLOCKED_FIELDS = (
+    "sym_modes", "sym_dim", "block_dim", "grid", "tail_dims", "order", "dims", "data", "tables"
+)
+
+
+@pytest.mark.parametrize(
+    "source,field",
+    [(s, f) for s in BLOCKED_SOURCES for f in BLOCKED_FIELDS]
+    + [(s, f) for s in BLOCKED_SOURCES if s != "temporary" for f in ("n", "b")],
+)
+def test_blocked_tensor_fields_are_set_once(tmp_path, source, field):
+    # Reassigning a field used to leave the tensor at odds with its blocks,
+    # its saved files and its tables.
+    a = BLOCKED_SOURCES[source](tmp_path)
+    kept = getattr(a, field)
+    with pytest.raises(AttributeError, match=f"{field} is set once"):
+        setattr(a, field, kept)
+    with pytest.raises(AttributeError, match=f"{field} cannot be deleted"):
+        delattr(a, field)
+    assert getattr(a, field) is kept
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("data", lambda a: np.zeros(3)), ("data", lambda a: np.zeros_like(a.data)),
+     ("tables", lambda a: None), ("grid", lambda a: 3)],
+    ids=["data-short", "data-zeros", "tables-None", "grid-3"],
+)
+def test_assignments_that_corrupted_a_tensor_now_raise(tmp_path, field, value):
+    # Each assignment used to succeed: a 3-element data saved a 48-byte file
+    # load_bcss rejected and made sttsm_bcss raise NumPy's bare ValueError;
+    # zeroed data left blocks reading the old values; tables of None and a
+    # grid of 3 made decompress raise a bare AttributeError and IndexError.
+    a = random_bcss(3, 4, 2, 0)
+    want = decompress(a).array.copy()
+    stale = a.blocks[(0, 0, 1)].copy()
+    with pytest.raises(AttributeError, match="set once"):
+        setattr(a, field, value(a))
+    assert np.array_equal(decompress(a).array, want)
+    assert np.array_equal(a.blocks[(0, 0, 1)], stale)
+    assert np.array_equal(a.block_at((0, 0, 1)).array, stale)
+    save_bcss(a, tmp_path / "a.bcss")
+    assert np.array_equal(decompress(load_bcss(tmp_path / "a.bcss")).array, want)
+    got = sttsm_bcss(a, np.eye(4), 2)
+    assert np.array_equal(decompress(got).array, want)
+
+
+COPIES = {
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+    "pickle": lambda a: pickle.loads(pickle.dumps(a)),
+}
+
+
+@pytest.mark.parametrize("how", list(COPIES))
+def test_copy_builds_blocks_as_views_of_its_own_data(tmp_path, how):
+    # A copy used to carry the original's cached views as state: a deep
+    # copy or a pickle held each slab twice, and a write through its blocks
+    # reached neither its data, nor block_at, nor a file saved from it.
+    a = random_bcss(3, 4, 2, 0)
+    a.blocks  # cached before the copy
+    before = a.data.copy()
+    clone = COPIES[how](a)
+    key, value = (0, 1, 1), np.full((2, 2, 2), 7.0)
+    clone.blocks[key] = value
+    r = clone.tables.stored_keys().index(key)
+    assert np.array_equal(clone.data[..., r], value)
+    assert np.array_equal(clone.block_at(key).array, value)
+    assert np.array_equal(clone.block_at((1, 0, 1)).array, value.transpose(1, 0, 2))
+    assert all(np.shares_memory(v, clone.data) for v in clone.blocks.values())
+    save_bcss(clone, tmp_path / "clone.bcss")
+    assert np.array_equal(load_bcss(tmp_path / "clone.bcss").blocks[key], value)
+    if how != "copy":  # a shallow copy shares data by design
+        assert np.array_equal(a.data, before)
+        assert not np.shares_memory(clone.data, a.data)
+
+
+@pytest.mark.parametrize("build", [symmetric_tables, identity_tables])
+def test_table_arrays_are_read_only(build):
+    # One level's tables serve every temporary of the level, and a blocked
+    # tensor holds its tables for life: a write used to redirect blocks of
+    # them all.
+    tables = build(3, 2, 3)
+    for got in (tables, copy.deepcopy(tables), pickle.loads(pickle.dumps(tables))):
+        assert not got.rank.flags.writeable
+        assert not got.transpose.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got.rank[0, 0] = 1
+        assert np.array_equal(got.rank, tables.rank)
+        assert got.transposes == tables.transposes
