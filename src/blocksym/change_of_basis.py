@@ -35,7 +35,6 @@ multiply-add and memops count 2 per element moved by a permutation or copy.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import reduce
 from typing import Callable
 
@@ -168,6 +167,28 @@ def sttsm_dense_ttm(
     return c
 
 
+def _copies(
+    slabs: list[int], ids: list[int], axes: list[tuple[int, ...]], run_axes: list[tuple[int, ...]]
+) -> tuple:
+    """One row's gather copies ``(into, source, axes)``, each done as
+    ``buf[..., into] = np.transpose(src[..., source], axes)``.  Consecutive
+    slabs under one transpose id are one run in memory, read alike, so
+    they are one copy between slices, transposed by ``run_axes[id]``, which
+    carries the slab axis along; any other summand is a copy of its own
+    slab, transposed by ``axes[id]``."""
+    runs: list[list[int]] = []
+    for ib, (slab, t) in enumerate(zip(slabs, ids)):
+        if runs and t == runs[-1][3] and slab == runs[-1][2] + ib - runs[-1][0]:
+            runs[-1][1] = ib + 1
+        else:
+            runs.append([ib, ib + 1, slab, t])
+    return tuple(
+        (lo, slab, axes[t]) if hi == lo + 1
+        else (slice(lo, hi), slice(slab, slab + hi - lo), run_axes[t])
+        for lo, hi, slab, t in runs
+    )
+
+
 def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c: int, pool):
     """Set up level ``k``, the contraction of mode ``k`` of ``T(k+1)``
     (tables ``t_in``) into ``T(k)`` (tables ``t_out``): its product
@@ -175,52 +196,60 @@ def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c:
 
     Summand ``ib`` of the block at ``key`` of ``T(k)`` is block ``key +
     (ib,)`` of ``T(k+1)``, so the summands of a produced block are one row
-    of ``t_in`` along its last mode; each row's slabs and transpose ids are
-    gathered here once, and each transpose is composed with the move of
-    mode ``k`` to the end.  A produced block holds ``b_A^k b_C^(m-k)``
-    elements, and its summand slabs ``b_A^(k+1) b_C^(m-1-k)``, the size
-    :func:`~blocksym.split.threads` weighs.
+    of ``t_in`` along its last mode.  Each row's gather copies are planned
+    here once (:func:`_copies`).  A produced block holds ``b_A^k
+    b_C^(m-k)`` elements, and its summand slabs ``b_A^(k+1) b_C^(m-1-k)``,
+    the size :func:`~blocksym.split.threads` weighs.
 
+    A temporary's slab stores its ``nt = m-1-k`` tail modes first and its
+    symmetric modes last (:class:`~blocksym.storage.PartialSymTensor`), so
+    mode ``k`` of ``T(k+1)`` is the slowest in its slab.
     ``product(src, dst, x_blk, counter)`` contracts the packed blocks
     ``src`` of one ``T(k+1)`` with the ``b_C``-row block ``x_blk`` of
     ``x`` into the slabs ``dst``, one GEMM per produced block.  The
     ``nbar`` summand slabs of a block are copied side by side into one
-    buffer, each with a single transpose (redirection fused with moving
-    mode ``k`` last), so the buffer reads as a ``(rest x n)`` matrix whose
-    columns run over the whole contracted mode.  One ``(b_C x n) @ (n x
-    rest)`` GEMM gives the block, transposed, as an F-ordered ``(rest x
-    b_C)`` matrix with its new mode last, and one copy writes it in
-    logical mode order into its slab of ``dst``.  On more than one thread
-    the blocks are shared among the caller and tasks on ``pool`` by
+    F-ordered buffer, which reads as a ``(rest x n)`` matrix whose columns
+    run over the whole contracted mode.  A redirected slab is transposed
+    among its symmetric modes only, so its tail elements move in runs of
+    ``b_C^nt``, and a run of untransposed slabs is one contiguous copy.  One ``(rest x n) @ (n x b_C)`` GEMM gives the block as a
+    C-ordered ``(rest x b_C)`` matrix, whose memory order, new mode
+    fastest, is the slab order of ``T(k)``, so one contiguous copy writes
+    it into its slab of ``dst``.  On more than one thread the blocks are
+    shared among the caller and tasks on ``pool`` by
     :func:`~blocksym.split.share`, each thread with its own buffer and
     counter; every block writes only its own slab.
     """
     nbar = t_in.rank.shape[-1]
+    nt = m - 1 - k
     rows = t_out.stored()
-    slabs = t_in.rank.reshape(-1, nbar)[rows]
-    ids = t_in.transpose.reshape(-1, nbar)[rows]
-    back = (*range(k), *range(k + 1, m), k)
-    axes = [tuple(t[f] for f in back) for t in t_in.transposes]
-    rest_dims = (b_a,) * k + (b_c,) * (m - 1 - k)
-    rest = math.prod(rest_dims)
-    to_logical = (*range(k), m - 1, *range(k, m - 1))
+    slabs = t_in.rank.reshape(-1, nbar)[rows].tolist()
+    ids = t_in.transpose.reshape(-1, nbar)[rows].tolist()
+    # Tail axes stay put and the symmetric ones follow the redirection.
+    axes = [(*range(nt), *(nt + a for a in t[: k + 1])) for t in t_in.transposes]
+    run_axes = [t + (m,) for t in axes]
+    plan = [_copies(s, i, axes, run_axes) for s, i in zip(slabs, ids)]
+    in_dims = (b_c,) * nt + (b_a,) * (k + 1)
+    out_dims = (b_c,) * (m - k) + (b_a,) * k
+    rest = b_c**nt * b_a**k
     split = threads(len(rows), b_a * rest)
 
     def product(src, dst, x_blk, counter) -> None:
+        x_t = x_blk.T
+
         def produce(take, count: OpCounter | None) -> None:
             # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
             # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
-            buf = np.empty(rest_dims + (b_a, nbar), dtype=np.float64, order="F")
-            buf_t = buf.reshape((rest, nbar * b_a), order="F").T
-            for r, (row_slabs, row_ids) in take:
-                for ib, (slab, t) in enumerate(zip(row_slabs, row_ids)):
-                    buf[..., ib] = np.transpose(src[..., slab], axes[t])
-                c_mat = matmul_ref(x_blk, buf_t, count).T
-                dst[..., r] = np.transpose(c_mat.reshape(rest_dims + (b_c,), order="F"), to_logical)
+            buf = np.empty(in_dims + (nbar,), dtype=np.float64, order="F")
+            buf_mat = buf.reshape((rest, nbar * b_a), order="F")
+            for r, copies in take:
+                for into, source, ax in copies:
+                    buf[..., into] = np.transpose(src[..., source], ax)
+                c = matmul_ref(buf_mat, x_t, count)
+                dst[..., r] = c.T.reshape(out_dims, order="F")
                 if count is not None:
-                    count.count_memops(2 * (buf.size + c_mat.size))
+                    count.count_memops(2 * (buf.size + c.size))
 
-        share(produce, enumerate(zip(slabs.tolist(), ids.tolist())), split, counter, pool)
+        share(produce, enumerate(plan), split, counter, pool)
 
     return product
 
@@ -247,7 +276,10 @@ def sttsm_bcss(
 
     Every block of every temporary and of the output is one GEMM: its
     ``nbar`` summand blocks are gathered into a single operand and
-    multiplied by a ``b_C``-row block of ``x`` in one call.  Counted flops
+    multiplied by a ``b_C``-row block of ``x`` in one call.  Temporaries
+    store their tail modes first, so a summand gathers by a contiguous copy
+    (or a transpose among its symmetric modes, when redirected) and each
+    GEMM's result is already in its slab's order.  Counted flops
     equal :func:`~blocksym.costs.bcss_costs` and counted memops equal
     :func:`~blocksym.costs.bcss_impl_memops`.
 

@@ -5,11 +5,12 @@ The blocked algorithm contracts modes ``k = m-1, .., 0`` in turn.  Level
 per block index of its temporary: the canonical ``k``-tuples of the block
 grid, ``C(nbar+k-1, k)`` of them, with partial-symmetry reuse, the whole
 ``nbar^k`` grid without.  A produced block holds ``b_A^k b_C^(m-k)``
-elements and costs one ``(b_C x n) @ (n x rest)`` GEMM on a gathered
-operand of ``b_A^k b_C^(m-1-k) n`` elements.  Every blocked count is an
-integer sum of these terms over the levels (:func:`_levels`), so
-"instrumented counter equals formula" is testable as integer equality.
-Floating point appears only in ratio outputs and a float ``meta_k``.
+elements and costs one ``(rest x n) @ (n x b_C)`` GEMM on a gathered
+operand of ``rest n`` elements, ``rest = b_A^k b_C^(m-1-k)``.  Every
+blocked count is an integer sum of these terms over the levels
+(:func:`_levels`), so "instrumented counter equals formula" is testable
+as integer equality.  Floating point appears only in ratio outputs and a
+float ``meta_k``.
 
 With ``nbar = n/b_A``, ``pbar = p/b_C``, ``r = b_C/b_A`` and ``d = m-1-k``,
 the sums equal the paper's closed forms:
@@ -153,8 +154,8 @@ def bcss_impl_memops(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool = T
     """Memops ``sttsm_bcss`` counts: ``2 (gather + out)`` per produced block.
 
     Each produced block copies its ``nbar`` summand blocks into the GEMM
-    operand and copies its result back to logical mode order, 2 memops per
-    element each time.  The paper's model in :func:`bcss_costs` charges
+    operand and copies its result into its slab, 2 memops per element each
+    time.  The paper's model in :func:`bcss_costs` charges
     ``gather + 2 out``, 1 per summand element and 2 per result element, so
     counted over modelled is ``(2 nbar + 2r) / (nbar + 2r)`` with
     ``r = b_C/b_A``, which is below 2 for every ``r > 0``.
@@ -176,10 +177,12 @@ class ApproxCosts:
     """Large-n closed forms under ``n = p`` and equal block dimensions.
 
     ``bcss_storage`` is ``n^m/m!``, and ``bcss_temps``, the temporaries'
-    payload with reuse, ``b n^(m-1)/(m-1)!``: at a fixed block dimension
-    ``b`` the exact model's ``storage_A`` and ``storage_temps`` approach
-    them as ``n`` grows.  ``bcss_temps`` and ``bcss_memops`` need ``b``,
-    and are ``None`` without it.
+    payload with reuse, ``b n^(m-1)/(m-1)!``; ``bcss_flops`` is
+    ``2 (2^m-1) n^(m+1)/m!`` and ``bcss_memops`` ``(nbar+2)(2^m-1) n^m/m!``.
+    At a fixed block dimension ``b`` the exact model's ``storage_A``,
+    ``storage_temps``, ``flops`` and ``memops`` approach them as ``n``
+    grows.  ``bcss_temps`` and ``bcss_memops`` need ``b``, and are ``None``
+    without it.
 
     ``speedup_limit`` is the commonly quoted flop-ratio constant
     ``(m+1)!/2^m``; ``speedup_limit_exact`` keeps the ``m * m!`` numerator
@@ -207,14 +210,14 @@ def approx_costs(m: int, n: int, b: int | None = None) -> ApproxCosts:
     fact = math.factorial(m)
     temps = memops = None
     if b is not None:
-        memops = Fraction((block_grid(n, b) + 2) * (2 * n) ** m, fact)
+        memops = Fraction((block_grid(n, b) + 2) * (2**m - 1) * n**m, fact)
         temps = Fraction(b * n ** (m - 1), math.factorial(m - 1))
     return ApproxCosts(
         m=m,
         n=n,
         bcss_storage=Fraction(n**m, fact),
         bcss_temps=temps,
-        bcss_flops=Fraction((2 * n) ** (m + 1), fact),
+        bcss_flops=Fraction(2 * (2**m - 1) * n ** (m + 1), fact),
         bcss_memops=memops,
         dense_storage=n**m,
         dense_temps=(m - 1) * n**m,

@@ -18,7 +18,12 @@ symmetry; this keeps the access pattern of block-level kernels uniform.
 modes are ordinary small modes stored as a single block each.  These arise
 as the temporaries of the blocked change-of-basis algorithm.  A temporary
 that stores every block is the same type with identity tables
-(:func:`identity_tables`).
+(:func:`identity_tables`).  Its slabs store the trailing (tail) modes first
+and the symmetric ones last, so the symmetric mode that the algorithm
+contracts next is the slowest in each slab; every reader (``blocks``,
+:meth:`~PartialSymTensor.block_at`, :func:`decompress`) still presents a
+block in logical mode order, symmetric modes first.  A tensor without tail
+modes, such as :class:`BcssTensor`, stores its blocks in logical order.
 
 Blocked storage has one way in from a dense tensor, :func:`compress`, and
 two ways out: :meth:`PartialSymTensor.block_at` for one logical block and
@@ -52,9 +57,10 @@ class BlockTables:
 
     ``rank[idx]`` is the slab that holds the stored block for ``idx``, and
     ``transposes[transpose[idx]]`` the transpose axes, over all modes with
-    the tail modes fixed, that turn that slab into the block at ``idx``.
-    Id 0 is the identity.  It marks the stored indices, which own slabs
-    0, 1, 2, ... in C order, through the last grid index ``(grid-1,) * s``.
+    the tail modes fixed, that turn that slab, read in logical mode order,
+    into the block at ``idx``.  Id 0 is the identity.  It marks the stored
+    indices, which own slabs 0, 1, 2, ... in C order, through the last grid
+    index ``(grid-1,) * s``.
     Both arrays are read-only, in copies too: a level's temporaries share them.
     """
 
@@ -195,8 +201,11 @@ class PartialSymTensor(Fixed):
         symmetric group (:func:`symmetric_tables`); :class:`BlockTables`
         over the grid whose transpose 0 orders the modes, else :class:`ShapeError`.
 
-    ``data`` is allocated here, uninitialized, with shape ``(b,)*s +
-    tail_dims + (slabs,)``; slab ``r`` holds block ``tables.stored_keys()[r]``.
+    ``data`` is allocated here, uninitialized, with shape ``tail_dims +
+    (b,)*s + (slabs,)``, F-ordered: slab ``r`` holds block
+    ``tables.stored_keys()[r]`` with its tail modes first.  ``blocks``,
+    :meth:`block_at` and :func:`decompress` read blocks in logical mode
+    order, ``(b,)*s + tail_dims``.
     Fields are set once (:class:`~blocksym.dense.Fixed`); ``blocks`` is not
     state, so a copy or a pickle builds its own views of its own ``data``.
     """
@@ -232,7 +241,7 @@ class PartialSymTensor(Fixed):
             raise ShapeError(
                 f"tables cover grid {tables.rank.shape}, expected {self.grid}^{sym_modes}"
             )
-        shape = (block_dim,) * sym_modes + self.tail_dims + (tables.rank.item(-1) + 1,)
+        shape = self.tail_dims + (block_dim,) * sym_modes + (tables.rank.item(-1) + 1,)
         self.data = np.empty(shape, dtype=np.float64, order="F")
         self.tables = tables
 
@@ -241,10 +250,10 @@ class PartialSymTensor(Fixed):
 
     @cached_property
     def blocks(self) -> Mapping[MultiIndex, np.ndarray]:
-        """Stored blocks by block index, as views of their slabs; assigning
-        a block writes its slab."""
+        """Stored blocks by block index, as views of their slabs in logical
+        mode order; assigning a block writes its slab."""
         keys = self.tables.stored_keys()
-        return _SlabViews({key: self.data[..., r] for r, key in enumerate(keys)})
+        return _SlabViews({key: self._block(r, 0) for r, key in enumerate(keys)})
 
     def __repr__(self) -> str:
         return (
@@ -255,7 +264,7 @@ class PartialSymTensor(Fixed):
     def block_at(self, sym_idx: MultiIndex) -> DenseTensor:
         """Logical block at ``sym_idx``: its stored slab transposed by the
         recorded permutation of the symmetric modes (tail modes pass
-        through).  Stored indices return the slab itself, without a copy.
+        through).  Stored indices return a view of the slab, without a copy.
         An index that is not ``s`` integers of ``0..grid-1`` raises
         :class:`RangeError`.
         """
@@ -264,9 +273,17 @@ class PartialSymTensor(Fixed):
         inside = idx is not None and all(is_integer(i) and 0 <= i < self.grid for i in idx)
         if not inside or len(idx) != self.sym_modes:
             raise RangeError(f"block index {sym_idx} outside grid {self.grid}^{self.sym_modes}")
-        t = self.tables
-        stored = self.data[..., t.rank[idx]]
-        return DenseTensor(np.transpose(stored, t.transposes[t.transpose[idx]]))
+        return DenseTensor(self._block(self.tables.rank[idx], self.tables.transpose[idx]))
+
+    def _block(self, slab: int, transpose: int) -> np.ndarray:
+        """View of stored slab ``slab`` as a logical block: one transpose
+        that moves the slab's physical ``(tail..., sym...)`` axes to logical
+        order and applies ``tables.transposes[transpose]``."""
+        axes = self.tables.transposes[transpose]
+        if self.tail_dims:  # without tail modes, physical order is logical order
+            s, nt = self.sym_modes, len(self.tail_dims)
+            axes = [a + nt if a < s else a - s for a in axes]
+        return np.transpose(self.data[..., slab], axes)
 
 
 class BcssTensor(PartialSymTensor):
@@ -323,8 +340,7 @@ def decompress(a: PartialSymTensor) -> DenseTensor:
     tail = tuple(slice(None) for _ in a.tail_dims)
     t = a.tables
     for key in itertools.product(range(a.grid), repeat=a.sym_modes):
-        block = np.transpose(a.data[..., t.rank[key]], t.transposes[t.transpose[key]])
-        out[_block_slices(key, a.block_dim) + tail] = block
+        out[_block_slices(key, a.block_dim) + tail] = a._block(t.rank[key], t.transpose[key])
     return DenseTensor(out)
 
 

@@ -323,7 +323,7 @@ def test_bcss_one_gemm_per_produced_block(m, n, p, b_a, b_c):
     for reuse in (True, False):
         # Level k (d = m-1-k) is entered C(pbar+d, d+1) times and produces
         # one block per canonical (reuse) or grid (no reuse) k-tuple, each
-        # from a single (b_C x n) @ (n x rest) product.
+        # from a single (rest x n) @ (n x b_C) product.
         expected = Counter()
         for d in range(m):
             k = m - 1 - d
@@ -340,8 +340,8 @@ def test_bcss_one_gemm_per_produced_block(m, n, p, b_a, b_c):
             out = sttsm_bcss(packed, x, b_c, reuse=reuse)
         finally:
             set_matmul_backend(None)
-        assert all(lhs == (b_c, n) and rhs[0] == n for lhs, rhs in calls), calls
-        assert Counter(rhs[1] for _, rhs in calls) == expected, reuse
+        assert all(lhs[1] == n and rhs == (n, b_c) for lhs, rhs in calls), calls
+        assert Counter(lhs[0] for lhs, _ in calls) == expected, reuse
         assert max_relative_error(decompress(out), sttsm_naive(a, x)) < 1e-10
 
 

@@ -248,9 +248,9 @@ def test_vandermonde_collapse_numerically():
 
 def test_approx_costs_fields_and_validation():
     est = approx_costs(3, 16, b=4)
-    assert est.bcss_flops == Fraction(32**4, 6)
+    assert est.bcss_flops == Fraction(2 * 7 * 16**4, 6)
     assert est.dense_flops == 2 * 3 * 16**4
-    assert est.bcss_memops == Fraction(6 * 32**3, 6)
+    assert est.bcss_memops == Fraction(6 * 7 * 16**3, 6)
     assert est.dense_memops == 9 * 16**3
     assert est.dense_temps == 2 * 16**3
     with pytest.raises(ParameterError):
@@ -272,6 +272,22 @@ def test_approx_storage_and_temps_converge_to_the_exact_model(m):
         exact = bcss_costs(m, n, n, b, b, meta_k=0)
         gaps.append((abs(exact.storage_A / est.bcss_storage - 1),
                      abs(exact.storage_temps / est.bcss_temps - 1)))
+    assert gaps[1][0] < gaps[0][0] / 3 and gaps[2][0] < gaps[1][0] / 3
+    assert gaps[1][1] < gaps[0][1] / 3 and gaps[2][1] < gaps[1][1] / 3
+    assert max(gaps[2]) < Fraction(1, 40)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_approx_flops_and_memops_converge_to_the_exact_model(m):
+    # The level sums' leading constant is 2^m - 1: with 2^m the exact
+    # flops and memops over their closed forms tended to 1 - 2^-m, not 1.
+    b = 8
+    gaps = []
+    for n in (256, 1024, 4096):
+        est = approx_costs(m, n, b)
+        exact = bcss_costs(m, n, n, b, b, meta_k=0)
+        gaps.append((abs(exact.flops / est.bcss_flops - 1),
+                     abs(exact.memops / est.bcss_memops - 1)))
     assert gaps[1][0] < gaps[0][0] / 3 and gaps[2][0] < gaps[1][0] / 3
     assert gaps[1][1] < gaps[0][1] / 3 and gaps[2][1] < gaps[1][1] / 3
     assert max(gaps[2]) < Fraction(1, 40)

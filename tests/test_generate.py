@@ -270,6 +270,25 @@ def test_oracles_keep_their_bytes(m, n, p, digests):
         assert hashlib.sha256(data).hexdigest()[:16] == digest, name
 
 
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize(
+    "m,n,p,b_a,b_c,digest",
+    [
+        (3, 6, 4, 2, 2, "28ef9dada5a62df2"),
+        (4, 6, 6, 3, 2, "1002a5478c0885e0"),
+        (3, 8, 6, 2, 3, "1d60b72c6b778871"),
+        (4, 8, 8, 2, 2, "37a052ee88c7bf7d"),
+    ],
+)
+def test_bcss_keeps_its_bytes(m, n, p, b_a, b_c, digest, reuse):
+    # The blocked algorithm gives the same bytes however its temporaries
+    # are laid out, with or without reuse, pinned as sha256 prefixes of
+    # F-order bytes.
+    out = sttsm_bcss(random_bcss(m, n, b_a, 1), random_matrix(p, n, 2), b_c, reuse=reuse)
+    data = out.data.tobytes(order="F")
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("m,n,p", [(2, 3, 4), (3, 4, 3), (4, 3, 2)])
 def test_naive_counts_two_replication_memops_per_output_element(m, n, p):
     counter = OpCounter()

@@ -376,6 +376,49 @@ def test_packed_blocks_are_views_of_their_slabs():
         assert blk is view is packed.blocks[key]
 
 
+def _hooked_temporary():
+    temps = []
+    hook = lambda k, t: temps.append(copy.deepcopy(t)) if k == 2 else None  # noqa: E731
+    sttsm_bcss(random_bcss(4, 6, 2, 0), random_matrix(6, 6, 1), 3, temp_hook=hook)
+    return temps[-1]
+
+
+TAIL_TENSORS = {
+    "symmetric": lambda: PartialSymTensor(2, 6, 2, (3, 4), symmetric_tables(3, 2, 4)),
+    "identity": lambda: PartialSymTensor(2, 6, 2, (3, 4), identity_tables(3, 2, 4)),
+    "temporary": _hooked_temporary,
+}
+
+
+@pytest.mark.parametrize("source", list(TAIL_TENSORS))
+def test_tail_tensor_stores_tail_modes_first_and_reads_blocks_in_logical_order(source):
+    # Slabs hold the tail modes first, so the mode a level of sttsm_bcss
+    # contracts is the slowest in its slab; blocks, block_at and decompress
+    # still read (sym..., tail...), and blocks are views of the slabs.
+    t = TAIL_TENSORS[source]()
+    if source != "temporary":
+        t.data[...] = np.arange(t.data.size).reshape(t.data.shape, order="F")
+    s, b = t.sym_modes, t.block_dim
+    assert t.data.shape == t.tail_dims + (b,) * s + (len(t.tables.stored_keys()),)
+    assert t.data.flags.f_contiguous
+    for key in t.tables.stored_keys():
+        got = t.blocks[key]
+        assert got.shape == (b,) * s + t.tail_dims
+        assert got.tobytes() == t.block_at(key).array.tobytes()
+        assert np.shares_memory(got, t.data)
+    key = next(key for key in t.tables.stored_keys() if key[0] < key[1])
+    value = np.full((b,) * s + t.tail_dims, -1.0)
+    value[(1,) * (s + len(t.tail_dims))] = -2.0
+    t.blocks[key] = value
+    assert np.array_equal(t.block_at(key).array, value)
+    sl = tuple(slice(i * b, (i + 1) * b) for i in key)
+    assert np.array_equal(decompress(t).array[sl], value)
+    # A block redirected to the same slab reads it transposed among its
+    # symmetric modes only.
+    if t.tables.rank[key[::-1]] == t.tables.rank[key]:
+        assert np.array_equal(t.block_at(key[::-1]).array, value.transpose(1, 0, 2, 3))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -456,7 +499,7 @@ def test_constructor_allocates_the_packed_array(m, n, b):
     grid, tail = n // b, (3, 2)
     temp = PartialSymTensor(m, n, b, tail, identity_tables(grid, m, m + len(tail)))
     assert temp.data.flags.f_contiguous
-    assert temp.data.shape == (b,) * m + tail + (grid**m,)
+    assert temp.data.shape == tail + (b,) * m + (grid**m,)
 
 
 def test_partial_sym_tensor_needs_a_symmetric_mode():
@@ -504,7 +547,7 @@ def test_blocked_tensor_of_order_63_builds():
 
 def test_partial_sym_tensor_tail_dim_zero_builds_empty_slabs():
     temp = PartialSymTensor(1, 4, 2, (0,))
-    assert temp.data.shape == (2, 0, 2)
+    assert temp.data.shape == (0, 2, 2)
 
 
 def test_partial_sym_tensor_rejects_tables_of_another_grid():
