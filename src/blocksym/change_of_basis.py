@@ -20,7 +20,8 @@ Four routes to the same result, ordered by how much structure they exploit:
 ``sttsm_bcss``
     Algorithm-by-blocks over blocked compact symmetric storage.  Output
     blocks are produced once per canonical (nondecreasing) block index,
-    and each block of each temporary and of the output is one GEMM.
+    and each block of each temporary and of the output is one gathered
+    operand times a block of rows of the matrix, one GEMM per row panel.
     Temporaries ``T(k)`` are symmetric in their leading ``k`` modes, so with
     ``reuse=True`` only their canonical blocks are computed and stored
     (redirected reads handle the rest); ``reuse=False`` materializes every
@@ -35,13 +36,13 @@ multiply-add and memops count 2 per element moved by a permutation or copy.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable
 
 import numpy as np
 
 from .counters import OpCounter
-from .dense import DenseTensor, dense_operand, matmul_ref, mode_multiply, real_array
+from .dense import DenseTensor, dense_operand, matmul_backend, mode_multiply, real_array
 from .errors import ParameterError, ShapeError
 from .indexing import block_grid, hypertriangle_iter, sort_within
 from .split import cpus, share, threads, workers
@@ -167,15 +168,22 @@ def sttsm_dense_ttm(
     return c
 
 
+# Rows of one GEMM: a produced block with more rows takes one GEMM per
+# panel of rows, whose operand stays in cache.  Chosen from a sweep,
+# recorded in BENCH_level_plan.json.
+_PANEL = 2048
+
+
 def _copies(
-    slabs: list[int], ids: list[int], axes: list[tuple[int, ...]], run_axes: list[tuple[int, ...]]
+    slabs: list[int], ids: list[int], views: list[np.ndarray], cut: Callable[[int, int], tuple]
 ) -> tuple:
-    """One row's gather copies ``(into, source, axes)``, each done as
-    ``buf[..., into] = np.transpose(src[..., source], axes)``.  Consecutive
-    slabs under one transpose id are one run in memory, read alike, so
-    they are one copy between slices, transposed by ``run_axes[id]``, which
-    carries the slab axis along; any other summand is a copy of its own
-    slab, transposed by ``axes[id]``."""
+    """One row's gather copies, flat in one tuple ``(into, view, source,
+    into, ...)``, each done as ``buf[into] = view[source]``: ``view`` is
+    ``views[id]``, the level's source read through transpose ``id``, and
+    ``into`` and ``source`` are ``cut(lo, hi)``, ``(..., slice(lo, hi))``,
+    on the last axis of the buffer and of that view.  Consecutive slabs
+    under one transpose id are one run in memory, read alike, so they are
+    one copy between slices; any other summand is a copy of its own slab."""
     runs: list[list[int]] = []
     for ib, (slab, t) in enumerate(zip(slabs, ids)):
         if runs and t == runs[-1][3] and slab == runs[-1][2] + ib - runs[-1][0]:
@@ -183,71 +191,102 @@ def _copies(
         else:
             runs.append([ib, ib + 1, slab, t])
     return tuple(
-        (lo, slab, axes[t]) if hi == lo + 1
-        else (slice(lo, hi), slice(slab, slab + hi - lo), run_axes[t])
+        item
         for lo, hi, slab, t in runs
+        for item in (cut(lo, hi), views[t], cut(slab, slab + hi - lo))
     )
 
 
-def _level(t_in: BlockTables, t_out: BlockTables, k: int, m: int, b_a: int, b_c: int, pool):
-    """Set up level ``k``, the contraction of mode ``k`` of ``T(k+1)``
-    (tables ``t_in``) into ``T(k)`` (tables ``t_out``): its product
-    function, which shares the blocks it produces on the call's ``pool``.
+def _level(src: PartialSymTensor, t_out: BlockTables, dst: np.ndarray, b_c: int, pool):
+    """Plan level ``k``, the contraction of mode ``k`` of ``src = T(k+1)``
+    (``k = src.sym_modes - 1``) into the slabs ``dst`` of ``T(k)``, whose
+    tables are ``t_out``, and return its product function, which shares the
+    blocks it produces on the call's ``pool``.  ``src`` and ``dst`` stay the
+    same for the whole call; each visit refills ``dst``.
 
     Summand ``ib`` of the block at ``key`` of ``T(k)`` is block ``key +
     (ib,)`` of ``T(k+1)``, so the summands of a produced block are one row
-    of ``t_in`` along its last mode.  Each row's gather copies are planned
-    here once (:func:`_copies`).  A produced block holds ``b_A^k
+    of ``src.tables`` along its last mode.  A produced block holds ``b_A^k
     b_C^(m-k)`` elements, and its summand slabs ``b_A^(k+1) b_C^(m-1-k)``,
-    the size :func:`~blocksym.split.threads` weighs.
+    the size :func:`~blocksym.split.threads` weighs.  A temporary's slab
+    stores its ``nt = m-1-k`` tail modes first and its symmetric modes last
+    (:class:`~blocksym.storage.PartialSymTensor`), so mode ``k`` of
+    ``T(k+1)`` is the slowest in its slab.
 
-    A temporary's slab stores its ``nt = m-1-k`` tail modes first and its
-    symmetric modes last (:class:`~blocksym.storage.PartialSymTensor`), so
-    mode ``k`` of ``T(k+1)`` is the slowest in its slab.
-    ``product(src, dst, x_blk, counter)`` contracts the packed blocks
-    ``src`` of one ``T(k+1)`` with the ``b_C``-row block ``x_blk`` of
-    ``x`` into the slabs ``dst``, one GEMM per produced block.  The
-    ``nbar`` summand slabs of a block are copied side by side into one
-    F-ordered buffer, which reads as a ``(rest x n)`` matrix whose columns
-    run over the whole contracted mode.  A redirected slab is transposed
-    among its symmetric modes only, so its tail elements move in runs of
-    ``b_C^nt``, and a run of untransposed slabs is one contiguous copy.  One ``(rest x n) @ (n x b_C)`` GEMM gives the block as a
-    C-ordered ``(rest x b_C)`` matrix, whose memory order, new mode
-    fastest, is the slab order of ``T(k)``, so one contiguous copy writes
-    it into its slab of ``dst``.  On more than one thread the blocks are
-    shared among the caller and tasks on ``pool`` by
-    :func:`~blocksym.split.share`, each thread with its own buffer and
-    counter; every block writes only its own slab.
+    Everything but ``x_blk`` is planned here: one view of the whole of
+    ``src`` per transpose id, which moves only the symmetric modes, so tail
+    elements move in runs of ``b_C^nt``; each row's copies from those views
+    (:func:`_copies`), as index tuples; and the row panels.
+    ``product(x_blk, first, counter)`` contracts ``src`` with the
+    ``b_C``-row block ``x_blk`` of ``x`` into the slabs of ``dst`` from
+    ``first`` on, in three steps per produced block:
+
+    1. its ``nbar`` summand slabs are copied side by side into one F-ordered
+       buffer, which reads as a ``(rest x n)`` matrix whose columns run over
+       the whole contracted mode;
+    2. each panel of at most ``_PANEL`` rows of that matrix, a strided view,
+       takes one ``(rows x n) @ (n x b_C)`` GEMM through the backend of
+       :func:`~blocksym.dense.matmul_ref`;
+    3. the C-ordered result, new mode fastest, is in the slab order of
+       ``T(k)``, so one contiguous copy per panel writes it into its slab.
+
+    The operands are float64 matrices of agreeing shapes by construction
+    (``x`` is checked once per call), so no GEMM checks them, and each
+    thread counts flops and memops once per visit: its blocks times the
+    amounts of one.  On more than one thread the blocks are shared among
+    the caller and tasks on ``pool`` by :func:`~blocksym.split.share`, each
+    thread with its own buffer and counter; every block writes only its own
+    slab.
     """
-    nbar = t_in.rank.shape[-1]
+    t_in, k, m, b_a, nbar = src.tables, src.sym_modes - 1, src.order, src.block_dim, src.grid
     nt = m - 1 - k
-    rows = t_out.stored()
-    slabs = t_in.rank.reshape(-1, nbar)[rows].tolist()
-    ids = t_in.transpose.reshape(-1, nbar)[rows].tolist()
-    # Tail axes stay put and the symmetric ones follow the redirection.
-    axes = [(*range(nt), *(nt + a for a in t[: k + 1])) for t in t_in.transposes]
-    run_axes = [t + (m,) for t in axes]
-    plan = [_copies(s, i, axes, run_axes) for s, i in zip(slabs, ids)]
-    in_dims = (b_c,) * nt + (b_a,) * (k + 1)
-    out_dims = (b_c,) * (m - k) + (b_a,) * k
     rest = b_c**nt * b_a**k
+    # Tail axes stay put, the symmetric ones follow the redirection, and
+    # the slab axis stays last.
+    views = [
+        np.transpose(src.data, (*range(nt), *(nt + a for a in t[: k + 1]), m))
+        for t in t_in.transposes
+    ]
+    # Copies share their index tuples: a plan holds far more copies than cuts.
+    cut = cache(lambda lo, hi: (..., slice(lo, hi)))
+    rows = t_out.stored()
+    plan = [
+        _copies(slabs.tolist(), ids.tolist(), views, cut)
+        for slabs, ids in zip(
+            t_in.rank.reshape(-1, nbar)[rows], t_in.transpose.reshape(-1, nbar)[rows]
+        )
+    ]
+    in_dims = (b_c,) * nt + (b_a,) * (k + 1) + (nbar,)
+    # One column per slab of T(k): GEMM row i fills elements i*b_C .. i*b_C+b_C-1.
+    cols = dst.reshape((rest * b_c, -1), order="F")
+    panels = [
+        (slice(lo, lo + _PANEL), slice(lo * b_c, (lo + _PANEL) * b_c))
+        for lo in range(0, rest, _PANEL)
+    ]
+    # Per block: its GEMM, and its operand and result each moved in and out.
+    flops, memops = 2 * rest * nbar * b_a * b_c, 2 * rest * (nbar * b_a + b_c)
     split = threads(len(rows), b_a * rest)
 
-    def product(src, dst, x_blk, counter) -> None:
+    def product(x_blk, first, counter) -> None:
         x_t = x_blk.T
+        gemm = matmul_backend()
 
         def produce(take, count: OpCounter | None) -> None:
             # Summand ``ib`` fills ``buf[..., ib]``, a contiguous slab, so the
             # matrix view's column ``ib * b_A + i`` is global index ``i`` of mode k.
-            buf = np.empty(in_dims + (nbar,), dtype=np.float64, order="F")
-            buf_mat = buf.reshape((rest, nbar * b_a), order="F")
+            buf = np.empty(in_dims, dtype=np.float64, order="F")
+            mat = buf.reshape((rest, nbar * b_a), order="F")
+            done = 0
             for r, copies in take:
-                for into, source, ax in copies:
-                    buf[..., into] = np.transpose(src[..., source], ax)
-                c = matmul_ref(buf_mat, x_t, count)
-                dst[..., r] = c.T.reshape(out_dims, order="F")
-                if count is not None:
-                    count.count_memops(2 * (buf.size + c.size))
+                each = iter(copies)
+                for into, view, source in zip(each, each, each):
+                    buf[into] = view[source]
+                for lines, elems in panels:
+                    cols[elems, first + r] = gemm(mat[lines], x_t).reshape(-1)
+                done += 1
+            if count is not None:
+                count.count_flops(done * flops)
+                count.count_memops(done * memops)
 
         share(produce, enumerate(plan), split, counter, pool)
 
@@ -270,13 +309,13 @@ def sttsm_bcss(
     block per canonical tuple.  Each temporary ``T(k)`` is symmetric in its
     leading ``k`` modes; ``reuse`` selects whether that is exploited
     (canonical blocks only, symmetric tables) or not (every block computed,
-    identity tables).  Each level is set up once per call, its tables here
-    and the rest by :func:`_level` (gather rows, block shapes, thread count
-    and product function), and shared by all temporaries of that level.
+    identity tables).  Each level is set up once per call, its tables and
+    its one temporary here and its plan by :func:`_level` (gather copies,
+    row panels, thread count and product function).
 
-    Every block of every temporary and of the output is one GEMM: its
-    ``nbar`` summand blocks are gathered into a single operand and
-    multiplied by a ``b_C``-row block of ``x`` in one call.  Temporaries
+    Every block of every temporary and of the output gathers its ``nbar``
+    summand blocks into a single operand, multiplied by a ``b_C``-row block
+    of ``x`` in one GEMM per panel of at most ``_PANEL`` rows.  Temporaries
     store their tail modes first, so a summand gathers by a contiguous copy
     (or a transpose among its symmetric modes, when redirected) and each
     GEMM's result is already in its slab's order.  Counted flops
@@ -293,10 +332,12 @@ def sttsm_bcss(
     result and the counts do not depend on the split, and
     ``counter.threads`` reports the largest level's count.
 
-    Each level holds one temporary per parent ``T(k+1)``, a
-    :class:`~blocksym.storage.PartialSymTensor` that each sibling's product
-    refills.  ``temp_hook(k, temp)`` is called with each finished one, so a
-    hook that keeps a temporary past its call must copy it.
+    Each level holds one temporary for the whole call, a
+    :class:`~blocksym.storage.PartialSymTensor` that each visit's product
+    refills.  ``temp_hook(k, temp)`` is called after each refill, so a hook
+    that keeps a temporary past its call must copy it.  The output takes
+    ``a``'s tables when its block grid is ``a``'s (``p/b_C == n/b_A``):
+    tables depend only on the grid and the order, and are read-only.
     """
     if not isinstance(a, BcssTensor):
         raise ShapeError("sttsm_bcss needs blocked compact symmetric input")
@@ -304,33 +345,32 @@ def sttsm_bcss(
     b_a = a.b
     pbar = block_grid(p, b_c)
     nbar = a.grid
-    out = BcssTensor(m, p, b_c)
+    out = BcssTensor(m, p, b_c, a.tables if pbar == nbar else None)
 
-    def descend(k: int, src: np.ndarray, j_hi: int, suffix: tuple[int, ...]) -> None:
-        tables, product = levels[k]
-        temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), tables) if k else None
+    def descend(k: int, j_hi: int, suffix: tuple[int, ...]) -> None:
+        temp, product = levels[k]
         for jb in range(j_hi + 1):
             x_blk = x[jb * b_c : (jb + 1) * b_c, :]
             if k == 0:
-                r = out.tables.rank[(jb,) + suffix]
-                product(src, out.data[..., r : r + 1], x_blk, counter)
+                product(x_blk, out.tables.rank[(jb,) + suffix], counter)
                 continue
-            product(src, temp.data, x_blk, counter)
+            product(x_blk, 0, counter)
             if temp_hook is not None:
                 temp_hook(k, temp)
-            descend(k - 1, temp.data, jb, (jb,) + suffix)
+            descend(k - 1, jb, (jb,) + suffix)
 
     # One pool per call.  Its shutdown joins every task, also when one has
     # raised, so no worker writes a temporary after the call has ended.
     with workers(cpus()) as pool:
-        # Per level k: T(k)'s tables and product.  T(0) is one output block.
+        # Per level k: T(k) and its product.  T(0) is one block of the output.
         levels = [None] * m
-        t_in = a.tables
+        src = a
         for k in range(m - 1, -1, -1):
             t_out = symmetric_tables(nbar, k, m) if reuse and k else identity_tables(nbar, k, m)
-            levels[k] = (t_out, _level(t_in, t_out, k, m, b_a, b_c, pool))
-            t_in = t_out
-        descend(m - 1, a.data, pbar - 1, ())
+            temp = PartialSymTensor(k, n, b_a, (b_c,) * (m - k), t_out) if k else out
+            levels[k] = (temp, _level(src, t_out, temp.data, b_c, pool))
+            src = temp
+        descend(m - 1, pbar - 1, ())
     return out
 
 

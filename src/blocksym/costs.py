@@ -5,8 +5,9 @@ The blocked algorithm contracts modes ``k = m-1, .., 0`` in turn.  Level
 per block index of its temporary: the canonical ``k``-tuples of the block
 grid, ``C(nbar+k-1, k)`` of them, with partial-symmetry reuse, the whole
 ``nbar^k`` grid without.  A produced block holds ``b_A^k b_C^(m-k)``
-elements and costs one ``(rest x n) @ (n x b_C)`` GEMM on a gathered
-operand of ``rest n`` elements, ``rest = b_A^k b_C^(m-1-k)``.  Every
+elements and costs the flops of one ``(rest x n) @ (n x b_C)`` GEMM on a
+gathered operand of ``rest n`` elements, ``rest = b_A^k b_C^(m-1-k)``,
+however the implementation cuts that product into row panels.  Every
 blocked count is an integer sum of these terms over the levels
 (:func:`_levels`), so "instrumented counter equals formula" is testable
 as integer equality.  Floating point appears only in ratio outputs and a
@@ -103,8 +104,9 @@ def _levels(m: int, n: int, p: int, b_a: int, b_c: int, reuse: bool) -> Iterator
     """``(k, visits, blocks, gather, out)`` of each level ``k = m-1, .., 0``.
 
     Level ``k`` contracts mode ``k`` in ``visits`` runs.  Each run produces
-    ``blocks`` blocks of ``out`` elements, each from one GEMM on a gathered
-    operand of ``gather`` elements.
+    ``blocks`` blocks of ``out`` elements, each from a gathered operand of
+    ``gather`` elements times a ``b_C``-row block of ``x``: one GEMM's
+    flops, whether it runs as one call or as one per row panel.
     """
     _check(m, n, p)
     nbar, pbar = block_grid(n, b_a), block_grid(p, b_c)

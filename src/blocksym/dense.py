@@ -8,7 +8,8 @@ i_{m-1})`` lives at flat offset ``sum_k i_k * prod_{j<k} I_j``.
   the package's four argument rules: an integer argument, a real scalar
   argument, a real operand and a dense tensor operand,
 * ``permute`` / ``ipermute`` -- materialized data rearrangement,
-* ``matmul_ref`` -- the single matrix-multiply seam,
+* ``matmul_ref`` -- the single matrix-multiply seam (``set_matmul_backend``
+  swaps its kernel, ``matmul_backend`` returns it),
 * ``mode_multiply`` -- the mode-k tensor-times-matrix product, one fused
   kernel that walks cache-sized chunks: copy a chunk into a buffer laid out
   in the source's memory order, one ``matmul_ref`` GEMM, copy the result
@@ -148,6 +149,12 @@ def set_matmul_backend(fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     """Swap the kernel behind :func:`matmul_ref` (``None`` restores default)."""
     global _gemm_backend
     _gemm_backend = _default_gemm if fn is None else fn
+
+
+def matmul_backend() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The kernel :func:`matmul_ref` runs, for a caller that has checked its
+    operands once for many products and counts their flops itself."""
+    return _gemm_backend
 
 
 def matmul_ref(a: np.ndarray, b: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

@@ -287,10 +287,15 @@ class PartialSymTensor(Fixed):
 
 
 class BcssTensor(PartialSymTensor):
-    """Fully symmetric tensor stored by canonical blocks (all modes grouped)."""
+    """Fully symmetric tensor stored by canonical blocks (all modes grouped).
 
-    def __init__(self, order: int, dim: int, block_dim: int):
-        super().__init__(order, dim, block_dim, ())
+    ``tables`` default to the symmetric tables of the block grid; tables of
+    another grid or order raise :class:`ShapeError`
+    (:class:`PartialSymTensor`).  Tables depend only on the grid and the
+    order, and are read-only, so tensors of one grid may share them."""
+
+    def __init__(self, order: int, dim: int, block_dim: int, tables: BlockTables | None = None):
+        super().__init__(order, dim, block_dim, (), tables)
         self.n, self.b = dim, block_dim
 
 

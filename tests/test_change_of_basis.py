@@ -345,6 +345,49 @@ def test_bcss_one_gemm_per_produced_block(m, n, p, b_a, b_c):
         assert max_relative_error(decompress(out), sttsm_naive(a, x)) < 1e-10
 
 
+@pytest.mark.parametrize("reuse", [True, False])
+def test_bcss_gemms_take_row_panels(cpus, reuse):
+    # At (5, 16, 16, 8, 8) every produced block has rest = 8^4 = 4096 GEMM
+    # rows, so it takes its GEMMs by panels of at most cb._PANEL rows, one
+    # after another on one thread, each (rows x n) @ (n x b_C).
+    m, n, p, b = 5, 16, 16, 8
+    cpus(1)
+    packed = compress(random_symmetric(m, n, 52), b)
+    x = random_matrix(p, n, 53)
+    rest = b ** (m - 1)
+    calls = []
+
+    def counting(lhs, rhs):
+        calls.append((lhs.shape, rhs.shape))
+        return lhs @ rhs
+
+    counter = OpCounter()
+    set_matmul_backend(counting)
+    try:
+        out = sttsm_bcss(packed, x, b, counter, reuse=reuse)
+    finally:
+        set_matmul_backend(None)
+    assert cb._PANEL == 2048
+    assert all(lhs[0] <= 2048 and lhs[1] == n and rhs == (n, b) for lhs, rhs in calls)
+    # Each produced block's panels sum to its rows.
+    blocks, left = 0, 0
+    for (rows, _), _ in calls:
+        left = left or rest
+        assert 0 < rows <= left
+        left -= rows
+        blocks += left == 0
+    assert left == 0
+    grid, pgrid = n // b, p // b
+    assert blocks == sum(
+        math.comb(pgrid + m - 1 - k, m - k) * (simplex_count(grid, k) if reuse and k else grid**k)
+        for k in range(m)
+    )
+    assert len(calls) == 2 * blocks
+    assert counter.flops == bcss_costs(m, n, p, b, b, meta_k=0, reuse=reuse).flops
+    assert counter.memops == bcss_impl_memops(m, n, p, b, b, reuse=reuse)
+    assert max_relative_error(decompress(out), sttsm_dense_ttm(decompress(packed), x)) < 1e-10
+
+
 @st.composite
 def _bcss_case(draw):
     m = draw(st.integers(2, 4))
@@ -415,11 +458,40 @@ def test_bcss_builds_level_tables_once_per_call(monkeypatch, reuse):
 
 
 @pytest.mark.parametrize("reuse", [True, False])
+def test_bcss_builds_level_tables_once_per_call_on_one_grid(monkeypatch, reuse):
+    # With p == n the output has the input's block grid and takes its
+    # tables, so a call canonicalizes only its symmetric temporary levels.
+    from blocksym import storage
+
+    m, n, b = 4, 6, 2
+    nbar = n // b
+    packed = compress(random_symmetric(m, n, 40), b)
+    x = random_matrix(n, n, 41)
+    calls = []
+    real = storage.canonicalize
+    monkeypatch.setattr(storage, "canonicalize", lambda idx: calls.append(idx) or real(idx))
+    temps = sum(nbar**k for k in range(1, m)) if reuse else 0
+    for _ in range(2):
+        calls.clear()
+        sttsm_bcss(packed, x, b, reuse=reuse)
+        assert len(calls) == temps
+
+
+@pytest.mark.parametrize("p,b_c", [(6, 2), (3, 1), (6, 3), (4, 2), (12, 4)])
+def test_bcss_output_shares_its_input_tables_on_one_grid(p, b_c):
+    packed = compress(random_symmetric(3, 6, 46), 2)
+    before = packed.data.tobytes(order="F")
+    out = sttsm_bcss(packed, random_matrix(p, 6, 47), b_c)
+    assert (out.tables is packed.tables) == (p // b_c == packed.grid)
+    out.data[...] = 0.0
+    assert packed.data.tobytes(order="F") == before
+
+
+@pytest.mark.parametrize("reuse", [True, False])
 @pytest.mark.parametrize("m,n,p,b_a,b_c", [(4, 6, 6, 3, 2), (5, 8, 8, 2, 2), (3, 8, 6, 2, 3)])
 def test_bcss_builds_one_temporary_per_parent(monkeypatch, reuse, m, n, p, b_a, b_c):
-    # Level k's siblings, the temporaries computed under one T(k+1), refill
-    # one PartialSymTensor: a level builds one per nondecreasing block tuple
-    # (jb_{k+1}, .., jb_{m-1}), and the output is built once.
+    # Every visit of level k refills one PartialSymTensor, built once per
+    # call next to the level's tables, and the output is built once.
     from blocksym import storage
 
     packed = compress(random_symmetric(m, n, 42), b_a)
@@ -433,9 +505,7 @@ def test_bcss_builds_one_temporary_per_parent(monkeypatch, reuse, m, n, p, b_a, 
 
     monkeypatch.setattr(storage.PartialSymTensor, "__init__", counted)
     sttsm_bcss(packed, x, b_c, reuse=reuse)
-    pbar = p // b_c
-    want = {k: math.comb(pbar + m - 2 - k, m - 1 - k) for k in range(1, m)}
-    assert built == {**want, m: 1}
+    assert built == {k: 1 for k in range(1, m + 1)}
 
 
 @pytest.mark.parametrize("reuse", [True, False])

@@ -278,6 +278,10 @@ def test_oracles_keep_their_bytes(m, n, p, digests):
         (4, 6, 6, 3, 2, "1002a5478c0885e0"),
         (3, 8, 6, 2, 3, "1d60b72c6b778871"),
         (4, 8, 8, 2, 2, "37a052ee88c7bf7d"),
+        # Levels of 4096 GEMM rows, so more than one row panel per block;
+        # the second also has b_A != b_C and shares its input's tables.
+        (5, 16, 16, 8, 8, "f0b0d8f10d029671"),
+        (5, 16, 8, 8, 4, "2648242d4c1df8fe"),
     ],
 )
 def test_bcss_keeps_its_bytes(m, n, p, b_a, b_c, digest, reuse):

@@ -348,18 +348,20 @@ def test_identity_tables_store_every_block_untransposed():
     assert tables.stored_keys() == list(itertools.product(range(3), repeat=2))
 
 
-@pytest.mark.parametrize("tail", [(), (2,)])
+@pytest.mark.parametrize("tail", [(), (3,)])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5])
 def test_partial_sym_tensor_has_one_slab_per_stored_block(grid, s, tail):
     # The slab count is read from the last grid index's rank, not a scan.
+    # A tail dimension unlike the block dimension checks that the tail
+    # modes come first in each slab.
     order = s + len(tail)
     for tables, slabs in [
         (symmetric_tables(grid, s, order), simplex_count(grid, s)),
         (identity_tables(grid, s, order), grid**s),
     ]:
         temp = PartialSymTensor(s, 2 * grid, 2, tail, tables)
-        assert temp.data.shape == (2,) * s + tail + (slabs,)
+        assert temp.data.shape == tail + (2,) * s + (slabs,)
 
 
 def test_packed_blocks_are_views_of_their_slabs():
@@ -568,6 +570,19 @@ def test_partial_sym_tensor_rejects_tables_of_another_order():
     # ValueError ("axes don't match array").
     with pytest.raises(ShapeError, match="identity on 3 modes"):
         PartialSymTensor(2, 4, 2, (3,), symmetric_tables(2, 2, 2))
+
+
+def test_bcss_tensor_takes_tables_of_its_grid_and_order_only():
+    tables = symmetric_tables(3, 3, 3)
+    t = BcssTensor(3, 6, 2, tables)
+    assert t.tables is tables
+    assert t.data.shape == (2, 2, 2, simplex_count(3, 3))
+    with pytest.raises(ShapeError, match=r"tables cover grid \(2, 2, 2\), expected 3\^3"):
+        BcssTensor(3, 6, 2, symmetric_tables(2, 3, 3))
+    with pytest.raises(ShapeError, match="identity on 3 modes"):
+        BcssTensor(3, 6, 2, symmetric_tables(3, 2, 2))
+    with pytest.raises(ShapeError, match="identity on 3 modes"):
+        BcssTensor(3, 6, 2, symmetric_tables(3, 4, 4))
 
 
 # ------------------------------------------------------------ set-once fields and copies
